@@ -9,9 +9,10 @@ the lost redundancy onto the survivors (§5.3.1 disaster recovery).
 Run:  python examples/failure_tolerance.py
 """
 
+from repro.accesscore.result import AccessConfig
+from repro.accesscore.routing import MB
 from repro.cluster.server import Cluster
-from repro.core import RobuStoreScheme
-from repro.core.access import MB, AccessConfig
+from repro.core import SCHEMES
 from repro.core.repair import repair_file
 from repro.experiments.extensions import ext_failures
 from repro.sim.rng import RngHub
@@ -33,7 +34,7 @@ def main() -> None:
     print("\nrebuilding the lost redundancy (repair subsystem):")
     cluster = Cluster(n_disks=32)
     hub = RngHub(99)
-    scheme = RobuStoreScheme(
+    scheme = SCHEMES["robustore"](
         cluster,
         AccessConfig(data_bytes=128 * MB, n_disks=16, redundancy=3.0),
         hub=hub,
@@ -45,9 +46,9 @@ def main() -> None:
     report = repair_file(scheme, "dataset", trial=1)
     print(
         f"  2 disks lost {report.blocks_lost} coded blocks; reconstruction "
-        f"read took {report.read_latency_s:.2f} s, fresh rateless "
-        f"replacements written to {report.healthy_disks} survivors in "
-        f"{report.write_latency_s:.2f} s."
+        f"read took {report.read_s:.2f} s, fresh rateless "
+        f"replacements written to {report.disks_touched} survivors in "
+        f"{report.write_s:.2f} s."
     )
     after = scheme.read("dataset", 2)
     print(f"  post-repair read: {after.bandwidth_mbps:.0f} MB/s ✔")

@@ -7,7 +7,8 @@ statistics, and the simulation shows the plan actually meeting the target.
 Run:  python examples/qos_planning.py
 """
 
-from repro.core.access import MB, AccessConfig
+from repro.accesscore.result import AccessConfig
+from repro.accesscore.routing import MB
 from repro.core.qos import DiskProfile, QoSOptions, plan_access
 from repro.experiments.harness import TrialPlan, run_scheme
 from repro.metrics.stats import summarize

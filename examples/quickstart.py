@@ -11,7 +11,8 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro.core.access import MB, AccessConfig
+from repro.accesscore.result import AccessConfig
+from repro.accesscore.routing import MB
 from repro.core.api import RobuStoreClient
 
 

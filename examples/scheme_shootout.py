@@ -9,7 +9,8 @@ Run:  python examples/scheme_shootout.py [trials]
 
 import sys
 
-from repro.core.access import MB, AccessConfig
+from repro.accesscore.result import AccessConfig
+from repro.accesscore.routing import MB
 from repro.experiments.harness import TrialPlan, run_point
 from repro.metrics.reporting import format_table
 

@@ -10,10 +10,9 @@ decode-tail charging.  Two engines *wrap* it without duplicating it:
   builds per-disk :class:`timeline.DiskStream` objects in one shot and
   :func:`timeline.read_epilogue` settles completion, cancel accounting,
   tracing and repair annotation;
-* the **event-driven engine** (:mod:`repro.accesscore.events`, surfaced as
-  :mod:`repro.core.reference`) runs the same objects as discrete-event
-  processes on the :mod:`repro.sim` kernel and hands its per-disk streams
-  to the *same* epilogue.
+* the **event-driven engine** (:mod:`repro.accesscore.events`) runs the
+  same objects as discrete-event processes on the :mod:`repro.sim` kernel
+  and hands its per-disk streams to the *same* epilogue.
 
 Single wiring sites (the unification contract):
 
@@ -27,6 +26,4 @@ Single wiring sites (the unification contract):
 Layering rule: ``accesscore`` never imports :mod:`repro.core` — policy
 objects (completion/reaction/write singletons) are passed in and duck-typed,
 which is what lets both engines share one epilogue without an import cycle.
-The legacy import paths ``repro.core.access`` and ``repro.core.trackers``
-remain as re-export shims.
 """

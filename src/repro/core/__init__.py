@@ -5,57 +5,43 @@ Every scheme is a composition of the :mod:`repro.core.policy` layers
 engine-agnostic pipeline in :mod:`repro.core.pipeline`.  The paper's
 schemes, as compared in Chapter 6:
 
-* :class:`repro.core.raid0.Raid0Scheme` — plain striping, zero redundancy.
-* :class:`repro.core.rraid_s.RRaidSScheme` — rotated replication +
-  speculative access.
-* :class:`repro.core.rraid_a.RRaidAScheme` — rotated replication +
-  adaptive multi-round access.
-* :class:`repro.core.robustore.RobuStoreScheme` — LT-coded redundancy +
-  speculative access (the paper's contribution).
+* ``raid0`` — plain striping, zero redundancy.
+* ``rraid-s`` — rotated replication + speculative access.
+* ``rraid-a`` — rotated replication + adaptive multi-round access.
+* ``robustore`` — LT-coded redundancy + speculative access (the paper's
+  contribution).
 
-Further cross-products (``lt+adaptive``, ``mirror+adaptive``,
-``rs+adaptive``) live only in
-:data:`repro.core.policy.compose.COMPOSITIONS`;
-:func:`repro.core.pipeline.scheme_class` synthesizes their classes on
-demand.  :mod:`repro.core.api` wraps the schemes in the
+:data:`repro.core.policy.compose.COMPOSITIONS` documents each
+composition; :func:`repro.core.pipeline.scheme_class` builds the class
+for any of them.  :mod:`repro.core.api` wraps the schemes in the
 open/read/write/close interface of §4.3.1.
 """
 
-from repro.core.access import AccessResult
+from repro.accesscore.result import AccessResult
 from repro.core.pipeline import PolicyScheme, scheme_class
 from repro.core.policy.compose import COMPOSITIONS
-from repro.core.raid0 import Raid0Scheme
-from repro.core.raid01 import Raid01Scheme
-from repro.core.raid5 import Raid5Scheme
-from repro.core.robustore import RobuStoreScheme
-from repro.core.robustore_rs import RobuStoreRSScheme
-from repro.core.rraid_a import RRaidAScheme
-from repro.core.rraid_s import RRaidSScheme
 
-#: The paper's four schemes plus the Fig 2-2 background baselines.
-#: (Exactly the named shim classes; registry-only compositions are in
-#: :data:`COMPOSITIONS` and resolved via :func:`scheme_class`.)
+#: The paper's four schemes plus the Fig 2-2 background baselines and the
+#: §5.2.1 Reed-Solomon ablation.  Further cross-products (``lt+adaptive``,
+#: ``regen-msr``, ...) are in :data:`COMPOSITIONS`, reached via
+#: :func:`scheme_class`.
 SCHEMES = {
-    "raid0": Raid0Scheme,
-    "rraid-s": RRaidSScheme,
-    "rraid-a": RRaidAScheme,
-    "robustore": RobuStoreScheme,
-    "raid5": Raid5Scheme,
-    "raid0+1": Raid01Scheme,
-    "robustore-rs": RobuStoreRSScheme,
+    name: scheme_class(name)
+    for name in (
+        "raid0",
+        "rraid-s",
+        "rraid-a",
+        "robustore",
+        "raid5",
+        "raid0+1",
+        "robustore-rs",
+    )
 }
 
 __all__ = [
     "AccessResult",
     "COMPOSITIONS",
     "PolicyScheme",
-    "Raid0Scheme",
-    "Raid01Scheme",
-    "Raid5Scheme",
-    "RRaidAScheme",
-    "RRaidSScheme",
-    "RobuStoreRSScheme",
-    "RobuStoreScheme",
     "SCHEMES",
     "scheme_class",
 ]

@@ -1,50 +1,10 @@
-"""Compatibility facade over :mod:`repro.accesscore`.
+"""``MB`` under its original import path.
 
-The shared access engine — request/response routing, the per-disk serve
-timeline, tracker consumption, cancel accounting, tracing, the uniform
-write — lives in the :mod:`repro.accesscore` package, where both the
-closed-form and the event-driven engines wrap it.  This module keeps the
-original import path alive: everything it ever exported is re-exported
-here unchanged, so downstream code and the published examples keep
-working without edits.
-
-New code should import from :mod:`repro.accesscore` directly.
+The access machinery lives in :mod:`repro.accesscore`; import from there.
+This module remains only because the end-to-end benchmark workloads
+(``benchmarks/e2e/workloads.py``) still import ``MB`` from here.
 """
 
-from __future__ import annotations
+from repro.accesscore.routing import MB
 
-from repro.accesscore.result import (  # noqa: F401
-    _RESULT_FIELDS,
-    AccessConfig,
-    AccessResult,
-    _jsonable,
-)
-from repro.accesscore.routing import (  # noqa: F401
-    DECODE_BANDWIDTH_BPS,
-    MB,
-    decode_tail_s,
-    open_latency_s,
-    request_arrival_time,
-    response_arrival_times,
-)
-from repro.accesscore.timeline import (  # noqa: F401
-    DiskStream,
-    completion_time,
-    completion_with_order,
-    consume_sorted_arrivals,
-    finalize_read,
-    merged_arrival_order,
-    serve_read_queues,
-    simulate_uniform_write,
-)
-from repro.accesscore.tracing import (  # noqa: F401
-    _COUNTER_SAMPLES,
-    _sample_indices,
-    trace_read_access,
-)
-from repro.accesscore.trackers import (  # noqa: F401
-    AllBlocksTracker,
-    CompletionTracker,
-    CoverageTracker,
-    DecoderTracker,
-)
+__all__ = ["MB"]

@@ -25,10 +25,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from repro.accesscore.result import AccessConfig, AccessResult
+from repro.accesscore.routing import MB
 from repro.cluster.metadata import MetadataServer
 from repro.cluster.server import Cluster
 from repro.coding.xorblocks import join_blocks, split_into_blocks
-from repro.core.access import MB, AccessConfig, AccessResult
 from repro.core.codecs import codec_for
 from repro.core.pipeline import scheme_class
 from repro.core.qos import QoSOptions, plan_access

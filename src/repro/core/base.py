@@ -6,9 +6,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from repro.accesscore.result import AccessConfig, AccessResult
+from repro.accesscore.routing import open_latency_s
 from repro.cluster.metadata import FileRecord, MetadataServer
 from repro.cluster.server import Cluster
-from repro.core.access import AccessConfig, AccessResult, open_latency_s
 from repro.core.scheduler import AccessScheduler
 from repro.sim.rng import RngHub
 

@@ -12,12 +12,12 @@ from typing import Protocol
 
 import numpy as np
 
+from repro.accesscore.result import AccessConfig
 from repro.cluster.metadata import FileRecord
 from repro.coding.parallel import coding_threads, parallel_encode_ids, parallel_group_map
 from repro.coding.peeling import PeelingDecoder
 from repro.coding.reed_solomon import ReedSolomonCode
 from repro.coding.regenerating import product_matrix_code
-from repro.core.access import AccessConfig
 
 
 class Codec(Protocol):

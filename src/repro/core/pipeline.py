@@ -10,17 +10,16 @@ access to the composition's layers:
 * ``read`` — fault reaction plans the read (or short-circuits it), then
   the dispatch policy runs it against the completion policy's tracker.
 
-The seven scheme modules (``repro.core.raid0`` etc.) are thin shims over
-this class; new compositions need no class at all —
-:func:`scheme_class` synthesizes one from the registry.
+No scheme needs a hand-written class: :func:`scheme_class` synthesizes
+one per registry entry.
 """
 
 from __future__ import annotations
 
 from typing import ClassVar
 
+from repro.accesscore.result import AccessResult
 from repro.cluster.metadata import FileRecord
-from repro.core.access import AccessResult
 from repro.core.base import SchemeBase
 from repro.core.policy.compose import COMPOSITIONS, SchemeSpec, composition
 
@@ -50,23 +49,16 @@ class PolicyScheme(SchemeBase):
         return self.spec.dispatch.read(self, self.spec, record, plan, trial)
 
 
-#: Classes synthesized for registry-only compositions, keyed by name.
+#: Classes synthesized so far, keyed by composition name.
 _SYNTHESIZED: dict[str, type[PolicyScheme]] = {}
 
 
-def scheme_class(name: str) -> type[SchemeBase]:
-    """The scheme class for ``name``: a shim if one exists, else synthesized.
+def scheme_class(name: str) -> type[PolicyScheme]:
+    """The scheme class for composition ``name``, built once and cached.
 
-    The seven paper schemes have named shim classes (back-compat import
-    paths, scheme-specific constants); every other
-    :data:`~repro.core.policy.compose.COMPOSITIONS` entry gets a class
-    built on the fly.  Raises ``ValueError`` for names in neither.
+    Raises ``ValueError`` for names not in
+    :data:`~repro.core.policy.compose.COMPOSITIONS`.
     """
-    from repro.core import SCHEMES
-
-    cls = SCHEMES.get(name)
-    if cls is not None:
-        return cls
     cached = _SYNTHESIZED.get(name)
     if cached is not None:
         return cached

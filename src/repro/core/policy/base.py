@@ -12,11 +12,11 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.accesscore.result import AccessConfig, AccessResult
+    from repro.accesscore.trackers import CompletionTracker
     from repro.cluster.metadata import FileRecord
-    from repro.core.access import AccessConfig, AccessResult
     from repro.core.base import SchemeBase
     from repro.core.policy.compose import SchemeSpec
-    from repro.core.trackers import CompletionTracker
 
 
 @dataclass(frozen=True)

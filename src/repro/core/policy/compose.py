@@ -106,30 +106,44 @@ _SPEC_WRITE = SpeculativeRatelessWrite()
 #: The paper's schemes (first seven) and the new cross-products the
 #: layered decomposition unlocks.
 COMPOSITIONS: dict[str, SchemeSpec] = {
+    # RAID-0 (§6.2.1): no redundancy, so a read waits for every block and
+    # is gated by the slowest disk — the baseline every figure compares.
     "raid0": SchemeSpec(
         "raid0", _STRIPED, _SPECULATIVE, _ALL_BLOCKS, _ABORT, _UNIFORM,
         traced=True, redundancy_override=0.0,
     ),
+    # RRAID-S: replica r of block i on disk (i + r) mod H; one speculative
+    # round, cancel on first-copy coverage (~200% I/O overhead).
     "rraid-s": SchemeSpec(
         "rraid-s", _ROTATED, _SPECULATIVE, _COVERAGE, _FAILOVER, _UNIFORM,
         traced=True,
     ),
+    # RRAID-A: the same placement; an idle disk steals half a laggard's
+    # remaining work, one round trip per hand-off (Fig 6-12).
     "rraid-a": SchemeSpec(
         "rraid-a", _ROTATED, _ADAPTIVE, _COVERAGE, _FAILOVER, _UNIFORM,
         traced=True,
     ),
+    # RobuSTore (the contribution): LT-coded blocks, one speculative round
+    # cancelled at decode (§4.3.3), speculative rateless writes (§4.3.2).
     "robustore": SchemeSpec(
         "robustore", _RATELESS, _SPECULATIVE, _LT_DECODE, _RESPECULATE,
         _SPEC_WRITE, traced=True,
     ),
+    # RAID-5 (Fig 2-2): rotating parity; one failed disk reads degraded,
+    # more than one is unrecoverable.
     "raid5": SchemeSpec(
         "raid5", _PARITY, _SPECULATIVE, _PARITY_FILL, _DEGRADED, _UNIFORM,
         traced=False,
     ),
+    # RAID-0+1 (Fig 2-2): two mirrored stripe sets; a block's copies share
+    # a stripe position, so one slow disk pair pins both mirrors.
     "raid0+1": SchemeSpec(
         "raid0+1", _MIRRORED, _SPECULATIVE, _COVERAGE, _FAILOVER, _UNIFORM,
         traced=False,
     ),
+    # RobuSTore-RS (§5.2.1 ablation): speculation over Reed-Solomon words
+    # of 32 originals; pays an RS decode tail and the slowest group's skew.
     "robustore-rs": SchemeSpec(
         "robustore-rs", _GROUPED_RS, _SPECULATIVE, _RS_FILL, _PASSIVE,
         _ENCODE_OVERLAP, traced=False,

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.accesscore.trackers import PARITY_BASE
 from repro.coding.lt import ImprovedLTCode, LTGraph
 from repro.core import layout as L
 from repro.core.policy.base import PlacementSpec
-from repro.core.trackers import PARITY_BASE
 from repro.sim.rng import stable_seed
 
 #: Distinct LT graphs rotated across trials, mimicking per-simulation graph

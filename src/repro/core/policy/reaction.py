@@ -62,7 +62,7 @@ class Respeculate(PassiveReaction):
     #: When permanent fail-stops push a file's surviving redundancy below
     #: this fraction of the configured degree, reads flag the file for a
     #: background rebuild (``extra["repair_triggered"]``;
-    #: :func:`repro.faults.inject.maybe_repair` acts on it).
+    #: :func:`repro.core.repair.maybe_repair` acts on it).
     REPAIR_REDUNDANCY_FLOOR = 0.5
 
     def retry_targets(self, scheme, pending, t_retry_floor, t0):

@@ -33,38 +33,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.accesscore.repair import DEFAULT_REPAIR_FLOOR, repair_trigger_state
-from repro.accesscore.timeline import finalize_read, serve_read_queues
+from repro.accesscore.timeline import (
+    finalize_read,
+    serve_read_queues,
+    simulate_uniform_write,
+)
 from repro.coding.lt import ImprovedLTCode
-from repro.core.access import simulate_uniform_write
-from repro.core.robustore import RobuStoreScheme
+from repro.core.pipeline import PolicyScheme
 from repro.rebuild import RepairEvent, RepairTask
-
-
-@dataclass
-class RepairReport:
-    """Outcome of one repair pass."""
-
-    read_latency_s: float
-    write_latency_s: float
-    blocks_lost: int
-    blocks_rebuilt: int
-    healthy_disks: int
-    #: Coding family that performed the pass.
-    algorithm: str = "lt"
-    #: Bytes pulled from helper disks over the network.
-    bytes_read_helpers: int = 0
-    #: Bytes written to the replacement locations.
-    bytes_written: int = 0
-    #: Distinct disks that served helper reads or absorbed writes.
-    disks_touched: int = 0
-
-    @property
-    def total_latency_s(self) -> float:
-        return self.read_latency_s + self.write_latency_s
-
-    @property
-    def complete(self) -> bool:
-        return self.blocks_rebuilt >= self.blocks_lost
 
 
 @dataclass(frozen=True)
@@ -75,14 +51,14 @@ class RepairDecision:
     ``reason`` is one of ``no-faults`` / ``healthy`` / ``duplicate``
     (this disk epoch was already handled) / ``deferred`` (queued by the
     scheduler) / ``repaired``.  ``reports`` carries one
-    :class:`RepairReport` per pass the scheduler released.
+    :class:`~repro.rebuild.RepairEvent` per pass the scheduler released.
     """
 
     triggered: bool
     reason: str
     dead_disks: tuple[int, ...]
     surviving_redundancy: float
-    reports: tuple[RepairReport, ...] = ()
+    reports: tuple[RepairEvent, ...] = ()
     #: Tasks still queued in the scheduler after this notification.
     deferred: int = 0
 
@@ -91,7 +67,7 @@ class RepairDecision:
         return bool(self.reports)
 
 
-def failed_positions(scheme: RobuStoreScheme, file_name: str) -> list[int]:
+def failed_positions(scheme: PolicyScheme, file_name: str) -> list[int]:
     """Placement positions whose disks are currently failed.
 
     Covers both per-trial erasure state (``DiskState.failed``) and disks a
@@ -196,10 +172,17 @@ def _repair_lt(scheme, file_name: str, trial: int, record, dead, healthy, lost):
         )
 
     if lost == 0:
-        return RepairReport(
-            read_result.latency_s, 0.0, 0, 0, len(healthy), algorithm="lt",
+        return RepairEvent(
+            file_name=file_name,
+            algorithm="lt",
             bytes_read_helpers=read_result.network_bytes,
+            bytes_written=0,
             disks_touched=len(healthy),
+            blocks_lost=0,
+            blocks_rebuilt=0,
+            block_bytes=cfg.block_bytes,
+            read_s=read_result.latency_s,
+            write_s=0.0,
         )
 
     # 2. Fresh rateless replacements: extend the graph rather than rebuild
@@ -234,16 +217,17 @@ def _repair_lt(scheme, file_name: str, trial: int, record, dead, healthy, lost):
     # 4. Metadata: drop the dead positions' blocks, add the replacements.
     _merge_placement(scheme, record, file_name, set(dead), new_placement)
 
-    return RepairReport(
-        read_latency_s=read_result.latency_s,
-        write_latency_s=t_write,
-        blocks_lost=lost,
-        blocks_rebuilt=lost,
-        healthy_disks=len(healthy),
+    return RepairEvent(
+        file_name=file_name,
         algorithm="lt",
         bytes_read_helpers=read_result.network_bytes,
         bytes_written=write_bytes,
         disks_touched=len(healthy),
+        blocks_lost=lost,
+        blocks_rebuilt=lost,
+        block_bytes=cfg.block_bytes,
+        read_s=read_result.latency_s,
+        write_s=t_write,
     )
 
 
@@ -281,16 +265,17 @@ def _repair_reed_solomon(
     )
     _merge_placement(scheme, record, file_name, dead_set, writes)
 
-    return RepairReport(
-        read_latency_s=t_read,
-        write_latency_s=t_write,
-        blocks_lost=lost,
-        blocks_rebuilt=lost,
-        healthy_disks=len(healthy),
+    return RepairEvent(
+        file_name=file_name,
         algorithm="reed-solomon",
         bytes_read_helpers=bytes_read,
         bytes_written=bytes_written,
         disks_touched=_touched(record, helper_q, writes),
+        blocks_lost=lost,
+        blocks_rebuilt=lost,
+        block_bytes=scheme.config.block_bytes,
+        read_s=t_read,
+        write_s=t_write,
     )
 
 
@@ -342,23 +327,22 @@ def _repair_regenerating(
     )
     _merge_placement(scheme, record, file_name, dead_set, writes)
 
-    return RepairReport(
-        read_latency_s=t_read,
-        write_latency_s=t_write,
-        blocks_lost=lost,
-        blocks_rebuilt=lost,
-        healthy_disks=len(healthy),
+    return RepairEvent(
+        file_name=file_name,
         algorithm=c["algorithm"],
         bytes_read_helpers=bytes_read,
         bytes_written=bytes_written,
         disks_touched=_touched(record, helper_q, writes),
+        blocks_lost=lost,
+        blocks_rebuilt=lost,
+        block_bytes=scheme.config.block_bytes,
+        read_s=t_read,
+        write_s=t_write,
     )
 
 
-def repair_file(
-    scheme: RobuStoreScheme, file_name: str, trial: int
-) -> RepairReport:
-    """Rebuild the redundancy a failure destroyed.
+def repair_file(scheme: PolicyScheme, file_name: str, trial: int) -> RepairEvent:
+    """Rebuild the redundancy a failure destroyed; return the pass's record.
 
     Dispatches on the record's coding family (LT graph extension, RS
     whole-word reconstruction, regenerating node repair).
@@ -398,20 +382,6 @@ def repair_file(
             scheme.cluster.repair_ledger = ledger
 
 
-def _event_from(scheme, report: RepairReport, file_name: str) -> RepairEvent:
-    return RepairEvent(
-        file_name=file_name,
-        algorithm=report.algorithm,
-        bytes_read_helpers=report.bytes_read_helpers,
-        bytes_written=report.bytes_written,
-        disks_touched=report.disks_touched,
-        blocks_lost=report.blocks_lost,
-        blocks_rebuilt=report.blocks_rebuilt,
-        block_bytes=scheme.config.block_bytes,
-        wall_time_s=report.total_latency_s,
-    )
-
-
 def maybe_repair(
     scheme, file_name: str, trial: int, result, scheduler=None, ledger=None
 ) -> RepairDecision:
@@ -423,6 +393,8 @@ def maybe_repair(
     (grouped RS) repair under the same floor as RobuSTore.  Repeated
     notifications for the same set of dead disks return a ``duplicate``
     decision without repairing again; a new failure starts a new epoch.
+    A pass that raises leaves its epoch unclaimed, so the next
+    notification for the same dead set tries again.
 
     Without a ``scheduler`` every trigger repairs immediately (eager);
     with one, the scheduler decides which queued tasks to release now.
@@ -455,18 +427,27 @@ def maybe_repair(
         sorted(int(record.disk_ids[i]) for i in failed_positions(scheme, file_name))
     )
     pending = len(scheduler.pending) if scheduler is not None else 0
-    if record.extra.get("repair_epoch") == dead:
+    previous = record.extra.get("repair_epoch")
+    if previous == dead:
         return RepairDecision(True, "duplicate", dead, surv, deferred=pending)
     record.extra["repair_epoch"] = dead
 
     task = RepairTask(file_name, trial, dead, surv)
     released = [task] if scheduler is None else scheduler.offer(task)
     reports = []
-    for t in released:
-        report = repair_file(scheme, t.file_name, t.trial)
-        reports.append(report)
-        if ledger is not None:
-            ledger.record(_event_from(scheme, report, t.file_name))
+    try:
+        for t in released:
+            reports.append(repair_file(scheme, t.file_name, t.trial))
+            if ledger is not None:
+                ledger.record(reports[-1])
+    except RuntimeError:
+        # A failed pass must not claim the epoch, or every later
+        # notification for this dead set would be a silent "duplicate".
+        if previous is None:
+            del record.extra["repair_epoch"]
+        else:
+            record.extra["repair_epoch"] = previous
+        raise
     pending = len(scheduler.pending) if scheduler is not None else 0
     reason = "repaired" if reports else "deferred"
     return RepairDecision(
@@ -474,7 +455,7 @@ def maybe_repair(
     )
 
 
-def drain_repairs(scheme, scheduler, ledger=None) -> tuple[RepairReport, ...]:
+def drain_repairs(scheme, scheduler, ledger=None) -> tuple[RepairEvent, ...]:
     """Flush a scheduler's queue and repair everything it was holding.
 
     The end-of-horizon drain: lazy and batched policies may still be
@@ -486,8 +467,7 @@ def drain_repairs(scheme, scheduler, ledger=None) -> tuple[RepairReport, ...]:
         ledger = getattr(scheme.cluster, "repair_ledger", None)
     reports = []
     for task in scheduler.flush():
-        report = repair_file(scheme, task.file_name, task.trial)
-        reports.append(report)
+        reports.append(repair_file(scheme, task.file_name, task.trial))
         if ledger is not None:
-            ledger.record(_event_from(scheme, report, task.file_name))
+            ledger.record(reports[-1])
     return tuple(reports)

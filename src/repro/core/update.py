@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.access import AccessResult, simulate_uniform_write
-from repro.core.robustore import RobuStoreScheme
+from repro.accesscore.result import AccessResult
+from repro.accesscore.timeline import simulate_uniform_write
+from repro.core.pipeline import PolicyScheme
 
 
-def affected_blocks(scheme: RobuStoreScheme, file_name: str, original_ids) -> set[int]:
+def affected_blocks(scheme: PolicyScheme, file_name: str, original_ids) -> set[int]:
     """Coded-block ids that must be rewritten if ``original_ids`` change."""
     record = scheme.metadata.lookup(file_name)
     graph = record.extra["graph"]
@@ -27,7 +28,7 @@ def affected_blocks(scheme: RobuStoreScheme, file_name: str, original_ids) -> se
 
 
 def update_access(
-    scheme: RobuStoreScheme, file_name: str, original_ids, trial: int
+    scheme: PolicyScheme, file_name: str, original_ids, trial: int
 ) -> AccessResult:
     """Simulate an update of ``original_ids`` (§4.3.4's full procedure).
 
@@ -75,7 +76,7 @@ def update_access(
     )
 
 
-def update_amplification(scheme: RobuStoreScheme, file_name: str, n_samples: int = 32) -> float:
+def update_amplification(scheme: PolicyScheme, file_name: str, n_samples: int = 32) -> float:
     """Mean coded blocks rewritten per single-original-block update."""
     record = scheme.metadata.lookup(file_name)
     graph = record.extra["graph"]

@@ -54,7 +54,7 @@ def _worker(payload_json: str) -> tuple[str, float]:
 
     Module-level so it pickles under both fork and spawn start methods.
     The wall time is measurement metadata only — it never enters the
-    payload, the results or the cache entry (SIM008).
+    payload, the results or the cache entry (lint rule SIM001).
     """
     t0 = time.perf_counter()
     results_json = execute_payload(payload_json)

@@ -3,14 +3,14 @@
 A :class:`Job` is the unit the execution engine schedules, caches and
 ships across process boundaries.  Its payload is a *canonical JSON
 encoding* of the full :class:`~repro.experiments.harness.TrialPlan`
-(including the nested :class:`~repro.core.access.AccessConfig`, in-disk
+(including the nested :class:`~repro.accesscore.result.AccessConfig`, in-disk
 layout, fault plan/model) plus the scheme name; its cache key is a
 :func:`repro.sim.rng.stable_digest` of that payload folded with the run's
 env knobs (``REPRO_TRIALS`` / ``REPRO_DATA_MB``) and a code-version salt.
 
 Determinism contract: a payload contains *only* values that reproduce the
 simulation — no wall-clock times, no PIDs, no per-process state (enforced
-by lint rule SIM008).  Equal payloads therefore run bit-identically in
+by lint rule SIM001).  Equal payloads therefore run bit-identically in
 any process, which is what makes the result cache and the worker pool
 safe.
 """
@@ -21,7 +21,7 @@ import dataclasses
 import json
 from dataclasses import dataclass
 
-from repro.core.access import AccessConfig, AccessResult
+from repro.accesscore.result import AccessConfig, AccessResult
 from repro.disk.workload import InDiskLayout
 from repro.experiments import config as C
 from repro.experiments.harness import TrialPlan

@@ -7,7 +7,7 @@ without any side index, and GC can tell live entries from ones written
 under an older code-version salt.
 
 Entries contain **only deterministic content** (payload + results — no
-timestamps, no hostnames, no PIDs; SIM008 enforces this in code): two
+timestamps, no hostnames, no PIDs; SIM001 enforces this in code): two
 machines that run the same job write byte-identical cache files.  Writes
 go through a temp file + :func:`os.replace`, so concurrent writers of the
 same key race benignly — last writer wins with identical bytes.

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import os
 
-from repro.core.access import MB, AccessConfig
+from repro.accesscore.result import AccessConfig
+from repro.accesscore.routing import MB
 
 #: Disk pool size (§6.2.5).
 POOL_DISKS = 128

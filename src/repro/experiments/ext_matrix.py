@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.access import MB, AccessConfig
+from repro.accesscore.result import AccessConfig
+from repro.accesscore.routing import MB
 from repro.core.policy.compose import COMPOSITIONS
 from repro.experiments import config as C
 from repro.experiments.faultstorm import HORIZON_S, STORM

@@ -14,12 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.accesscore.result import AccessConfig
+from repro.accesscore.routing import MB
 from repro.cluster.admission import Flow, PriorityAdmission, pick_admitted_server
 from repro.cluster.server import Cluster
 from repro.coding.lt import ImprovedLTCode
 from repro.coding.parallel import encode_throughput
-from repro.core import RobuStoreScheme
-from repro.core.access import MB, AccessConfig
+from repro.core import SCHEMES
 from repro.core.update import update_access, update_amplification
 from repro.metrics.reporting import format_table
 from repro.sim.rng import RngHub
@@ -52,7 +53,7 @@ def ext_update(
         )
         cluster = Cluster(n_disks=128)
         hub = RngHub(seed)
-        scheme = RobuStoreScheme(cluster, cfg, hub=hub)
+        scheme = SCHEMES["robustore"](cluster, cfg, hub=hub)
         cluster.redraw_disk_states(hub.fresh("env", k))
         scheme.prepare("f", 0)
         amp = update_amplification(scheme, "f")

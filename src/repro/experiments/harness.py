@@ -12,8 +12,8 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.accesscore.result import AccessConfig, AccessResult
 from repro.cluster.server import Cluster
-from repro.core.access import AccessConfig, AccessResult
 from repro.core.pipeline import scheme_class
 from repro.disk.workload import InDiskLayout
 from repro.experiments import config as C
@@ -103,17 +103,17 @@ class TrialPlan:
 
 def _engine_read(scheme, name: str, trial: int, engine: str) -> AccessResult:
     if engine == "event":
-        from repro.core.reference import reference_read
+        from repro.accesscore.events import event_read
 
-        return reference_read(scheme, name, trial=trial).result
+        return event_read(scheme, name, trial=trial).result
     return scheme.read(name, trial)
 
 
 def _engine_write(scheme, name: str, trial: int, engine: str) -> AccessResult:
     if engine == "event":
-        from repro.core.reference import reference_write
+        from repro.accesscore.events import event_write
 
-        return reference_write(scheme, name, trial=trial)
+        return event_write(scheme, name, trial=trial)
     return scheme.write(name, trial)
 
 

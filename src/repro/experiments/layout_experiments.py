@@ -7,7 +7,7 @@ function covers a *triplet* of paper figures.
 
 from __future__ import annotations
 
-from repro.core.access import MB
+from repro.accesscore.routing import MB
 from repro.experiments import config as C
 from repro.experiments.harness import ExperimentResult, TrialPlan, sweep
 

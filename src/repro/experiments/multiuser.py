@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.access import MB, AccessConfig
+from repro.accesscore.result import AccessConfig
+from repro.accesscore.routing import MB
 from repro.metrics.reporting import format_table
 from repro.serve import closed_loop_point
 

@@ -39,12 +39,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.accesscore.result import AccessConfig
+from repro.accesscore.routing import MB
 from repro.cluster.server import Cluster
-from repro.core.access import MB, AccessConfig
 from repro.core.pipeline import scheme_class
-from repro.core.repair import drain_repairs
+from repro.core.repair import drain_repairs, maybe_repair
 from repro.experiments import config as C
-from repro.faults import maybe_repair
 from repro.faults.model import FaultModel
 from repro.faults.plan import DISK_FAIL
 from repro.metrics.reporting import format_table

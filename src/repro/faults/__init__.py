@@ -33,7 +33,7 @@ equal (plan, seed) pairs always reproduce the same results.  See
 ``docs/fault_injection.md``.
 """
 
-from repro.faults.inject import FaultInjector, maybe_repair
+from repro.faults.inject import FaultInjector
 from repro.faults.model import FaultModel
 from repro.faults.plan import (
     DISK_FAIL,
@@ -58,5 +58,4 @@ __all__ = [
     "FaultModel",
     "FaultPlan",
     "LinkTimeline",
-    "maybe_repair",
 ]

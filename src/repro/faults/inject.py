@@ -9,13 +9,12 @@ topology and hangs the resulting :class:`FaultInjector` off
   :class:`repro.faults.timeline.DiskTimeline`, so queue completion times
   are warped in closed form (fail-stop -> ``inf``, slowdown -> stretch,
   recovery -> resume);
-* the access machinery (:mod:`repro.core.access`) routes request and
+* the access machinery (:mod:`repro.accesscore.routing`) routes request and
   response instants through the per-filer
   :class:`repro.faults.timeline.LinkTimeline`;
 * schemes consult :meth:`down_at` / :meth:`first_recovery_after` /
   :meth:`permanently_failed` to re-speculate and to decide when lost
-  redundancy warrants a :mod:`repro.core.repair` pass
-  (:func:`maybe_repair`);
+  redundancy warrants a :func:`repro.core.repair.maybe_repair` pass;
 * :meth:`schedule_on` registers the plan as real events on a DES
   :class:`repro.sim.core.Environment`, flipping event-driven
   :class:`repro.disk.drive.DiskDrive` entities mid-service and emitting
@@ -168,21 +167,6 @@ class FaultInjector:
                 apply(edge, ev)
 
         return env.process(pump(), name="fault-injector")
-
-
-def maybe_repair(scheme, file_name: str, trial: int, result, scheduler=None, ledger=None):
-    """Delegating alias for :func:`repro.core.repair.maybe_repair`.
-
-    Kept here (lazily imported, avoiding the policy-layer import cycle)
-    so fault-handling call sites can keep importing the repair entry
-    point from :mod:`repro.faults`.  Returns the structured
-    :class:`repro.core.repair.RepairDecision`.
-    """
-    from repro.core.repair import maybe_repair as _maybe_repair
-
-    return _maybe_repair(
-        scheme, file_name, trial, result, scheduler=scheduler, ledger=ledger
-    )
 
 
 def surviving_blocks(injector: Optional[FaultInjector], record) -> int:

@@ -39,11 +39,9 @@ from repro.lint.engine import (
 
 # Importing the rule modules registers the built-in rules.
 from repro.lint import (  # noqa: F401  (registration side effect)
-    rules_exec,
     rules_policy,
     rules_project,
     rules_py,
-    rules_serve,
     rules_sim,
 )
 

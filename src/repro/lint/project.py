@@ -1,6 +1,6 @@
 """Whole-program view of the ``repro`` package: ``ProjectContext``.
 
-The per-file rules (SIM001-SIM009) are blind across module boundaries: a
+The per-file rules (SIM001-SIM007) are blind across module boundaries: a
 one-line wrapper (``def _now(): return time.time()`` in a utils module,
 called from ``core/``) launders wall-clock reads past the entire rule
 set.  This module builds what the interprocedural rules (SIM010-SIM012)
@@ -15,8 +15,8 @@ need to see through that:
 * a **module-qualified symbol table** — top-level functions, classes
   (with methods), assignments, imports, ``from``-imports, ``__all__``;
 * an **import graph** and transitive re-export resolution (``from
-  repro.core.raid0 import Raid0Scheme`` in ``core/__init__`` resolves
-  consumers of ``repro.core.Raid0Scheme`` to the defining module);
+  repro.core.pipeline import scheme_class`` in ``core/__init__`` resolves
+  consumers of ``repro.core.scheme_class`` to the defining module);
 * a **call graph** keyed by qualified function names
   (``repro.core.access:Access.run`` / ``repro.util.helpers:_now``),
   resolved conservatively: direct names, module-attribute chains,

@@ -7,7 +7,7 @@ the same composition, across trials and across schemes.  An instance
 attribute written during an access would leak state between trials (and
 between *schemes* sharing the singleton), breaking the determinism
 contract the goldens pin down.  Per-access state belongs in the tracker
-objects (:mod:`repro.core.trackers`) or in local variables.
+objects (:mod:`repro.accesscore.trackers`) or in local variables.
 """
 
 from __future__ import annotations

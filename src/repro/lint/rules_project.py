@@ -1,6 +1,6 @@
 """Whole-program rules (SIM010-SIM012).
 
-These are the interprocedural complement to SIM001-SIM009: they run once
+These are the interprocedural complement to SIM001-SIM007: they run once
 per lint run over a :class:`repro.lint.project.ProjectContext` instead
 of per file, so they see through module boundaries.
 
@@ -8,7 +8,7 @@ of per file, so they see through module boundaries.
   sim-critical package (``core``/``disk``/``cluster``/``sim``/``exec``/
   ``serve``) that reaches a wall-clock, entropy or global-RNG source
   through *any* call chain is flagged with the full chain printed, even
-  when every individual file passes SIM001/SIM002/SIM008/SIM009.  The
+  when every individual file passes SIM001/SIM002.  The
   exec/serve payload-hash caches are only sound under exactly this
   property.  Direct in-body sinks (chain length zero) are left to the
   per-file rules, which already point at the offending line — SIM010
@@ -57,7 +57,7 @@ def check_transitive_nondeterminism(project: ProjectContext) -> Iterator:
         t = taint.taints[(fn, kind)]
         if t.depth == 0:
             # A sink inside the function's own body is the per-file
-            # rules' jurisdiction (SIM001/SIM002/SIM008/SIM009 point at
+            # rules' jurisdiction (SIM001/SIM002 point at
             # the offending line); SIM010 owns taint that crosses a call
             # edge, which is exactly what per-file rules cannot see.
             continue

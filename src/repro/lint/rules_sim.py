@@ -2,8 +2,9 @@
 
 These rules encode the kernel's contracts:
 
-* all time comes from ``Environment.now`` (simulated seconds) — wall-clock
-  reads make runs irreproducible (SIM001);
+* all time comes from ``Environment.now`` (simulated seconds) and all
+  entropy from the seed — wall-clock reads, PIDs, random UUIDs and
+  unseeded generators make runs irreproducible (SIM001);
 * all randomness flows through an :class:`repro.sim.rng.RngHub` stream or
   an injected ``np.random.Generator`` — global RNG state couples
   components and breaks seed isolation (SIM002);
@@ -56,7 +57,7 @@ def _trailing_name(node: ast.AST) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# SIM001 — no wall-clock time inside the simulator
+# SIM001 — no wall-clock or OS-entropy source inside the simulator
 
 _TIME_CLOCK_FNS = {
     "time",
@@ -69,50 +70,32 @@ _TIME_CLOCK_FNS = {
 }
 _DATETIME_CLOCK_FNS = {"now", "utcnow", "today"}
 
-
 @rule(
     "SIM001",
     Severity.ERROR,
-    "no wall-clock reads inside src/repro — use Environment.now",
+    "no wall-clock or OS-entropy source inside src/repro — use "
+    "Environment.now and RngHub streams",
     repro_only=True,
 )
 def check_wall_clock(ctx: FileContext) -> Iterator:
-    time_aliases = _module_aliases(ctx.tree, "time")
-    time_names = {
-        local
-        for local, orig in _from_imports(ctx.tree, "time").items()
-        if orig in _TIME_CLOCK_FNS
+    # Deferred: the taint module builds its sink vocabulary from this one.
+    from repro.lint.taint import (
+        KIND_ENTROPY,
+        KIND_WALL_CLOCK,
+        _ModuleTables,
+        classify_sink,
+    )
+
+    hints = {
+        KIND_WALL_CLOCK: "use Environment.now (simulated seconds) instead",
+        KIND_ENTROPY: "results, job payloads and cache keys must reproduce "
+        "from the seed alone — draw from an RngHub stream instead",
     }
-    datetime_aliases = _module_aliases(ctx.tree, "datetime") | {
-        local
-        for local, orig in _from_imports(ctx.tree, "datetime").items()
-        if orig in ("datetime", "date")
-    }
+    tables = _ModuleTables(ctx.tree)
     for node in ctx.walk((ast.Call,)):
-        func = node.func
-        if isinstance(func, ast.Attribute):
-            base = func.value
-            if (
-                isinstance(base, ast.Name)
-                and base.id in time_aliases
-                and func.attr in _TIME_CLOCK_FNS
-            ):
-                yield node, (
-                    f"wall-clock read time.{func.attr}() in simulator code; "
-                    "use Environment.now (simulated seconds) instead"
-                )
-            elif func.attr in _DATETIME_CLOCK_FNS and (
-                _trailing_name(base) in ({"datetime", "date"} | datetime_aliases)
-            ):
-                yield node, (
-                    f"wall-clock read {_trailing_name(base)}.{func.attr}() in "
-                    "simulator code; use Environment.now instead"
-                )
-        elif isinstance(func, ast.Name) and func.id in time_names:
-            yield node, (
-                f"wall-clock read {func.id}() (imported from time); "
-                "use Environment.now instead"
-            )
+        kind, desc = classify_sink(node, tables) or (None, None)
+        if kind in hints:
+            yield node, f"{kind} source {desc} in simulator code; {hints[kind]}"
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +309,7 @@ def _has_early_return_guard(func: ast.AST, call: ast.Call) -> bool:
     """True if a ``if not tracer.enabled: return`` precedes ``call``.
 
     Only top-level statements of the enclosing function are considered —
-    the idiom used throughout ``core/access.py``.
+    the idiom used throughout ``accesscore/timeline.py``.
     """
     body = getattr(func, "body", [])
     for stmt in body:

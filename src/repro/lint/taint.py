@@ -2,8 +2,8 @@
 
 Per-function **summaries** record whether a function *directly* touches a
 banned source — a wall-clock read, OS/process entropy, or global RNG
-state (the same families SIM001/SIM002/SIM008/SIM009 flag per-file, with
-the same ``time.perf_counter`` benchmark allowlist).  A breadth-first
+state (the same families SIM001/SIM002 flag per-file, with the same
+``time.perf_counter`` benchmark allowlist).  A breadth-first
 **fixpoint over the reverse call graph** then propagates those bits to
 every caller, so ``core.run -> utils.stamp -> utils._now ->
 time.time()`` is caught even though ``core.run`` itself looks clean to
@@ -15,9 +15,9 @@ the chosen chain deterministic — lint output must be byte-stable for the
 findings cache and the CI double-run diff.
 
 Pragmas are honoured **at the sink**: a line that disables SIM010 — or
-the per-file rule that owns that sink family (SIM001 for wall-clock,
-SIM002 for global RNG, SIM008/SIM009 for entropy) — stops the taint at
-its source, so one justified suppression does not need to be repeated up
+the per-file rule that owns that sink family (SIM001 for wall-clock and
+entropy, SIM002 for global RNG and unseeded generators) — stops the taint
+at its source, so one justified suppression does not need to be repeated up
 the call chain.
 """
 
@@ -27,7 +27,6 @@ import ast
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.lint.rules_exec import _OS_PROCESS_FNS, _UUID_NONDET_FNS
 from repro.lint.rules_sim import (
     _DATETIME_CLOCK_FNS,
     _NP_GLOBAL_FNS,
@@ -45,10 +44,17 @@ KIND_ENTROPY = "entropy"
 KIND_GLOBAL_RNG = "global-RNG"
 
 _KIND_BASE_RULES = {
-    KIND_WALL_CLOCK: ("SIM001", "SIM008", "SIM009"),
-    KIND_ENTROPY: ("SIM002", "SIM008", "SIM009"),
-    KIND_GLOBAL_RNG: ("SIM002", "SIM009"),
+    KIND_WALL_CLOCK: ("SIM001",),
+    KIND_ENTROPY: ("SIM001", "SIM002"),
+    KIND_GLOBAL_RNG: ("SIM002",),
 }
+
+#: ``os`` functions yielding per-process / per-boot values.
+_OS_PROCESS_FNS = {"getpid", "getppid", "urandom", "times"}
+
+#: ``uuid`` constructors that are time- or entropy-derived (uuid3/uuid5
+#: are content hashes and therefore deterministic).
+_UUID_NONDET_FNS = {"uuid1", "uuid4"}
 
 #: Unseeded-entropy constructors (fresh OS seed behind a clean API).
 _UNSEEDED_CTORS = {"default_rng", "RandomState", "SeedSequence"}
@@ -118,10 +124,10 @@ class _ModuleTables:
 def classify_sink(node: ast.Call, tables: _ModuleTables) -> Optional[tuple[str, str]]:
     """``(kind, description)`` when ``node`` is a direct banned call.
 
-    Mirrors the per-file rules' sink families — including the
-    ``time.perf_counter`` allowlist (it is simply not in the banned set)
-    and seeded-constructor exemptions — so a function is tainted exactly
-    by the calls SIM001/SIM002/SIM008/SIM009 would flag somewhere.
+    The one sink vocabulary: SIM001 flags its wall-clock and entropy
+    kinds per file, SIM010 propagates all three kinds up the call graph.
+    ``time.perf_counter`` is allowed (it is simply not in the banned set),
+    and seeded constructors are exempt.
     """
     func = node.func
     unseeded = not node.args and not node.keywords

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.access import MB, AccessResult
+from repro.accesscore.result import AccessResult
+from repro.accesscore.routing import MB
 
 
 @dataclass(frozen=True)

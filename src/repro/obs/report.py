@@ -82,7 +82,7 @@ class TraceReport:
     @property
     def io_overhead(self) -> float:
         """(network - data) / data — must reconcile with the endpoint
-        :attr:`repro.core.access.AccessResult.io_overhead` figures."""
+        :attr:`repro.accesscore.result.AccessResult.io_overhead` figures."""
         if not self.data_bytes:
             return 0.0
         return (self.network_bytes - self.data_bytes) / self.data_bytes

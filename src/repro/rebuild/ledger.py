@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 @dataclass(frozen=True)
 class RepairEvent:
-    """One metered rebuild pass."""
+    """One rebuild pass: the bytes it moved, the disks it touched, its time."""
 
     file_name: str
     #: Coding algorithm that performed the rebuild (``lt``,
@@ -34,8 +34,17 @@ class RepairEvent:
     blocks_rebuilt: int
     #: Coded block size of the repaired file (prices ``blocks_lost``).
     block_bytes: int
-    #: Simulated wall-clock the rebuild occupied (read + write).
-    wall_time_s: float
+    #: Simulated seconds of the helper-read and replacement-write phases.
+    read_s: float
+    write_s: float
+
+    @property
+    def wall_time_s(self) -> float:
+        return self.read_s + self.write_s
+
+    @property
+    def complete(self) -> bool:
+        return self.blocks_rebuilt >= self.blocks_lost
 
     @property
     def bytes_moved(self) -> int:

@@ -12,9 +12,9 @@ metrics — p50/p99/p999 latency over fixed-bin histograms, goodput under
 overload, rejection rate — come out per scheme.
 
 Determinism contract: every draw flows through :class:`repro.sim.rng.
-RngHub` (lint rule SIM009 bans wall-clock and unseeded entropy in this
-package), so a serving sweep is byte-identical across runs and across
-``-j 1`` vs ``-j N`` worker pools.  See ``docs/serving.md``.
+RngHub` (lint rule SIM001 bans wall-clock reads and OS entropy, SIM002
+global RNG state), so a serving sweep is byte-identical across runs and
+across ``-j 1`` vs ``-j N`` worker pools.  See ``docs/serving.md``.
 """
 
 from repro.serve.job import ServeJob

@@ -29,9 +29,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from repro.accesscore.result import AccessConfig
+from repro.accesscore.routing import MB
 from repro.cluster.metadata_distributed import DistributedMetadataServer
 from repro.cluster.server import Cluster
-from repro.core.access import MB, AccessConfig
 from repro.core.pipeline import scheme_class
 from repro.core.qos import DiskProfile, QoSOptions, plan_access
 from repro.serve.ring import FilePlacer, HashRing
@@ -327,8 +328,8 @@ def closed_loop_point(
     queues.  Kept as the ``ext_multiuser`` compatibility entry; the
     open-loop :class:`StorageService` path supersedes it for scale.
     """
+    from repro.accesscore.events import event_read
     from repro.core import SCHEMES
-    from repro.core.reference import reference_read
 
     lats: list[float] = []
     for trial in range(trials):
@@ -337,6 +338,6 @@ def closed_loop_point(
         scheme = SCHEMES[scheme_name](cluster, cfg, hub=hub)
         cluster.redraw_disk_states(hub.fresh("env", trial))
         scheme.prepare("f", trial)
-        ref = reference_read(scheme, "f", trial=trial, n_clients=n_clients)
+        ref = event_read(scheme, "f", trial=trial, n_clients=n_clients)
         lats.extend(float(v) for v in ref.per_client.values())
     return lats

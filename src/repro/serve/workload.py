@@ -8,7 +8,7 @@ measurements of Rashmi et al. — see PAPERS.md).  This module generates
 exactly that shape, fully vectorised and fully deterministic: every draw
 comes from a named :class:`repro.sim.rng.RngHub` stream, so a million-
 request trace is reproduced bit-for-bit from ``(spec, seed)`` in any
-process (lint rule SIM009 keeps wall-clock entropy out).
+process (lint rule SIM001 keeps wall-clock and OS entropy out).
 
 Open-loop means arrival times are fixed up front, independent of request
 completions — the generator never lets an overloaded system throttle its

@@ -16,7 +16,8 @@ affected end-to-end values, as a regression golden.
 import numpy as np
 import pytest
 
-from repro.core.access import MB, AccessConfig
+from repro.accesscore.result import AccessConfig
+from repro.accesscore.routing import MB
 from repro.disk.mechanics import DiskMechanics
 from repro.disk.service import BackgroundLoad, BlockService
 from repro.disk.workload import InDiskLayout

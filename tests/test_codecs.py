@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.accesscore.result import AccessConfig
+from repro.accesscore.routing import MB
 from repro.cluster.server import Cluster
 from repro.coding.xorblocks import random_blocks
 from repro.core import SCHEMES
-from repro.core.access import MB, AccessConfig
 from repro.core.codecs import CODECS, codec_for
 from repro.sim.rng import RngHub
 

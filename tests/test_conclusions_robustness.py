@@ -4,7 +4,8 @@ on one lucky random seed."""
 import numpy as np
 import pytest
 
-from repro.core.access import MB, AccessConfig
+from repro.accesscore.result import AccessConfig
+from repro.accesscore.routing import MB
 from repro.experiments.harness import TrialPlan, run_point
 
 CFG = AccessConfig(data_bytes=256 * MB, block_bytes=1 * MB, n_disks=64, redundancy=3.0)

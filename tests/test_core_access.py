@@ -3,20 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.cluster.server import Cluster
-from repro.core.access import (
-    MB,
-    AccessConfig,
-    AccessResult,
-    AllBlocksTracker,
-    CoverageTracker,
+from repro.accesscore.result import AccessConfig, AccessResult
+from repro.accesscore.routing import MB, decode_tail_s
+from repro.accesscore.timeline import (
     completion_time,
-    decode_tail_s,
     finalize_read,
     merged_arrival_order,
     serve_read_queues,
     simulate_uniform_write,
 )
+from repro.accesscore.trackers import AllBlocksTracker, CoverageTracker
+from repro.cluster.server import Cluster
 from repro.disk.workload import InDiskLayout
 
 

@@ -24,7 +24,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.access import MB, AccessConfig, AccessResult
+from repro.accesscore.result import AccessConfig, AccessResult
+from repro.accesscore.routing import MB
 from repro.disk.workload import InDiskLayout
 from repro.exec import (
     CODE_SALT,

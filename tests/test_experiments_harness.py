@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.access import MB, AccessConfig
+from repro.accesscore.result import AccessConfig
+from repro.accesscore.routing import MB
 from repro.disk.workload import InDiskLayout
 from repro.experiments import REGISTRY
 from repro.experiments.harness import TrialPlan, run_point, run_scheme, sweep

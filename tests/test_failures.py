@@ -10,9 +10,10 @@ mid-read cases the redraw-based injection never could.
 import numpy as np
 import pytest
 
+from repro.accesscore.result import AccessConfig
+from repro.accesscore.routing import MB
 from repro.cluster.server import Cluster
 from repro.core import SCHEMES
-from repro.core.access import MB, AccessConfig
 from repro.disk.mechanics import DiskMechanics
 from repro.disk.service import BlockService, served_before
 from repro.disk.workload import InDiskLayout

@@ -11,7 +11,8 @@ import pathlib
 
 import numpy as np
 
-from repro.core.access import MB, AccessConfig
+from repro.accesscore.result import AccessConfig
+from repro.accesscore.routing import MB
 from repro.experiments.harness import TrialPlan, run_scheme
 from repro.faults import FaultPlan
 

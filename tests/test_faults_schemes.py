@@ -5,11 +5,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.accesscore.result import AccessConfig
+from repro.accesscore.routing import MB
 from repro.cluster.server import Cluster
 from repro.core import SCHEMES
-from repro.core.access import MB, AccessConfig
+from repro.core.repair import maybe_repair
 from repro.experiments.harness import TrialPlan, run_scheme
-from repro.faults import FaultPlan, maybe_repair
+from repro.faults import FaultPlan
 from repro.sim.rng import RngHub
 
 CFG = AccessConfig(data_bytes=32 * MB, block_bytes=1 * MB, n_disks=8, redundancy=3.0)

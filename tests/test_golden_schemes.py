@@ -14,8 +14,9 @@ import pathlib
 
 import numpy as np
 
+from repro.accesscore.result import AccessConfig
+from repro.accesscore.routing import MB
 from repro.core import SCHEMES
-from repro.core.access import MB, AccessConfig
 from repro.experiments.harness import TrialPlan, run_scheme
 from repro.faults import FaultPlan
 from tests.test_faults_golden import STORM_SCENARIO
@@ -105,6 +106,10 @@ def test_scheme_golden_matches():
 
 def test_golden_covers_every_registered_scheme():
     golden = json.loads(GOLDEN.read_text())
+    assert set(SCHEMES) == {
+        "raid0", "rraid-s", "rraid-a", "robustore",
+        "raid5", "raid0+1", "robustore-rs",
+    }
     assert set(golden) == set(SCHEMES)
     for per_scheme in golden.values():
         assert set(per_scheme) == {f"{m}/{f}" for m in MODES for f in FAULTS}

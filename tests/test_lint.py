@@ -1,7 +1,7 @@
 """Tests for the repro.lint static-analysis framework.
 
 One positive (violating) and one negative (clean) fixture per rule
-SIM001-SIM009, pragma suppression, the JSON report schema, CLI exit
+SIM001-SIM007, pragma suppression, the JSON report schema, CLI exit
 codes — and a self-check that the shipped tree lints clean.
 """
 
@@ -36,14 +36,15 @@ def test_all_rules_registered():
     rules = all_rules()
     for rule_id in (
         "SIM001", "SIM002", "SIM003", "SIM004",
-        "SIM005", "SIM006", "SIM007", "SIM008", "SIM009",
+        "SIM005", "SIM006", "SIM007",
     ):
         assert rule_id in rules
         assert rules[rule_id].summary
+    assert "SIM008" not in rules and "SIM009" not in rules
 
 
 # ---------------------------------------------------------------------------
-# SIM001 — wall clock
+# SIM001 — wall clock and OS entropy
 
 
 def test_sim001_flags_time_time():
@@ -66,6 +67,27 @@ def test_sim001_clean_and_out_of_scope():
     assert rules_of("import time\nt = time.time()\n", OUTSIDE) == []
 
 
+#: One fixture per wall-clock / OS-entropy sink family of
+#: ``repro.lint.taint.classify_sink``.
+SINK_FAMILIES = {
+    "time": "import time\nt = time.time()\n",
+    "pid": "import os\np = os.getpid()\n",
+    "uuid": "import uuid\nu = uuid.uuid4()\n",
+    "secrets": "import secrets\nt = secrets.token_hex()\n",
+    "system-random": "import random\nr = random.SystemRandom()\n",
+    "unseeded-rng": "import numpy as np\nr = np.random.default_rng()\n",
+}
+
+
+@pytest.mark.parametrize("package", ["core", "exec", "serve", "obs"])
+@pytest.mark.parametrize("family", sorted(SINK_FAMILIES))
+def test_sim001_flags_every_sink_family_in_every_package(family, package):
+    path = f"src/repro/{package}/fixture.py"
+    assert "SIM001" in rules_of(SINK_FAMILIES[family], path)
+    assert "SIM001" not in rules_of(SINK_FAMILIES[family], OUTSIDE)
+    assert rules_of("import time\nt = time.perf_counter()\n", path) == []
+
+
 # ---------------------------------------------------------------------------
 # SIM002 — global RNG
 
@@ -77,7 +99,10 @@ def test_sim002_flags_global_numpy_and_stdlib():
 
 
 def test_sim002_flags_unseeded_default_rng():
-    assert rules_of("import numpy as np\nr = np.random.default_rng()\n") == ["SIM002"]
+    src = "import numpy as np\nr = np.random.default_rng()\n"
+    assert rules_of(src, OUTSIDE) == ["SIM002"]
+    # Inside src/repro the OS-entropy seed is SIM001's concern as well.
+    assert sorted(rules_of(src)) == ["SIM001", "SIM002"]
 
 
 def test_sim002_flags_hash_derived_seed():
@@ -251,26 +276,28 @@ def test_sim007_scope_is_policy_package_only():
 
 
 # ---------------------------------------------------------------------------
-# SIM008 — determinism inside the execution engine
+# SIM001 in the execution engine and the serving simulation: job payloads,
+# cache keys and serving cells must reproduce from their seed alone.  The
+# ``sim008``/``sim009`` test names refer to the exec/serve contracts the
+# retired per-package rules of those ids guarded.
 
-#: Fixture path inside the execution engine (SIM008 scope).
+#: Fixture paths inside the execution engine and the serving package.
 EXEC = "src/repro/exec/fixture.py"
+SERVE = "src/repro/serve/fixture.py"
 
 
 def test_sim008_flags_pid_and_uuid_sources():
     src = "import os\n\ndef key_salt():\n    return os.getpid()\n"
     findings = lint_source(src, EXEC)
-    assert [f.rule for f in findings] == ["SIM008"]
-    assert "deterministic" in findings[0].message
-    assert rules_of("import uuid\njob_id = uuid.uuid4()\n", EXEC) == ["SIM008"]
-    assert rules_of("from os import getpid\np = getpid()\n", EXEC) == ["SIM008"]
+    assert [f.rule for f in findings] == ["SIM001"]
+    assert "reproduce from the seed" in findings[0].message
+    assert rules_of("import uuid\njob_id = uuid.uuid4()\n", EXEC) == ["SIM001"]
+    assert rules_of("from os import getpid\np = getpid()\n", EXEC) == ["SIM001"]
 
 
 def test_sim008_flags_wall_clock_in_exec():
-    # time.time() in exec trips both the global wall-clock rule and the
-    # payload-determinism rule — they protect different contracts.
-    src = "import time\nstamp = time.time()\n"
-    assert sorted(rules_of(src, EXEC)) == ["SIM001", "SIM008"]
+    # One determinism rule: a wall-clock read is reported once.
+    assert rules_of("import time\nstamp = time.time()\n", EXEC) == ["SIM001"]
 
 
 def test_sim008_allows_perf_counter_and_deterministic_uuids():
@@ -287,51 +314,36 @@ def test_sim008_allows_perf_counter_and_deterministic_uuids():
     assert rules_of(clean, EXEC) == []
 
 
-def test_sim008_scope_is_exec_package_only():
-    src = "import os\npid = os.getpid()\n"
-    assert rules_of(src, HOT) == []
-    assert rules_of(src, OUTSIDE) == []
-
-
-# ---------------------------------------------------------------------------
-# SIM009 — determinism inside the serving simulation
-
-#: Fixture path inside the serving package (SIM009 scope).
-SERVE = "src/repro/serve/fixture.py"
-
-
 def test_sim009_flags_unseeded_rng_constructors():
     src = "import numpy as np\nr = np.random.default_rng()\n"
     findings = lint_source(src, SERVE)
-    # Unseeded default_rng trips both the repo-wide SIM002 and the
-    # serve-local payload contract — different contracts, as SIM001/SIM008.
-    assert sorted(f.rule for f in findings) == ["SIM002", "SIM009"]
-    assert any("OS entropy" in f.message for f in findings)
+    assert sorted(f.rule for f in findings) == ["SIM001", "SIM002"]
+    assert any("entropy" in f.message for f in findings)
     src2 = "import random\nr = random.Random()\n"
-    assert "SIM009" in rules_of(src2, SERVE)
+    assert rules_of(src2, SERVE) == ["SIM001"]
     src3 = "from numpy.random import default_rng\nr = default_rng()\n"
-    assert "SIM009" in rules_of(src3, SERVE)
+    assert "SIM001" in rules_of(src3, SERVE)
 
 
 def test_sim009_flags_global_state_rng():
-    assert "SIM009" in rules_of("import random\nx = random.random()\n", SERVE)
-    assert "SIM009" in rules_of(
-        "import numpy as np\nx = np.random.rand(3)\n", SERVE
-    )
-    assert "SIM009" in rules_of(
-        "from random import shuffle\nshuffle(deck)\n", SERVE
-    )
+    # Global RNG state is SIM002's, in serve as everywhere else.
+    assert rules_of("import random\nx = random.random()\n", SERVE) == ["SIM002"]
+    assert rules_of("import numpy as np\nx = np.random.rand(3)\n", SERVE) == [
+        "SIM002",
+    ]
+    assert rules_of("from random import shuffle\nshuffle(deck)\n", SERVE) == [
+        "SIM002",
+    ]
 
 
 def test_sim009_flags_wall_clock_pid_uuid():
-    assert sorted(rules_of("import time\nt = time.time()\n", SERVE)) == [
-        "SIM001", "SIM009",
-    ]
-    assert "SIM009" in rules_of("import os\np = os.getpid()\n", SERVE)
-    assert "SIM009" in rules_of("import uuid\nu = uuid.uuid4()\n", SERVE)
-    assert "SIM009" in rules_of(
-        "import secrets\nt = secrets.token_hex()\n", SERVE
-    )
+    for src in (
+        "import time\nt = time.time()\n",
+        "import os\np = os.getpid()\n",
+        "import uuid\nu = uuid.uuid4()\n",
+        "import secrets\nt = secrets.token_hex()\n",
+    ):
+        assert rules_of(src, SERVE) == ["SIM001"]
 
 
 def test_sim009_allows_seeded_and_hub_derived_rng():
@@ -345,13 +357,6 @@ def test_sim009_allows_seeded_and_hub_derived_rng():
         "    return rng.random(4), explicit.random(4)\n"
     )
     assert rules_of(clean, SERVE) == []
-
-
-def test_sim009_scope_is_serve_package_only():
-    src = "import random\nr = random.Random()\n"
-    assert "SIM009" not in rules_of(src, HOT)
-    assert "SIM009" not in rules_of(src, EXEC)
-    assert rules_of(src, OUTSIDE) == []
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +460,7 @@ def test_cli_list_rules():
     out = io.StringIO()
     assert main(["--list-rules"], out=out) == 0
     assert "SIM001" in out.getvalue() and "SIM006" in out.getvalue()
+    assert "SIM008" not in out.getvalue() and "SIM009" not in out.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,12 @@
 
 import pytest
 
+from repro.accesscore.result import AccessConfig
+from repro.accesscore.routing import MB
 from repro.cluster.metadata import FileLockedError, FileRecord
 from repro.cluster.metadata_distributed import DistributedMetadataServer
 from repro.cluster.server import Cluster
 from repro.core import SCHEMES
-from repro.core.access import MB, AccessConfig
 from repro.sim.rng import RngHub
 
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.access import MB, AccessResult
+from repro.accesscore.result import AccessResult
+from repro.accesscore.routing import MB
 from repro.metrics.reporting import format_series, format_table
 from repro.metrics.stats import summarize
 

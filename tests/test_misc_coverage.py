@@ -4,8 +4,9 @@ calibration formatting)."""
 import numpy as np
 import pytest
 
+from repro.accesscore.result import AccessConfig
+from repro.accesscore.routing import MB
 from repro.cluster.server import Cluster
-from repro.core.access import MB, AccessConfig
 from repro.core.base import SchemeBase
 from repro.disk.calibration import CalibrationCell, format_table, grid_statistics
 from repro.experiments import config as C

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.accesscore.result import AccessConfig
+from repro.accesscore.routing import MB
 from repro.coding.lt import ImprovedLTCode, LTGraph
 from repro.coding.peeling import PeelingDecoder
-from repro.core.access import MB, AccessConfig
 from repro.disk.drive import DiskDrive, DiskRequest
 from repro.disk.mechanics import DiskMechanics
 from repro.disk.workload import BackgroundWorkload

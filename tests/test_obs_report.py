@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from repro.core.access import MB, AccessConfig
+from repro.accesscore.result import AccessConfig
+from repro.accesscore.routing import MB
 from repro.experiments.harness import TrialPlan, run_scheme
 from repro.metrics.stats import summarize
 from repro.obs import TraceReport, Tracer, load_trace, use_tracer

@@ -24,8 +24,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.accesscore.result import AccessConfig
+from repro.accesscore.routing import MB
 from repro.cluster.server import Cluster
-from repro.core.access import MB, AccessConfig
 from repro.core.pipeline import PolicyScheme, scheme_class
 from repro.core.policy.compose import COMPOSITIONS, SchemeSpec
 from repro.core.policy.dispatch import AdaptiveDispatch

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.accesscore.result import AccessConfig
+from repro.accesscore.routing import MB
+from repro.accesscore.trackers import PARITY_BASE
 from repro.cluster.server import Cluster
 from repro.core import SCHEMES
-from repro.core.access import MB, AccessConfig
-from repro.core.raid5 import PARITY_BASE, Raid5Scheme
+from repro.core.policy.placement import ParityStripePlacement
 from repro.sim.rng import RngHub
 
 CFG = AccessConfig(data_bytes=32 * MB, block_bytes=1 * MB, n_disks=8, redundancy=3.0)
@@ -79,11 +81,8 @@ class TestRaid5:
         assert r.io_overhead == pytest.approx(1 / 7, abs=0.05)
 
     def test_needs_two_disks(self):
-        cluster = Cluster(n_disks=8)
-        cfg1 = AccessConfig(data_bytes=4 * MB, n_disks=1)
-        scheme = Raid5Scheme(cluster, cfg1, hub=RngHub(0))
         with pytest.raises(ValueError):
-            scheme._layout(1)
+            ParityStripePlacement.layout(4, 1)
 
 
 class TestRaid01:

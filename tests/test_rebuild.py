@@ -1,7 +1,7 @@
 """The repair economy: ledger accounting, schedulers, metered rebuilds.
 
 Unit coverage for :mod:`repro.rebuild` plus end-to-end passes through
-:func:`repro.faults.maybe_repair` for each coding family — RS group
+:func:`repro.core.repair.maybe_repair` for each coding family — RS group
 reconstruction and regenerating node repair restore redundancy and land
 correctly-priced events on the ledger.
 """
@@ -9,11 +9,12 @@ correctly-priced events on the ledger.
 import numpy as np
 import pytest
 
+from repro.accesscore.result import AccessConfig
+from repro.accesscore.routing import MB
 from repro.cluster.server import Cluster
-from repro.core.access import MB, AccessConfig
 from repro.core.pipeline import scheme_class
-from repro.core.repair import drain_repairs
-from repro.faults import FaultPlan, maybe_repair
+from repro.core.repair import drain_repairs, maybe_repair
+from repro.faults import FaultPlan
 from repro.rebuild import (
     BatchedScheduler,
     EagerScheduler,
@@ -38,7 +39,7 @@ def _event(read=4, written=2, lost=2, rebuilt=None):
         bytes_read_helpers=read * MB, bytes_written=written * MB,
         disks_touched=5, blocks_lost=lost,
         blocks_rebuilt=lost if rebuilt is None else rebuilt,
-        block_bytes=1 * MB, wall_time_s=0.5,
+        block_bytes=1 * MB, read_s=0.25, write_s=0.25,
     )
 
 
@@ -206,6 +207,18 @@ class TestMeteredRepairs:
         scheme.cluster.install_faults(_kill([4]))
         second = maybe_repair(scheme, "f", 0, r)
         assert second.repaired and second.dead_disks == (4,)
+
+    @pytest.mark.parametrize("name", ["robustore", "robustore-rs", "regen-msr"])
+    def test_failed_pass_is_retried_not_deduplicated(self, name):
+        # Seven of eight disks dead: the survivors cannot reconstruct, so
+        # the pass raises — and must raise again on the next notification
+        # instead of being swallowed as a "duplicate" of an epoch it never
+        # repaired.
+        scheme, r = _scheme_under_kills(name, list(range(7)), floor=0.99)
+        for _ in range(2):
+            with pytest.raises(RuntimeError):
+                maybe_repair(scheme, "f", 0, r)
+        assert "repair_epoch" not in scheme.metadata.lookup("f").extra
 
     def test_scheduler_defers_and_drain_repairs(self):
         scheme, r = _scheme_under_kills("robustore-rs", [0, 1, 2, 3], floor=0.99)

@@ -12,10 +12,11 @@ writes, closed-form vs event-driven.
 import numpy as np
 import pytest
 
+from repro.accesscore.events import event_read, event_write
+from repro.accesscore.result import AccessConfig
+from repro.accesscore.routing import MB
 from repro.cluster.server import Cluster
-from repro.core.access import MB, AccessConfig
 from repro.core.pipeline import COMPOSITIONS, scheme_class
-from repro.core.reference import reference_read, reference_write
 from repro.experiments.harness import TrialPlan, run_scheme
 from repro.faults import FaultPlan
 from repro.sim.rng import RngHub
@@ -139,7 +140,7 @@ def test_engines_match_in_mean():
     for trial in range(6):
         scheme = make_scheme("robustore", trial=trial)
         scheme.prepare("f", trial)
-        e_lats.append(reference_read(scheme, "f", trial=trial).latency_s)
+        e_lats.append(event_read(scheme, "f", trial=trial).latency_s)
         scheme2 = make_scheme("robustore", trial=trial)
         scheme2.prepare("f", trial)
         c_lats.append(scheme2.read("f", trial).latency_s)
@@ -151,7 +152,7 @@ def test_engines_match_in_mean():
 def test_event_write_registers_replayable_placement():
     """A speculative event-driven write leaves a record either engine reads."""
     scheme = make_scheme("robustore")
-    w = reference_write(scheme, "g", trial=0)
+    w = event_write(scheme, "g", trial=0)
     assert np.isfinite(w.latency_s)
     record = scheme._record("g")
     # The rateless write commits an unbalanced placement with overshoot.
@@ -162,7 +163,7 @@ def test_event_write_registers_replayable_placement():
     closed = scheme.read("g", 0)
     assert np.isfinite(closed.latency_s)
     # ...and so does the event engine.
-    again = reference_read(scheme, "g", trial=1)
+    again = event_read(scheme, "g", trial=1)
     assert np.isfinite(again.latency_s)
 
 
@@ -170,10 +171,10 @@ def test_multi_client_contention():
     """More closed-loop clients on the same drives -> no client gets faster."""
     scheme = make_scheme("robustore")
     scheme.prepare("f", 0)
-    solo = reference_read(scheme, "f", trial=0, n_clients=1)
+    solo = event_read(scheme, "f", trial=0, n_clients=1)
     scheme4 = make_scheme("robustore")
     scheme4.prepare("f", 0)
-    packed = reference_read(scheme4, "f", trial=0, n_clients=4)
+    packed = event_read(scheme4, "f", trial=0, n_clients=4)
     assert len(packed.per_client) == 4
     assert all(np.isfinite(v) for v in packed.per_client.values())
     # Shared queues: the slowest of 4 clients is no faster than 1 alone.
@@ -183,12 +184,12 @@ def test_multi_client_contention():
 def test_background_load_slows_reads():
     scheme = make_scheme("robustore")
     scheme.prepare("f", 0)
-    quiet = reference_read(scheme, "f", trial=0)
+    quiet = event_read(scheme, "f", trial=0)
     loaded_scheme = make_scheme(
         "robustore", bg={d: 0.01 for d in range(16)}
     )
     loaded_scheme.prepare("f", 0)
-    loaded = reference_read(loaded_scheme, "f", trial=0)
+    loaded = event_read(loaded_scheme, "f", trial=0)
     assert np.isfinite(loaded.latency_s)
     assert loaded.latency_s > quiet.latency_s
 

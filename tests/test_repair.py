@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.accesscore.result import AccessConfig
+from repro.accesscore.routing import MB
 from repro.cluster.server import Cluster
-from repro.core import RobuStoreScheme
-from repro.core.access import MB, AccessConfig
+from repro.core import SCHEMES
 from repro.core.repair import failed_positions, repair_file
 from repro.sim.rng import RngHub
 
@@ -15,7 +16,7 @@ CFG = AccessConfig(data_bytes=32 * MB, block_bytes=1 * MB, n_disks=8, redundancy
 def make(failed_count=2, seed=17):
     cluster = Cluster(n_disks=8)
     hub = RngHub(seed)
-    scheme = RobuStoreScheme(cluster, CFG, hub=hub)
+    scheme = SCHEMES["robustore"](cluster, CFG, hub=hub)
     cluster.redraw_disk_states(hub.fresh("env", 0))
     record = scheme.prepare("f", 0)
     failed = {record.disk_ids[p] for p in range(failed_count)}
@@ -34,8 +35,8 @@ def test_repair_rebuilds_lost_redundancy():
     report = repair_file(scheme, "f", trial=1)
     assert report.complete
     assert report.blocks_rebuilt == lost
-    assert report.healthy_disks == 6
-    assert report.total_latency_s > 0
+    assert report.disks_touched == 6
+    assert report.wall_time_s > 0
 
     # Metadata now maps every block to a healthy disk...
     merged = scheme.metadata.lookup("f").placement
@@ -67,7 +68,7 @@ def test_repair_nothing_lost_is_cheap():
     cluster, hub, scheme, record = make(failed_count=0)
     report = repair_file(scheme, "f", trial=1)
     assert report.blocks_lost == 0
-    assert report.write_latency_s == 0.0
+    assert report.write_s == 0.0
 
 
 def test_repair_impossible_raises():
@@ -77,7 +78,7 @@ def test_repair_impossible_raises():
 
 
 def test_repair_does_not_mutate_pooled_graph():
-    from repro.core.robustore import pooled_graph
+    from repro.core.policy.placement import pooled_graph
 
     cluster, hub, scheme, record = make(failed_count=1)
     key_graph = pooled_graph(CFG.k, CFG.n_coded, CFG.lt_c, CFG.lt_delta, 0)

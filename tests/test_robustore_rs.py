@@ -3,14 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.accesscore.result import AccessConfig
+from repro.accesscore.routing import MB
+from repro.accesscore.trackers import GroupedRSTracker
 from repro.cluster.server import Cluster
 from repro.core import SCHEMES
-from repro.core.access import MB, AccessConfig
-from repro.core.robustore_rs import (
-    GroupedRSTracker,
-    RobuStoreRSScheme,
-    rs_decode_bandwidth_bps,
-)
+from repro.core.policy.placement import rs_decode_bandwidth_bps
 from repro.sim.rng import RngHub
 
 CFG = AccessConfig(data_bytes=64 * MB, block_bytes=1 * MB, n_disks=16, redundancy=2.0)
@@ -62,6 +60,6 @@ def test_rs_variant_slower_than_lt():
 
 def test_group_capped_at_256_coded():
     cfg = AccessConfig(data_bytes=64 * MB, n_disks=8, redundancy=9.0)
-    scheme = RobuStoreRSScheme(Cluster(n_disks=8), cfg, hub=RngHub(0))
-    group, n_groups, coded = scheme._grouping()
+    scheme = SCHEMES["robustore-rs"](Cluster(n_disks=8), cfg, hub=RngHub(0))
+    group, n_groups, coded = scheme.spec.placement.grouping(cfg)
     assert coded <= 256

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.accesscore.result import AccessConfig
+from repro.accesscore.routing import MB
 from repro.cluster.server import Cluster
 from repro.core import SCHEMES
-from repro.core.access import MB, AccessConfig
 from repro.disk.workload import InDiskLayout
 from repro.sim.rng import RngHub
 

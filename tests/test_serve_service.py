@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.access import MB
+from repro.accesscore.routing import MB
 from repro.exec import Executor, ResultStore, canonical_json, execute_payload
 from repro.exec.job import results_from_jsonable
 from repro.serve import ServeJob, ServePlan, ServeReport, WorkloadSpec

@@ -1,12 +1,12 @@
 """Batched arrival consumption must equal the scalar observe loop.
 
 The access engine's hot path feeds whole per-disk arrival batches to
-``tracker.consume_arrivals`` (see :mod:`repro.core.access` and
+``tracker.consume_arrivals`` (see :mod:`repro.accesscore.timeline` and
 :mod:`repro.core.policy.dispatch`); the seed fed arrivals one at a time
 through ``observe``.  This suite proves the two are equivalent for every
 tracker that implements the batch contract — same ``(t_fill, consumed)``
 return, same internal state afterwards — and documents why
-:class:`~repro.core.trackers.GroupedRSTracker` deliberately does not
+:class:`~repro.accesscore.trackers.GroupedRSTracker` deliberately does not
 (its ``observe`` records per-arrival fill timestamps).
 """
 
@@ -15,14 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.coding.lt import ImprovedLTCode
-from repro.coding.peeling import PeelingDecoder
-from repro.core.trackers import (
+from repro.accesscore.trackers import (
     AllBlocksTracker,
     CoverageTracker,
     DecoderTracker,
     GroupedRSTracker,
 )
+from repro.coding.lt import ImprovedLTCode
+from repro.coding.peeling import PeelingDecoder
 
 
 def scalar_consume(tracker, times: np.ndarray, ids: np.ndarray) -> tuple[float, int]:

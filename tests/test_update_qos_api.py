@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.accesscore.result import AccessConfig
+from repro.accesscore.routing import MB
 from repro.cluster.server import Cluster
-from repro.core import RobuStoreScheme
-from repro.core.access import MB, AccessConfig
+from repro.core import SCHEMES
 from repro.core.api import RobuStoreClient
 from repro.core.qos import DiskProfile, QoSOptions, plan_access
 from repro.core.update import affected_blocks, update_access, update_amplification
@@ -17,7 +18,7 @@ CFG = AccessConfig(data_bytes=32 * MB, block_bytes=1 * MB, n_disks=8, redundancy
 def make_scheme():
     cluster = Cluster(n_disks=16)
     hub = RngHub(3)
-    scheme = RobuStoreScheme(cluster, CFG, hub=hub)
+    scheme = SCHEMES["robustore"](cluster, CFG, hub=hub)
     cluster.redraw_disk_states(hub.fresh("env", 0))
     scheme.prepare("f", 0)
     return scheme
