@@ -14,7 +14,9 @@ Writes:
   read/write/raw x {no faults, storm}
   (:func:`tests.test_golden_schemes.build_scheme_reference`);
 * ``golden_repair.json`` — the repair-economy grid under the pinned
-  storm seed (:func:`tests.test_repair_golden.build_repair_reference`).
+  storm seed (:func:`tests.test_repair_golden.build_repair_reference`);
+* ``golden_events.json`` — the event-driven engine's full results across
+  every composition (:func:`tests.test_reference_engine.build_event_reference`).
 """
 
 import json
@@ -23,6 +25,7 @@ import pathlib
 from tests.test_faults_golden import build_fault_reference
 from tests.test_golden_schemes import build_scheme_reference
 from tests.test_obs_tracer import build_reference_tracer
+from tests.test_reference_engine import build_event_reference
 from tests.test_repair_golden import build_repair_reference
 
 if __name__ == "__main__":
@@ -45,4 +48,8 @@ if __name__ == "__main__":
 
     path = data / "golden_repair.json"
     path.write_text(json.dumps(build_repair_reference(), indent=1) + "\n")
+    print(f"wrote {path}")
+
+    path = data / "golden_events.json"
+    path.write_text(json.dumps(build_event_reference(), indent=1) + "\n")
     print(f"wrote {path}")

@@ -4,10 +4,19 @@ The two engines wrap the same access core — one policy layer, one tracker
 family, one epilogue — so every composition must run under both, and the
 engines must agree statistically (they share the environment draws but
 not the per-block service draws, so agreement is on distributions, not
-bits).  The differential matrix covers all ten compositions under a
+bits).  The differential matrix covers all twelve compositions under a
 fault-free environment and under the golden fault storm, reads and
 writes, closed-form vs event-driven.
+
+The event engine is also pinned bit for bit against itself:
+``golden_events.json`` holds its complete results across every
+composition (see :func:`build_event_reference`).  Regenerate it
+deliberately with ``PYTHONPATH=src python -m tests.make_golden``.
 """
+
+import json
+import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +28,11 @@ from repro.cluster.server import Cluster
 from repro.core.pipeline import COMPOSITIONS, scheme_class
 from repro.experiments.harness import TrialPlan, run_scheme
 from repro.faults import FaultPlan
+from repro.obs import Tracer
 from repro.sim.rng import RngHub
+from tests.test_golden_schemes import _clean, _result_dict
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_events.json"
 
 CFG = AccessConfig(data_bytes=32 * MB, block_bytes=1 * MB, n_disks=8, redundancy=3.0)
 
@@ -199,3 +212,88 @@ def test_unknown_scheme_and_engine_raise():
         scheme_class("no-such-scheme")
     with pytest.raises(ValueError):
         run_scheme(plan_for(False), "robustore", engine="warp")
+
+
+# -- the event engine pinned bit for bit ------------------------------------
+
+#: Filer cache for the cache-hit rows: large enough that nothing is ever
+#: evicted, so the rows do not depend on the cache's set hashing.
+EVENT_CACHE_BYTES = 2048 * MB
+
+
+def _event_runs(plan: TrialPlan, name: str):
+    """``run_scheme`` on the event engine; exceptions pinned by type."""
+    try:
+        results = run_scheme(plan, name, engine="event")
+    except Exception as exc:  # pinned, not ignored
+        return {"error": type(exc).__name__}
+    return [_result_dict(r) for r in results]
+
+
+def build_event_reference() -> dict:
+    """Exactly the event-engine runs ``golden_events.json`` pins.
+
+    Every composition for read/write/raw x {no fault, golden storm}; raw
+    reads through a warm filer cache (the cache-hit delivery path);
+    reads with one and two fail-stopped disks on a 12-disk pool (failed
+    drives from the start, RAID-5's degraded and unrecoverable plans);
+    three clients sharing one set of drives; and the tracer's counters
+    and byte ledger over one traced storm run.
+    """
+    storm = FaultPlan.from_scenario(STORM_SCENARIO)
+    base = TrialPlan(access=CFG, pool=8, rtt_s=0.001, seed=7, trials=2)
+    out: dict = {}
+    for name in sorted(COMPOSITIONS):
+        row: dict = {}
+        for mode in ("read", "write", "raw"):
+            for fault, fault_plan in (("none", None), ("storm", storm)):
+                plan = replace(base, mode=mode, fault_plan=fault_plan)
+                row[f"{mode}/{fault}"] = _event_runs(plan, name)
+        cached = replace(base, mode="raw", fs_cache_bytes=EVENT_CACHE_BYTES)
+        row["raw/cached"] = _event_runs(cached, name)
+        for n_failed in (1, 2):
+            # Seed 2 puts both of RAID-5's failed disks in one trial's
+            # selection and only one in the other's.
+            failed = replace(base, pool=12, seed=2, failed_disks=n_failed)
+            row[f"read/failed{n_failed}"] = _event_runs(failed, name)
+        scheme = make_scheme(name, pool=8)
+        scheme.prepare("f", 0)
+        shared = event_read(scheme, "f", trial=0, n_clients=3)
+        row["read/3clients"] = {
+            "result": _result_dict(shared.result),
+            "per_client": _clean(shared.per_client),
+        }
+        out[name] = row
+    tracer = Tracer()
+    storm_plan = replace(base, fault_plan=storm)
+    for name in ("raid0", "rraid-a", "robustore"):
+        run_scheme(storm_plan, name, tracer=tracer, engine="event")
+    out["traced_storm"] = {
+        "counters": _clean(dict(sorted(tracer.counters.items()))),
+        "bytes": _clean(dict(sorted(tracer.bytes_ledger.items()))),
+    }
+    return out
+
+
+def test_event_golden_matches():
+    assert GOLDEN.exists(), (
+        "golden file missing; run PYTHONPATH=src python -m tests.make_golden"
+    )
+    golden = json.loads(GOLDEN.read_text())
+    assert build_event_reference() == golden
+
+
+def test_event_golden_covers_every_path():
+    """The pinned runs reach the paths they are there for."""
+    golden = json.loads(GOLDEN.read_text())
+    assert set(golden) == set(COMPOSITIONS) | {"traced_storm"}
+    cached = golden["robustore"]["raw/cached"]
+    assert any(r["cache_hits"] > 0 for r in cached)
+    raid5 = golden["raid5"]
+    assert any(r["extra"].get("degraded") for r in raid5["read/failed1"])
+    failed2 = [bool(r["extra"].get("unrecoverable")) for r in raid5["read/failed2"]]
+    assert failed2 == [True, False]
+    assert len(golden["rraid-a"]["read/3clients"]["per_client"]) == 3
+    counters = golden["traced_storm"]["counters"]
+    assert counters["scheme.handoffs"] > 0
+    assert counters["scheme.respeculations"] > 0
