@@ -9,18 +9,20 @@ decode-tail charging.  Two engines *wrap* it without duplicating it:
   evaluates the core's timeline vectorised — :func:`timeline.serve_read_queues`
   builds per-disk :class:`timeline.DiskStream` objects in one shot and
   :func:`timeline.read_epilogue` settles completion, cancel accounting,
-  tracing and repair annotation;
+  tracing and repair annotation (:func:`timeline.adaptive_epilogue` for
+  work-stealing reads);
 * the **event-driven engine** (:mod:`repro.accesscore.events`) runs the
-  same objects as discrete-event processes on the :mod:`repro.sim` kernel
-  and hands its per-disk streams to the *same* epilogue.
+  same objects as discrete-event processes on the :mod:`repro.sim` kernel,
+  one client class per dispatch policy, and settles through the *same*
+  two epilogues.
 
 Single wiring sites (the unification contract):
 
 * link/fault routing — :mod:`repro.accesscore.routing`
   (``request_arrival_time`` / ``response_arrival_times``), plus
-  :func:`events.attach_faults` for the one DES fault-pump attachment;
-* scheme-level read tracing — :mod:`repro.accesscore.tracing` via
-  :func:`timeline.read_epilogue`;
+  :class:`events.EventRun` for the one DES fault-pump attachment;
+* scheme-level read tracing — :mod:`repro.accesscore.tracing` via the
+  two epilogues (and :func:`tracing.trace_handoff` for hand-offs);
 * repair triggering — :func:`repro.accesscore.repair.annotate_repair`.
 
 Layering rule: ``accesscore`` never imports :mod:`repro.core` — policy

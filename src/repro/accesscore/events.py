@@ -2,16 +2,24 @@
 
 Every entity — client, filer link, drive, background generator, fault
 pump — is a discrete-event process on the :mod:`repro.sim` kernel,
-exactly as Figure 6-3 draws the simulator.  The *semantics* are not
-re-implemented here: reads are planned by the composition's reaction
-policy, consumed through the completion policy's tracker, retried through
-``reaction.retry_targets``, and settled through the same
-:func:`repro.accesscore.timeline.read_epilogue` the closed-form engine
-uses; writes build their supply and stop rule from the write policy.
-What this module adds is *time*: requests queue at
-:class:`repro.disk.drive.DiskDrive` entities, contend with background
-streams and other clients, and get flipped mid-service by the fault pump
-(:func:`attach_faults` — the single DES fault wiring site).
+exactly as Figure 6-3 draws the simulator.  One access runs on an
+:class:`EventRun`: the kernel, one :class:`EventDrive` per disk, the fault
+pump (wired there, the single DES fault wiring site) and the request,
+response and cancel hops.  A read's client is the DES twin of
+its composition's dispatch policy: a :class:`SpeculativeClient` requests
+everything and cancels at completion, an :class:`AdaptiveClient` steals
+work between real drive queues.
+
+The *semantics* are not re-implemented here: reads are planned by the
+composition's reaction policy, consumed through the completion policy's
+tracker, retried through ``reaction.retry_targets``, and settled through
+the closed form's own epilogues
+(:func:`~repro.accesscore.timeline.read_epilogue`,
+:func:`~repro.accesscore.timeline.adaptive_epilogue`); writes build their
+supply and stop rule from the write policy.  What this module adds is
+*time*: requests queue at :class:`repro.disk.drive.DiskDrive` entities,
+contend with background streams and other clients, and get flipped
+mid-service by the fault pump.
 
 Layering rule: this module never imports :mod:`repro.core`.  Policy
 objects arrive duck-typed on the scheme (``scheme.spec``), so the core
@@ -20,18 +28,20 @@ stays importable from either direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.accesscore.result import AccessResult
 from repro.accesscore.routing import request_arrival_time, response_arrival_times
 from repro.accesscore.timeline import (
+    HANDOFF_BUDGET_PER_DISK,
     DiskStream,
+    adaptive_epilogue,
     failed_write_result,
     read_epilogue,
 )
-from repro.accesscore.tracing import trace_read_summary
+from repro.accesscore.tracing import trace_handoff
 from repro.disk.drive import DiskDrive, DiskRequest
 from repro.disk.geometry import SECTOR_BYTES
 from repro.disk.mechanics import DiskMechanics
@@ -39,22 +49,20 @@ from repro.disk.workload import BackgroundWorkload
 from repro.sim import Environment, Store
 from repro.sim.rng import stable_seed
 
-#: Hand-off budget multiplier for the adaptive event loop — the same
-#: safety valve as the closed form's (50 hand-offs per disk).
-_HANDOFF_BUDGET_PER_DISK = 50
+_INF = float("inf")
 
 
 @dataclass
 class EventAccess:
-    """Outcome of one event-driven access (first client's view)."""
+    """Outcome of one event-driven read.
 
-    latency_s: float
-    blocks_received: int
-    network_bytes: int
-    per_client: dict = field(default_factory=dict)
-    #: The first client's full metrics, settled through the shared
-    #: access-core epilogue — same shape as a closed-form read.
-    result: AccessResult | None = None
+    ``result`` is the first client's full metrics, settled through the
+    shared access-core epilogue — same shape as a closed-form read;
+    ``per_client`` maps every client id to its latency.
+    """
+
+    result: AccessResult
+    per_client: dict
 
 
 class EventDrive:
@@ -135,97 +143,464 @@ class EventDrive:
         )
 
 
-def attach_faults(env: Environment, cluster, drives: dict[int, EventDrive]):
-    """Register the cluster's fault plan on a DES run — the single site.
+class EventRun:
+    """One access on the DES kernel: drives, fault pump and message hops.
 
-    Maps every event drive to the injector's pump, so fail-stops flush
-    and abort real queues, recoveries restart them, and slowdowns stretch
-    in-progress service — the same plan the closed form reads as warped
-    timelines.  No-op (and no process) without an installed plan.
-    """
-    injector = cluster.faults
-    if injector is None or not injector.has_faults:
-        return None
-    return injector.schedule_on(
-        env, {d: ed.drive for d, ed in drives.items()}
-    )
-
-
-def build_drives(
-    env: Environment, scheme, disk_ids, trial: int
-) -> dict[int, EventDrive]:
-    """One :class:`EventDrive` per disk, on the scheme's ``refsvc`` streams."""
-    rng_for = scheme.reference_rng_factory(trial)
-    return {
-        int(d): EventDrive(
-            env, scheme.cluster, int(d), rng_for(int(d)), scheme.config.block_bytes
-        )
-        for d in disk_ids
-    }
-
-
-class _StreamState:
-    """Per-(client, disk, round) recording of what the DES actually did.
-
-    Accumulates disk-side completion times and client-side arrival times
-    as the waiter processes observe them; :meth:`to_disk_stream` then
-    yields the same :class:`~repro.accesscore.timeline.DiskStream` shape
-    the closed form computes, so the shared epilogue (cancel accounting,
-    tracing, repair annotation) applies verbatim.
+    Holds the environment, one :class:`EventDrive` per disk on the
+    scheme's ``refsvc`` streams, each disk's one-way link latency and the
+    open latency ``t0``.  The single site that puts the cluster's fault
+    plan on a DES run: fail-stops flush and abort real queues, recoveries
+    restart them, slowdowns stretch in-progress service.  The helpers are
+    plain calls or ``yield from`` sub-generators, so using one adds no
+    process, timeout or event to the run.
     """
 
-    __slots__ = ("disk_id", "block_ids", "cached", "one_way", "completions", "arrivals")
+    def __init__(self, scheme, disk_ids, trial: int) -> None:
+        self.env = env = Environment()
+        self.cluster = cluster = scheme.cluster
+        rng_for = scheme.reference_rng_factory(trial)
+        block_bytes = scheme.config.block_bytes
+        self.drives = {
+            int(d): EventDrive(env, cluster, int(d), rng_for(int(d)), block_bytes)
+            for d in disk_ids
+        }
+        injector = cluster.faults
+        if injector is not None and injector.has_faults:
+            injector.schedule_on(env, {d: ed.drive for d, ed in self.drives.items()})
+        self.one_way = {d: cluster.filer_of_disk(d).link.one_way_s for d in self.drives}
+        self.t0 = scheme.open_latency()
 
-    def __init__(self, disk_id: int, block_ids, cached, one_way: float) -> None:
-        self.disk_id = int(disk_id)
-        self.block_ids = np.asarray(block_ids, dtype=np.int64)
-        self.cached = np.asarray(cached, dtype=bool)
-        self.one_way = float(one_way)
-        #: uncached position -> finite disk completion time.
-        self.completions: dict[int, float] = {}
-        self.arrivals = np.full(self.block_ids.size, np.inf)
+    def reach(self, d: int):
+        """The request hop to disk ``d``; ``False`` when it never arrives."""
+        t = request_arrival_time(self.cluster, d, self.env.now, self.one_way[d])
+        if not np.isfinite(t):
+            return False
+        yield self.env.timeout(t - self.env.now)
+        return True
 
-    def to_disk_stream(self) -> DiskStream:
-        n_uncached = int(np.count_nonzero(~self.cached))
-        comp = np.full(n_uncached, np.inf)
-        for pos, t in self.completions.items():
-            comp[pos] = t
-        # served_before needs time order; only the multiset matters, so
-        # sorting the recorded times is exact.
-        comp.sort()
-        return DiskStream(
-            self.disk_id, self.block_ids, self.cached, comp, self.arrivals,
-            self.one_way,
-        )
+    def response(self, d: int, finished) -> float:
+        """Client arrival time of a block disk ``d`` finished, or ``inf``
+        (``finished`` is ``None`` when cancelled in queue, ``inf`` when
+        flushed or aborted by a fail-stop: neither crosses the network)."""
+        if finished is None or not np.isfinite(finished):
+            return _INF
+        return float(response_arrival_times(self.cluster, d, finished, self.one_way[d]))
+
+    def travel(self, t: float):
+        """Wait until ``t``; return the arrival time (``inf``: never)."""
+        if not np.isfinite(t):
+            return _INF
+        yield self.env.timeout(t - self.env.now)
+        return self.env.now
+
+    def push(self, d: int, blocks, ack, inbox):
+        """A write's request to disk ``d``: queue every block and spawn one
+        ``ack(d, block, request)`` process each; a request that never
+        arrives posts ``(inf, block)`` for every block at once."""
+        if not (yield from self.reach(d)):
+            for b in blocks:
+                inbox.put((_INF, b))
+            return
+        for b in blocks:
+            req = self.drives[d].submit_block(tag=(0, int(b)))
+            self.env.process(ack(d, b, req), name="write-ack")
+
+    def cancel(self, d: int, at: float, cid):
+        """The cancel message sent at ``at``: one hop later, disk ``d``
+        drops every request client ``cid`` still has queued."""
+        delay = at + self.one_way[d] - self.env.now
+        if delay > 0:
+            yield self.env.timeout(delay)
+        self.drives[d].cancel_client(cid)
 
 
-class _Final:
-    """What a finished client hands the post-run settle step."""
+class _Client:
+    """One client reading a file: its inbox and its tracker feed.
 
-    __slots__ = (
-        "tracker", "states", "t_fill", "t_done", "consumed", "order", "rounds",
-        "cache_hits", "fetched", "handoffs",
-    )
+    Every block outcome lands in the inbox as ``(t, block, stream, pos)``,
+    ``t = inf`` for a block that never arrives.  Subclasses provide the
+    client's ``process()`` and the ``settle(trial)`` that builds its
+    :class:`~repro.accesscore.result.AccessResult`.
+    """
 
-    def __init__(self) -> None:
-        self.tracker = None
-        self.states: list[_StreamState] = []
-        self.t_fill = float("inf")
-        self.t_done = float("inf")
+    def __init__(self, run: EventRun, scheme, record, plan, cid: int) -> None:
+        self.run = run
+        self.env = run.env
+        self.scheme = scheme
+        self.spec = scheme.spec
+        self.record = record
+        self.plan = plan
+        self.cid = cid
+        self.tracker = self.spec.completion.tracker(scheme, record, plan)
+        self._observe = getattr(self.tracker, "observe", None)
+        self.inbox = Store(run.env)
+        #: Outcomes expected / taken from the inbox so far.
+        self.total = 0
+        self.outcomes = 0
+        #: ``(block, stream)`` of outcomes that never arrived.
+        self.deferred: list[tuple] = []
         self.consumed = 0
         self.order: list[int] = []
+        self.last_finite = run.t0
+        self.t_fill = _INF
+        self.t_done = _INF
+
+    def _take(self, t: float, bid) -> None:
+        """Feed one arrival to the tracker — same hook order as the core loop."""
+        self.consumed += 1
+        if self._observe is not None:
+            self._observe(float(t), int(bid))
+        else:
+            self.tracker.add(int(bid))
+        self.order.append(int(bid))
+
+    def consume(self):
+        """Drain arrivals into the tracker until it completes."""
+        tracker = self.tracker
+        while self.outcomes < self.total and not tracker.complete:
+            t, bid, stream, _pos = yield self.inbox.get()
+            self.outcomes += 1
+            if np.isfinite(t):
+                self.last_finite = t
+                self._take(t, bid)
+                if tracker.complete:
+                    self.t_fill = float(t)
+            else:
+                self.deferred.append((int(bid), stream))
+
+    def take_deferred(self) -> None:
+        """Consume never-arriving blocks too, as the closed form does.
+
+        A tracker may complete on them, which keeps block accounting
+        honest while the latency stays ``inf``.
+        """
+        for bid, _stream in self.deferred:
+            if self.tracker.complete:
+                break
+            self._take(_INF, bid)
+
+    def drain(self):
+        """Take every remaining outcome (served, in flight, cancelled or
+        flushed), so the run's records are complete for the settle step."""
+        while self.outcomes < self.total:
+            yield self.inbox.get()
+            self.outcomes += 1
+
+    def deliver(self, t: float, bid, stream=None, pos: int = 0):
+        """Carry one block to the client, arriving at ``t``; return ``t``
+        (``inf``: it never arrives, and is posted at once)."""
+        t = yield from self.run.travel(t)
+        if stream is not None:
+            stream.arrivals[pos] = t
+        self.inbox.put((t, bid, stream, pos))
+        return t
+
+
+class SpeculativeClient(_Client):
+    """Single-round speculation on real queues — the DES twin of
+    :class:`~repro.core.policy.dispatch.SpeculativeDispatch`.
+
+    Requests every planned block, consumes arrivals until the tracker is
+    satisfied, cancels the rest; a fault-stalled read may get a second
+    round from ``reaction.retry_targets``.  Settles through
+    :func:`~repro.accesscore.timeline.read_epilogue`.
+    """
+
+    def __init__(self, run, scheme, record, plan, cid) -> None:
+        super().__init__(run, scheme, record, plan, cid)
+        #: One record per (disk, round) of what the DES actually did: the
+        #: closed form's stream shape, so the shared epilogue (cancel
+        #: accounting, tracing, repair annotation) applies verbatim.
+        self.streams: list[DiskStream] = []
         self.rounds = 1
-        self.cache_hits = 0
-        self.fetched: list[int] = []
+
+    def process(self):
+        env, run = self.env, self.run
+        yield env.timeout(run.t0)
+        self.launch(self.plan.disk_ids, self.plan.placement)
+        yield env.process(self.consume(), name=f"consume-c{self.cid}")
+        yield from self.retry()
+        self.take_deferred()
+        self.t_done, t_cancel = self.spec.completion.finish(
+            self.scheme, self.tracker, self.t_fill
+        )
+        if np.isfinite(t_cancel):
+            for d in dict.fromkeys(s.disk_id for s in self.streams):
+                cancel = run.cancel(d, t_cancel, self.cid)
+                env.process(cancel, name=f"cancel-c{self.cid}-d{d}")
+        yield from self.drain()
+
+    def launch(self, disks, placement) -> None:
+        """Spawn one stream process per disk; expect one outcome per block."""
+        for d, blocks in zip(disks, placement):
+            d = int(d)
+            ids = np.asarray(blocks, dtype=np.int64)
+            filer = self.run.cluster.filer_of_disk(d)
+            cached = np.asarray(filer.cached_blocks(self.record.name, ids), dtype=bool)
+            # Completions fill in as blocks finish (inf: never served);
+            # arrivals as they reach the client.
+            stream = DiskStream(
+                d, ids, cached, np.full(int(np.count_nonzero(~cached)), np.inf),
+                np.full(ids.size, np.inf), self.run.one_way[d],
+            )
+            self.streams.append(stream)
+            self.env.process(self.serve(stream), name=f"stream-c{self.cid}-d{d}")
+            self.total += ids.size
+
+    def serve(self, stream: DiskStream):
+        """One disk's stream: request hop, cache split, queue the rest."""
+        run, d = self.run, stream.disk_id
+        block_ids = stream.block_ids.tolist()
+        if not (yield from run.reach(d)):
+            for pos, bid in enumerate(block_ids):
+                self.inbox.put((_INF, bid, stream, pos))
+            return
+        upos = 0
+        for pos, bid in enumerate(block_ids):
+            if stream.cached[pos]:
+                self.env.process(
+                    self.deliver(run.response(d, self.env.now), bid, stream, pos),
+                    name=f"hit-c{self.cid}",
+                )
+            else:
+                req = run.drives[d].submit_block(tag=(self.cid, bid))
+                self.env.process(
+                    self.wait(stream, pos, upos, bid, req), name=f"block-c{self.cid}"
+                )
+                upos += 1
+
+    def wait(self, stream: DiskStream, pos: int, upos: int, bid, req):
+        """Wait for one queued block: serve, record, respond, arrive."""
+        finished = yield req.done
+        if finished is not None and np.isfinite(finished):
+            stream.completions[upos] = float(finished)
+        yield from self.deliver(
+            self.run.response(stream.disk_id, finished), bid, stream, pos
+        )
+
+    def retry(self):
+        """Mid-read faults stalled the access: the reaction decides which
+        disks can serve a second round, and when."""
+        injector = self.run.cluster.faults
+        if self.tracker.complete or injector is None:
+            return
+        pending: dict[int, list[int]] = {}
+        for bid, stream in self.deferred:
+            if not injector.permanently_failed(stream.disk_id):
+                pending.setdefault(stream.disk_id, []).append(bid)
+        resolved = self.spec.reaction.retry_targets(
+            self.scheme, pending, self.last_finite, self.run.t0
+        )
+        if resolved is None:
+            return
+        retry_disks, t_retry = resolved
+        self.rounds = 2
+        if self.scheme.tracer.enabled:
+            self.scheme.tracer.count("scheme.respeculations")
+        if t_retry > self.env.now:
+            yield self.env.timeout(t_retry - self.env.now)
+        self.launch(retry_disks, [pending[d] for d in retry_disks])
+        yield self.env.process(self.consume(), name=f"consume2-c{self.cid}")
+
+    def settle(self, trial: int) -> AccessResult:
+        for s in self.streams:
+            # Cancel accounting counts blocks served before the cancel
+            # lands, so it needs the completions in time order.
+            s.completions.sort()
+        return read_epilogue(
+            self.scheme, self.spec, self.record, self.plan, trial,
+            self.streams, self.tracker, self.t_fill, self.consumed, self.order,
+            self.rounds, self.run.t0,
+        )
+
+
+class AdaptiveClient(_Client):
+    """Work stealing on real queues — the DES twin of
+    :class:`~repro.core.policy.dispatch.AdaptiveDispatch`.
+
+    Round 1 requests each unit from its primary disk; a disk that drains
+    makes the client (one hop later) pick the disk with the most queued
+    units it also holds and steal the second half, judged by the pace the
+    client has observed (§5.3.1).  A block already in service cannot be
+    split here, so a single-block steal that finds nothing queued fetches
+    one speculative duplicate instead.  Nothing is cancelled at the end:
+    outstanding queues drain, as the closed form's event loop runs dry.
+    Settles through :func:`~repro.accesscore.timeline.adaptive_epilogue`.
+    """
+
+    def __init__(self, run, scheme, record, plan, cid) -> None:
+        super().__init__(run, scheme, record, plan, cid)
+        self.disk_ids = [int(d) for d in plan.disk_ids]
+        n = len(self.disk_ids)
+        primaries, self.holder_map = self.spec.placement.adaptive_units(
+            scheme.config, record
+        )
+        self.primaries = [[int(b) for b in ids] for ids in primaries]
+        self.total = sum(len(p) for p in self.primaries)
+        self.budget = HANDOFF_BUDGET_PER_DISK * n
         self.handoffs = 0
+        #: Per disk: blocks served from the platters, filer-cache hits.
+        self.fetched, self.hits = [0] * n, [0] * n
+        #: unit -> True per disk, insertion-ordered: the steal scan must be
+        #: deterministic, so sets are out.
+        self.outstanding: list[dict[int, bool]] = [dict() for _ in range(n)]
+        self.reassigned: dict[int, int] = {}
+        #: Units whose data already reached the client — no longer worth
+        #: stealing even while a stale copy sits in some queue.
+        self.resolved: set[int] = set()
+        #: Units already fetched speculatively a second time; one
+        #: duplicate per unit keeps the race bounded.
+        self.duplicated: set[int] = set()
+        #: Per-disk observed pace: request arrival, last foreground
+        #: completion, foreground blocks served.
+        self.t_arrived, self.last_comp, self.n_served = [_INF] * n, [0.0] * n, [0] * n
 
+    def process(self):
+        env = self.env
+        yield env.timeout(self.run.t0)
+        for idx, d in enumerate(self.disk_ids):
+            env.process(self.round1(idx), name=f"round1-c{self.cid}-d{d}")
+        yield from self.consume()
+        self.take_deferred()
+        self.t_done, _ = self.spec.completion.finish(
+            self.scheme, self.tracker, self.t_fill
+        )
+        yield from self.drain()
 
-def _consume_one(tracker, observe, t: float, bid: int) -> None:
-    """Feed one arrival to the tracker — same hook order as the core loop."""
-    if observe is not None:
-        observe(float(t), int(bid))
-    else:
-        tracker.add(int(bid))
+    def round1(self, idx: int):
+        """Request one disk's primaries; the filer answers its cache hits."""
+        run, env, d = self.run, self.env, self.disk_ids[idx]
+        ids = self.primaries[idx]
+        if not (yield from run.reach(d)):
+            for b in ids:
+                self.inbox.put((_INF, b, None, 0))
+            return
+        self.t_arrived[idx] = env.now
+        filer = run.cluster.filer_of_disk(d)
+        cached = filer.cached_blocks(self.record.name, np.asarray(ids, dtype=np.int64))
+        hit_ids = [b for b, c in zip(ids, cached) if c]
+        for b in hit_ids:
+            env.process(
+                self.deliver(run.response(d, env.now), b), name=f"hit-c{self.cid}"
+            )
+        filer.record_read(self.record.name, hit_ids, self.scheme.config.block_bytes)
+        self.hits[idx] += len(hit_ids)
+        queued = [b for b, c in zip(ids, cached) if not c]
+        for b in queued:
+            env.process(self.fetch(int(b), idx), name=f"unit-c{self.cid}")
+        if not queued:
+            # Nothing to serve: the disk is idle from the request's
+            # arrival and immediately looks for work to steal (this is
+            # what lets mirror+adaptive's idle half participate).
+            env.process(self.steal(idx), name=f"steal-c{self.cid}")
+
+    def fetch(self, unit: int, idx: int):
+        """One unit's life: queue at its disk, follow hand-offs, arrive.
+
+        A unit flushed or aborted by a fault fails over to the next
+        holder of a replica (each holder tried at most once) — the
+        event-engine analogue of stealing from a failed victim.
+        """
+        visited = {idx}
+        while True:
+            d = self.disk_ids[idx]
+            self.outstanding[idx][unit] = True
+            req = self.run.drives[d].submit_block(tag=(self.cid, unit))
+            finished = yield req.done
+            self.outstanding[idx].pop(unit, None)
+            if finished is None:
+                # Stolen while queued: re-request from the thief.
+                idx = self.reassigned.pop(unit, idx)
+            elif not np.isfinite(finished):
+                holders = sorted(self.holder_map.get(unit, ()))
+                idx = next((h for h in holders if h not in visited), None)
+                if idx is None:
+                    self.inbox.put((_INF, unit, None, 0))
+                    return
+            else:
+                break
+            visited.add(idx)
+        self.fetched[idx] += 1
+        self.last_comp[idx] = float(finished)
+        self.n_served[idx] += 1
+        if not self.outstanding[idx]:
+            # The disk drained at this completion; the client notices
+            # one one-way later (inside steal).
+            self.env.process(self.steal(idx), name=f"steal-c{self.cid}")
+        t = yield from self.deliver(self.run.response(d, finished), unit)
+        if np.isfinite(t):
+            self.resolved.add(unit)
+
+    def pace(self, idx: int) -> float:
+        """Wall time per block the client has seen from one disk."""
+        if not self.n_served[idx] or not np.isfinite(self.t_arrived[idx]):
+            return _INF
+        return (self.last_comp[idx] - self.t_arrived[idx]) / self.n_served[idx]
+
+    def eligible(self, victim: int, thief: int) -> list[int]:
+        """The victim's queued, unresolved units the thief also holds."""
+        return [
+            u
+            for u in self.outstanding[victim]
+            if u not in self.resolved and thief in self.holder_map.get(u, ())
+        ]
+
+    def steal(self, thief: int):
+        """The client reacts to a drained disk: find a victim, steal."""
+        run, env = self.run, self.env
+        yield env.timeout(run.one_way[self.disk_ids[thief]])
+        if self.handoffs >= self.budget or self.tracker.complete:
+            return
+        best, elig = None, []
+        for victim in range(len(self.disk_ids)):
+            if victim != thief:
+                units = self.eligible(victim, thief)
+                if len(units) > len(elig):
+                    best, elig = victim, units
+        if best is None:
+            return
+        if len(elig) == 1:
+            # Hand-off of a victim's last block: only worthwhile when the
+            # thief is clearly faster by the client's observed per-disk
+            # pace — otherwise two idle disks would bounce the block
+            # forever (same rule as the closed form).
+            thief_time = self.pace(thief) + 3 * run.one_way[self.disk_ids[thief]]
+            if not thief_time < 0.5 * self.pace(best):
+                return
+        steal = elig[len(elig) // 2 :]  # the second half
+        self.handoffs += 1
+        victim_d = self.disk_ids[best]
+        trace_handoff(
+            self.scheme.tracer, env.now, self.handoffs + 1,
+            self.disk_ids[thief], victim_d, len(elig),
+        )
+        # The cancel message crosses to the victim's filer first.
+        yield env.timeout(run.one_way[victim_d])
+        for u in steal:
+            self.reassigned[u] = thief
+        removed = run.drives[victim_d].cancel_blocks(self.cid, steal)
+        if removed == 0 and len(steal) == 1:
+            # The block is already in service: the drive model serves
+            # whole blocks, so instead of the closed form's fractional
+            # mid-transfer hand-off the thief fetches a speculative
+            # duplicate and the first arrival wins (once per unit).
+            u = steal[0]
+            self.reassigned.pop(u, None)
+            if u not in self.duplicated:
+                self.duplicated.add(u)
+                self.total += 1
+                env.process(self.fetch(u, thief), name=f"dup-c{self.cid}")
+
+    def settle(self, trial: int) -> AccessResult:
+        block_bytes = self.scheme.config.block_bytes
+        return adaptive_epilogue(
+            self.scheme, self.spec, self.record, self.plan, trial,
+            self.tracker, self.t_fill, self.consumed, self.order,
+            self.handoffs + 1, self.run.t0,
+            disk_sent=[(f + h) * block_bytes for f, h in zip(self.fetched, self.hits)],
+            blocks_sent=sum(self.fetched) + sum(self.hits),
+            cache_hits=sum(self.hits),
+        )
 
 
 def event_read(scheme, file_name: str, trial: int = 0, n_clients: int = 1) -> EventAccess:
@@ -238,467 +613,20 @@ def event_read(scheme, file_name: str, trial: int = 0, n_clients: int = 1) -> Ev
     latency.
     """
     spec = scheme.spec
-    cfg = scheme.config
-    cluster = scheme.cluster
     record = scheme._record(file_name)
     plan = spec.reaction.plan_read(scheme, record)
     if isinstance(plan, AccessResult):
         # Fate sealed before any disk was touched (e.g. RAID-5's double
         # failure) — identical short-circuit to the closed-form pipeline.
-        return EventAccess(
-            latency_s=plan.latency_s,
-            blocks_received=plan.blocks_received,
-            network_bytes=plan.network_bytes,
-            per_client={cid: plan.latency_s for cid in range(n_clients)},
-            result=plan,
-        )
-
-    env = Environment()
-    disk_ids = [int(d) for d in plan.disk_ids]
-    drives = build_drives(env, scheme, disk_ids, trial)
-    attach_faults(env, cluster, drives)
-    one_way = {d: cluster.filer_of_disk(d).link.one_way_s for d in disk_ids}
-    t0 = scheme.open_latency()
-    adaptive = bool(getattr(spec.dispatch, "adaptive", False))
-    finals: dict[int, _Final] = {}
-
-    # -- shared fetch machinery -------------------------------------------
-
-    def deliver(cid, inbox, state, pos, bid, arr):
-        """A filesystem-cache hit travelling back to the client."""
-        if np.isfinite(arr):
-            yield env.timeout(float(arr) - env.now)
-            state.arrivals[pos] = env.now
-            inbox.put((env.now, bid, state, pos))
-        else:
-            inbox.put((float("inf"), bid, state, pos))
-
-    def wait_block(cid, inbox, state, pos, upos, bid, req):
-        """Wait for one queued block: serve, record, respond, arrive."""
-        finished = yield req.done
-        if finished is None or not np.isfinite(finished):
-            # Cancelled in queue, flushed or aborted by a fail-stop:
-            # the block never crosses the network.
-            inbox.put((float("inf"), bid, state, pos))
-            return
-        state.completions[upos] = float(finished)
-        arr = response_arrival_times(cluster, state.disk_id, finished, state.one_way)
-        if not np.isfinite(arr):
-            inbox.put((float("inf"), bid, state, pos))
-            return
-        yield env.timeout(float(arr) - env.now)
-        state.arrivals[pos] = env.now
-        inbox.put((env.now, bid, state, pos))
-
-    def feed_disk(cid, inbox, state):
-        """One disk's stream: request hop, cache split, queue the rest."""
-        d = state.disk_id
-        t_arrive = request_arrival_time(cluster, d, env.now, state.one_way)
-        if not np.isfinite(t_arrive):
-            for pos, bid in enumerate(state.block_ids.tolist()):
-                inbox.put((float("inf"), bid, state, pos))
-            return
-        yield env.timeout(t_arrive - env.now)
-        drive = drives[d]
-        upos = 0
-        for pos, bid in enumerate(state.block_ids.tolist()):
-            if state.cached[pos]:
-                arr = response_arrival_times(cluster, d, env.now, state.one_way)
-                env.process(
-                    deliver(cid, inbox, state, pos, bid, float(arr)),
-                    name=f"hit-c{cid}",
-                )
-            else:
-                req = drive.submit_block(tag=(cid, bid))
-                env.process(
-                    wait_block(cid, inbox, state, pos, upos, bid, req),
-                    name=f"block-c{cid}",
-                )
-                upos += 1
-
-    def launch_streams(cid, inbox, states, round_disks, round_placement):
-        """Spawn the per-disk stream processes; return the block count."""
-        total = 0
-        for idx, d in enumerate(round_disks):
-            blocks = [int(b) for b in round_placement[idx]]
-            filer = cluster.filer_of_disk(int(d))
-            cached = filer.cached_blocks(
-                file_name, np.asarray(blocks, dtype=np.int64)
-            )
-            state = _StreamState(int(d), blocks, cached, one_way[int(d)])
-            states.append(state)
-            env.process(feed_disk(cid, inbox, state), name=f"stream-c{cid}-d{d}")
-            total += len(blocks)
-        return total
-
-    # -- speculative client ------------------------------------------------
-
-    def spec_client(cid):
-        fin = _Final()
-        finals[cid] = fin
-        tracker = spec.completion.tracker(scheme, record, plan)
-        observe = getattr(tracker, "observe", None)
-        fin.tracker = tracker
-        inbox = Store(env)
-        yield env.timeout(t0)
-        total = launch_streams(cid, inbox, fin.states, disk_ids, plan.placement)
-        outcomes = 0
-        deferred = []  # blocks whose arrival never materialised
-        last_finite = t0
-
-        def consume():
-            """Drain arrivals into the tracker until it completes."""
-            nonlocal outcomes, last_finite
-            while outcomes < total and not tracker.complete:
-                t, bid, state, pos = yield inbox.get()
-                outcomes += 1
-                if np.isfinite(t):
-                    last_finite = t
-                    fin.consumed += 1
-                    _consume_one(tracker, observe, t, bid)
-                    fin.order.append(int(bid))
-                    if tracker.complete:
-                        fin.t_fill = float(t)
-                else:
-                    deferred.append((int(bid), state, pos))
-
-        yield env.process(consume(), name=f"consume-c{cid}")
-
-        injector = cluster.faults
-        if (
-            not tracker.complete
-            and injector is not None
-            and getattr(spec.reaction, "respeculates", False)
-        ):
-            # Mid-read faults stalled the access: the reaction decides
-            # which disks can serve a second round, and when.
-            pending: dict[int, list[int]] = {}
-            for bid, state, _pos in deferred:
-                if not injector.permanently_failed(state.disk_id):
-                    pending.setdefault(state.disk_id, []).append(bid)
-            resolved = spec.reaction.retry_targets(scheme, pending, last_finite, t0)
-            if resolved is not None:
-                retry_disks, t_retry = resolved
-                fin.rounds = 2
-                if scheme.tracer.enabled:
-                    scheme.tracer.count("scheme.respeculations")
-                if t_retry > env.now:
-                    yield env.timeout(t_retry - env.now)
-                total += launch_streams(
-                    cid, inbox, fin.states, retry_disks,
-                    [pending[d] for d in retry_disks],
-                )
-                yield env.process(consume(), name=f"consume2-c{cid}")
-
-        if not tracker.complete:
-            # The closed form consumes never-arriving blocks too (their
-            # arrival time is inf): a tracker may complete on them, which
-            # keeps block accounting honest while the latency stays inf.
-            for bid, _state, _pos in deferred:
-                fin.consumed += 1
-                _consume_one(tracker, observe, float("inf"), bid)
-                fin.order.append(int(bid))
-                if tracker.complete:
-                    break
-
-        t_done, t_cancel = spec.completion.finish(scheme, tracker, fin.t_fill)
-        fin.t_done = t_done
-
-        def cancel_one(d, at):
-            delay = at + one_way[d] - env.now
-            if delay > 0:
-                yield env.timeout(delay)
-            drives[d].cancel_client(cid)
-
-        if np.isfinite(t_cancel):
-            for d in dict.fromkeys(s.disk_id for s in fin.states):
-                env.process(cancel_one(d, t_cancel), name=f"cancel-c{cid}-d{d}")
-
-        # Drain every remaining outcome (served, in flight, cancelled or
-        # flushed) so the stream records are complete for the epilogue.
-        while outcomes < total:
-            yield inbox.get()
-            outcomes += 1
-
-    # -- adaptive client ---------------------------------------------------
-
-    def adaptive_client(cid):
-        fin = _Final()
-        finals[cid] = fin
-        tracker = spec.completion.tracker(scheme, record, plan)
-        observe = getattr(tracker, "observe", None)
-        fin.tracker = tracker
-        inbox = Store(env)
-        yield env.timeout(t0)
-        primaries, holder_map = spec.placement.adaptive_units(cfg, record)
-        primaries = [[int(b) for b in ids] for ids in primaries]
-        n = len(disk_ids)
-        fin.fetched = [0] * n
-        budget = _HANDOFF_BUDGET_PER_DISK * n
-        # unit -> True per disk, insertion-ordered: the steal scan must be
-        # deterministic, so sets are out.
-        outstanding: list[dict[int, bool]] = [dict() for _ in range(n)]
-        reassigned: dict[int, int] = {}
-        #: Units whose data already reached the client — no longer worth
-        #: stealing even while a stale copy sits in some queue.
-        resolved: set[int] = set()
-        #: Units already fetched speculatively a second time; one
-        #: duplicate per unit keeps the race bounded.
-        duplicated: set[int] = set()
-        total = sum(len(p) for p in primaries)
-        tracer = scheme.tracer
-        # Per-disk observed pace, the client's basis for single-block
-        # steal decisions (§5.3.1): request arrival, last foreground
-        # completion, foreground blocks served.
-        t_arrived = [float("inf")] * n
-        last_comp = [0.0] * n
-        n_served = [0] * n
-
-        def observed_avg(idx):
-            """Wall time per block the client has seen from one disk."""
-            if not n_served[idx] or not np.isfinite(t_arrived[idx]):
-                return float("inf")
-            return (last_comp[idx] - t_arrived[idx]) / n_served[idx]
-
-        def steal_decision(thief_idx):
-            """The client reacts to a drained disk: find a victim, steal."""
-            nonlocal total
-            yield env.timeout(one_way[disk_ids[thief_idx]])
-            if fin.handoffs >= budget or tracker.complete:
-                return
-            best, best_cnt = None, 0
-            for b_idx in range(n):
-                if b_idx == thief_idx:
-                    continue
-                cnt = sum(
-                    1
-                    for u in outstanding[b_idx]
-                    if u not in resolved and thief_idx in holder_map.get(u, ())
-                )
-                if cnt > best_cnt:
-                    best, best_cnt = b_idx, cnt
-            if best is None:
-                return
-            elig = [
-                u
-                for u in outstanding[best]
-                if u not in resolved and thief_idx in holder_map.get(u, ())
-            ]
-            if not elig:
-                return
-            if len(elig) == 1:
-                # Hand-off of a victim's last block: only worthwhile when
-                # the thief is clearly faster by the client's observed
-                # per-disk pace — otherwise two idle disks would bounce
-                # the block forever (same rule as the closed form).
-                thief_time = observed_avg(thief_idx) + 3 * one_way[
-                    disk_ids[thief_idx]
-                ]
-                if not thief_time < 0.5 * observed_avg(best):
-                    return
-            steal = elig[len(elig) // 2 :]  # the second half
-            fin.handoffs += 1
-            if tracer.enabled:
-                tracer.count("scheme.handoffs")
-                tracer.instant(
-                    "scheme.round",
-                    "scheme",
-                    env.now,
-                    track="scheme",
-                    args={
-                        "round": fin.handoffs + 1,
-                        "thief": disk_ids[thief_idx],
-                        "victim": disk_ids[best],
-                        "eligible": best_cnt,
-                    },
-                )
-            victim_d = disk_ids[best]
-            # The cancel message crosses to the victim's filer first.
-            yield env.timeout(one_way[victim_d])
-            for u in steal:
-                reassigned[u] = thief_idx
-            removed = drives[victim_d].cancel_blocks(cid, steal)
-            if removed == 0 and len(steal) == 1:
-                # The block is already in service: the drive model serves
-                # whole blocks, so instead of the closed form's fractional
-                # mid-transfer hand-off the thief fetches a speculative
-                # duplicate and the first arrival wins (once per unit).
-                u = steal[0]
-                reassigned.pop(u, None)
-                if u not in duplicated:
-                    duplicated.add(u)
-                    total += 1
-                    env.process(unit_fetch(u, thief_idx), name=f"dup-c{cid}")
-
-        def unit_fetch(unit, idx):
-            """One unit's life: queue at its disk, follow hand-offs, arrive.
-
-            A unit flushed or aborted by a fault fails over to the next
-            holder of a replica (each holder tried at most once) — the
-            event-engine analogue of stealing from a failed victim.
-            """
-            visited = {idx}
-            while True:
-                d = disk_ids[idx]
-                outstanding[idx][unit] = True
-                req = drives[d].submit_block(tag=(cid, unit))
-                finished = yield req.done
-                outstanding[idx].pop(unit, None)
-                if finished is None:
-                    # Stolen while queued: re-request from the thief.
-                    idx = reassigned.pop(unit, idx)
-                    visited.add(idx)
-                    continue
-                if not np.isfinite(finished):
-                    holders = sorted(holder_map.get(unit, ()))
-                    nxt = next((h for h in holders if h not in visited), None)
-                    if nxt is not None:
-                        idx = nxt
-                        visited.add(idx)
-                        continue
-                    inbox.put((float("inf"), unit, idx, None))
-                    return
-                fin.fetched[idx] += 1
-                last_comp[idx] = float(finished)
-                n_served[idx] += 1
-                if not outstanding[idx]:
-                    # The disk drained at this completion; the client
-                    # notices one one-way later (inside steal_decision).
-                    env.process(steal_decision(idx), name=f"steal-c{cid}")
-                arr = response_arrival_times(cluster, d, finished, one_way[d])
-                if not np.isfinite(arr):
-                    inbox.put((float("inf"), unit, idx, None))
-                    return
-                yield env.timeout(float(arr) - env.now)
-                resolved.add(unit)
-                inbox.put((env.now, unit, idx, None))
-                return
-
-        def disk_round1(idx):
-            d = disk_ids[idx]
-            t_arrive = request_arrival_time(cluster, d, env.now, one_way[d])
-            if not np.isfinite(t_arrive):
-                for b in primaries[idx]:
-                    inbox.put((float("inf"), b, idx, None))
-                return
-            yield env.timeout(t_arrive - env.now)
-            t_arrived[idx] = env.now
-            ids = primaries[idx]
-            filer = cluster.filer_of_disk(d)
-            cached = filer.cached_blocks(
-                file_name, np.asarray(ids, dtype=np.int64)
-            )
-            hit_ids = [b for b, c in zip(ids, cached) if c]
-            for b in hit_ids:
-                arr = response_arrival_times(cluster, d, env.now, one_way[d])
-                env.process(
-                    deliver(cid, inbox, _hit_state(d, b), 0, b, float(arr)),
-                    name=f"hit-c{cid}",
-                )
-            filer.record_read(file_name, hit_ids, cfg.block_bytes)
-            fin.cache_hits += len(hit_ids)
-            queued = [b for b, c in zip(ids, cached) if not c]
-            for b in queued:
-                env.process(unit_fetch(int(b), idx), name=f"unit-c{cid}")
-            if not queued:
-                # Nothing to serve: the disk is idle from the request's
-                # arrival and immediately looks for work to steal (this is
-                # what lets mirror+adaptive's idle half participate).
-                env.process(steal_decision(idx), name=f"steal-c{cid}")
-
-        def _hit_state(d, b):
-            # Cache hits need no completion/arrival record keeping for the
-            # adaptive settle; a tiny throwaway state satisfies deliver().
-            return _StreamState(d, [b], [True], one_way[d])
-
-        for idx in range(n):
-            env.process(disk_round1(idx), name=f"round1-c{cid}-d{disk_ids[idx]}")
-
-        outcomes = 0
-        deferred: list[int] = []
-        while outcomes < total and not tracker.complete:
-            t, unit, _idx, _ = yield inbox.get()
-            outcomes += 1
-            if np.isfinite(t):
-                fin.consumed += 1
-                _consume_one(tracker, observe, t, unit)
-                fin.order.append(int(unit))
-                if tracker.complete:
-                    fin.t_fill = float(t)
-            else:
-                deferred.append(int(unit))
-        if not tracker.complete:
-            for unit in deferred:
-                fin.consumed += 1
-                _consume_one(tracker, observe, float("inf"), unit)
-                fin.order.append(int(unit))
-                if tracker.complete:
-                    break
-        fin.t_done, _ = spec.completion.finish(scheme, tracker, fin.t_fill)
-        # No cancel: the adaptive engine lets outstanding queues drain
-        # (same as the closed form's event loop running dry).
-        while outcomes < total:
-            yield inbox.get()
-            outcomes += 1
-
-    # -- run ---------------------------------------------------------------
-
-    make = adaptive_client if adaptive else spec_client
-    clients = [
-        env.process(make(cid), name=f"client-{cid}") for cid in range(n_clients)
-    ]
+        return EventAccess(plan, {cid: plan.latency_s for cid in range(n_clients)})
+    run = EventRun(scheme, plan.disk_ids, trial)
+    adaptive = getattr(spec.dispatch, "adaptive", False)
+    client_cls = AdaptiveClient if adaptive else SpeculativeClient
+    clients = [client_cls(run, scheme, record, plan, cid) for cid in range(n_clients)]
+    procs = [run.env.process(c.process(), name=f"client-{c.cid}") for c in clients]
     # Background generators run forever; stop once every client finished.
-    env.run(until=env.all_of(clients))
-
-    fin = finals[0]
-    if adaptive:
-        net_bytes = (sum(fin.fetched) + fin.cache_hits) * cfg.block_bytes
-        for idx, d in enumerate(disk_ids):
-            cluster.filer_of_disk(d).link.account(
-                fin.fetched[idx] * cfg.block_bytes
-            )
-        trace_read_summary(
-            scheme.tracer, scheme.name, trial, t0, fin.t_done, fin.consumed,
-            cfg.block_bytes, cfg.data_bytes,
-            network_bytes=net_bytes,
-            span_args={"rounds": fin.handoffs + 1},
-            failed_instant=False,
-        )
-        spec.completion.trace(
-            scheme.tracer, fin.tracker, fin.t_fill, fin.t_done, fin.consumed
-        )
-        extra = dict(plan.extra)
-        extra.update(
-            spec.completion.extras(scheme, fin.tracker, fin.t_fill, fin.t_done)
-        )
-        extra["handoffs"] = fin.handoffs
-        if spec.completion.wants_order:
-            extra["arrival_order"] = fin.order[: fin.consumed]
-        spec.reaction.annotate(scheme, record, extra, fin.t_done, t0)
-        result = AccessResult(
-            latency_s=fin.t_done,
-            data_bytes=cfg.data_bytes,
-            network_bytes=net_bytes,
-            disk_blocks=sum(fin.fetched),
-            blocks_received=fin.consumed,
-            cache_hits=fin.cache_hits,
-            rounds=fin.handoffs + 1,
-            extra=extra,
-        )
-    else:
-        streams = [s.to_disk_stream() for s in fin.states]
-        result = read_epilogue(
-            scheme, spec, record, plan, trial,
-            streams, fin.tracker, fin.t_fill, fin.consumed, fin.order,
-            fin.rounds, t0,
-        )
-    return EventAccess(
-        latency_s=result.latency_s,
-        blocks_received=result.blocks_received,
-        network_bytes=result.network_bytes,
-        per_client={cid: finals[cid].t_done for cid in range(n_clients)},
-        result=result,
-    )
+    run.env.run(until=run.env.all_of(procs))
+    return EventAccess(clients[0].settle(trial), {c.cid: c.t_done for c in clients})
 
 
 def event_write(scheme, file_name: str, trial: int = 0) -> AccessResult:
@@ -718,143 +646,88 @@ def event_write(scheme, file_name: str, trial: int = 0) -> AccessResult:
 
 
 def _event_uniform_write(scheme, write, file_name: str, trial: int) -> AccessResult:
-    spec = scheme.spec
     cfg = scheme.config
-    cluster = scheme.cluster
     disks = scheme.select_disks(trial)
-    pspec = spec.placement.plan(cfg, len(disks), trial)
-    env = Environment()
-    drives = build_drives(env, scheme, disks, trial)
-    attach_faults(env, cluster, drives)
-    t0 = scheme.open_latency()
+    pspec = scheme.spec.placement.plan(cfg, len(disks), trial)
+    run = EventRun(scheme, disks, trial)
+    env, inbox = run.env, Store(run.env)
     acks: list[float] = []
     net = 0
 
-    def waiter(d, one_way, req, inbox):
+    def ack(d, bid, req):
         finished = yield req.done
-        if finished is None or not np.isfinite(finished):
-            inbox.put(float("inf"))
-            return
-        ack = response_arrival_times(cluster, d, finished, one_way)
-        inbox.put(float(ack))
-
-    def disk_write(d, blocks, inbox):
-        filer = cluster.filer_of_disk(int(d))
-        one_way = filer.link.one_way_s
-        t_arrive = request_arrival_time(cluster, int(d), env.now, one_way)
-        if not np.isfinite(t_arrive):
-            for _ in blocks:
-                inbox.put(float("inf"))
-            return
-        yield env.timeout(t_arrive - env.now)
-        for b in blocks:
-            req = drives[int(d)].submit_block(tag=(0, int(b)))
-            env.process(waiter(int(d), one_way, req, inbox), name="write-ack")
+        inbox.put((run.response(d, finished), bid))
 
     def client():
         nonlocal net
-        yield env.timeout(t0)
-        inbox = Store(env)
+        yield env.timeout(run.t0)
         total = 0
         for idx, d in enumerate(disks):
+            d = int(d)
             blocks = pspec.placement[idx]
-            env.process(disk_write(d, blocks, inbox), name=f"write-d{d}")
+            env.process(run.push(d, blocks, ack, inbox), name=f"write-d{d}")
             total += len(blocks)
             nbytes = len(blocks) * cfg.block_bytes
             net += nbytes
             if scheme.tracer.enabled:
                 scheme.tracer.account_bytes("network", nbytes)
-            filer = cluster.filer_of_disk(int(d))
+            filer = run.cluster.filer_of_disk(d)
             filer.link.account(nbytes)
             filer.record_write(file_name, blocks, cfg.block_bytes)
         for _ in range(total):
-            acks.append((yield inbox.get()))
+            t, _bid = yield inbox.get()
+            acks.append(t)
 
-    proc = env.process(client(), name="write-client")
-    env.run(until=proc)
-    t_done = max([t0] + acks) if acks else t0
-    return write.settle(scheme, file_name, disks, pspec, t_done, net, t0)
+    env.run(until=env.process(client(), name="write-client"))
+    t_done = max([run.t0] + acks) if acks else run.t0
+    return write.settle(scheme, file_name, disks, pspec, t_done, net, run.t0)
 
 
 def _event_speculative_write(scheme, write, file_name: str, trial: int) -> AccessResult:
-    cfg = scheme.config
-    cluster = scheme.cluster
     disks, per_disk_cap, target, graph = write.supply_plan(scheme, trial)
+    disks_int = [int(d) for d in disks]
     h = len(disks)
-    env = Environment()
-    drives = build_drives(env, scheme, disks, trial)
-    attach_faults(env, cluster, drives)
-    t0 = scheme.open_latency()
-    one_ways = [cluster.filer_of_disk(int(d)).link.one_way_s for d in disks]
-    completions: list[list[float]] = [[] for _ in disks]
-    outcome: dict = {"t_enough": None, "saw_inf": False}
+    run = EventRun(scheme, disks, trial)
+    env, inbox = run.env, Store(run.env)
+    completions: dict[int, list[float]] = {d: [] for d in disks_int}
+    t_enough, saw_inf = None, False
 
-    def waiter(idx, bid, req, inbox):
+    def commit_ack(d, bid, req):
         finished = yield req.done
-        if finished is None or not np.isfinite(finished):
-            inbox.put((float("inf"), bid))
-            return
-        completions[idx].append(float(finished))
-        ack = response_arrival_times(
-            cluster, int(disks[idx]), finished, one_ways[idx]
-        )
-        if not np.isfinite(ack):
-            inbox.put((float("inf"), bid))
-            return
-        yield env.timeout(float(ack) - env.now)
-        inbox.put((env.now, bid))
-
-    def disk_stream(idx, inbox):
-        d = int(disks[idx])
-        t_arrive = request_arrival_time(cluster, d, env.now, one_ways[idx])
-        if not np.isfinite(t_arrive):
-            for j in range(per_disk_cap):
-                inbox.put((float("inf"), idx + h * j))
-            return
-        yield env.timeout(t_arrive - env.now)
-        for j in range(per_disk_cap):
-            bid = idx + h * j
-            req = drives[d].submit_block(tag=(0, bid))
-            env.process(waiter(idx, bid, req, inbox), name="commit-ack")
-
-    def cancel_one(idx, at):
-        delay = at + one_ways[idx] - env.now
-        if delay > 0:
-            yield env.timeout(delay)
-        drives[int(disks[idx])].cancel_client(0)
+        if finished is not None and np.isfinite(finished):
+            completions[d].append(float(finished))
+        t = yield from run.travel(run.response(d, finished))
+        inbox.put((t, bid))
 
     def client():
-        yield env.timeout(t0)
-        inbox = Store(env)
-        for idx in range(h):
-            env.process(disk_stream(idx, inbox), name=f"supply-d{disks[idx]}")
+        nonlocal t_enough, saw_inf
+        yield env.timeout(run.t0)
+        for idx, d in enumerate(disks_int):
+            supply = [idx + h * j for j in range(per_disk_cap)]
+            env.process(run.push(d, supply, commit_ack, inbox), name=f"supply-d{d}")
         total = h * per_disk_cap
         gate = write.commit_gate(graph, target)
         got = 0
         # Phase 1: feed finite commit acks to the decodability gate.
-        while got < total and outcome["t_enough"] is None:
+        while got < total and t_enough is None:
             t, bid = yield inbox.get()
             got += 1
             if np.isfinite(t):
-                outcome["t_enough"] = gate.add(float(t), int(bid))
+                t_enough = gate.add(float(t), int(bid))
             else:
-                outcome["saw_inf"] = True
-        t_enough = outcome["t_enough"]
+                saw_inf = True
         if t_enough is not None:
             # Phase 2: cancel every still-queued commit, one hop out.
-            for idx in range(h):
-                env.process(cancel_one(idx, t_enough), name=f"wcancel-d{disks[idx]}")
+            for d in disks_int:
+                env.process(run.cancel(d, t_enough, 0), name=f"wcancel-d{d}")
         # Phase 3: drain so the committed multiset is fully recorded.
         while got < total:
             yield inbox.get()
             got += 1
 
-    proc = env.process(client(), name="write-client")
-    env.run(until=proc)
-
-    t_enough = outcome["t_enough"]
+    env.run(until=env.process(client(), name="write-client"))
     if t_enough is None or not np.isfinite(t_enough):
-        if outcome["saw_inf"]:
+        if saw_inf:
             # Fault injection killed disks mid-write: the committed set
             # never reaches a decodable target.
             return failed_write_result(
@@ -864,16 +737,9 @@ def _event_speculative_write(scheme, write, file_name: str, trial: int) -> Acces
             "speculative write exhausted its rateless supply; "
             "increase WRITE_SUPPLY_FACTOR"
         )
-    comp_arrays = [np.sort(np.asarray(c, dtype=np.float64)) for c in completions]
+    one_ways = [run.one_way[d] for d in disks_int]
+    comp_arrays = [np.sort(np.asarray(completions[d], dtype=np.float64)) for d in disks_int]
     return write.commit(
-        scheme,
-        file_name,
-        disks,
-        one_ways,
-        comp_arrays,
-        per_disk_cap,
-        float(t_enough),
-        graph,
-        target,
-        trial,
+        scheme, file_name, disks, one_ways, comp_arrays, per_disk_cap,
+        float(t_enough), graph, target, trial,
     )

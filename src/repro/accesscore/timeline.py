@@ -17,7 +17,9 @@ The closed-form engine evaluates steps 2-4 vectorised
 (:mod:`repro.accesscore.events`) produces the same per-disk
 :class:`DiskStream` records from explicit processes.  Steps 5-6 — tracker
 consumption, cancel accounting, tracing, repair annotation — are shared
-outright: both engines settle a read through :func:`read_epilogue`.
+outright: both engines settle a speculative read through
+:func:`read_epilogue` and an adaptive (work-stealing) read through
+:func:`adaptive_epilogue`.
 """
 
 from __future__ import annotations
@@ -28,8 +30,17 @@ import numpy as np
 
 from repro.accesscore.result import AccessResult
 from repro.accesscore.routing import request_arrival_time, response_arrival_times
-from repro.accesscore.tracing import _sample_indices, trace_read_access
+from repro.accesscore.tracing import (
+    _sample_indices,
+    trace_read_access,
+    trace_read_summary,
+)
 from repro.disk.service import served_before
+
+#: Adaptive reads stop re-planning after this many hand-offs per disk and
+#: let the outstanding queues drain — a safety valve far above any sane
+#: hand-off count, shared by both engines.
+HANDOFF_BUDGET_PER_DISK = 50
 
 
 @dataclass
@@ -332,6 +343,64 @@ def read_epilogue(
         disk_blocks=disk_blocks,
         blocks_received=consumed,
         cache_hits=hits,
+        rounds=rounds,
+        extra=extra,
+    )
+
+
+def adaptive_epilogue(
+    scheme, spec, record, plan, trial: int,
+    tracker, t_fill: float, consumed: int, order: list[int], rounds: int,
+    t_open: float, *, disk_sent: list[float], blocks_sent: int, cache_hits: int,
+    partial_bytes: float = 0.0, served_by: dict | None = None,
+) -> AccessResult:
+    """Settle an adaptive (work-stealing) read — engine-shared.
+
+    The twin of :func:`read_epilogue` for reads that hand work between
+    disks instead of cancelling at completion.  ``blocks_sent`` counts
+    whole blocks sent (filesystem-cache hits included), ``partial_bytes``
+    the block fractions victims delivered before a mid-transfer hand-off,
+    and ``disk_sent[i]`` the bytes of both that ``plan.disk_ids[i]`` sent.
+    ``served_by`` (block -> disk index) lands in the extras when given.
+    """
+    cfg = scheme.config
+    completion = spec.completion
+    t_done, _ = completion.finish(scheme, tracker, t_fill)
+    # Fetched blocks cross the network once; block fractions delivered
+    # by a victim before a hand-off add a whisker of extra bytes — the
+    # scheme's "just a little more than zero" overhead (Fig 6-8).
+    net_bytes = int(blocks_sent * cfg.block_bytes + partial_bytes)
+    # Each link carries what its disk sent.  Link counters hold whole
+    # bytes, so the last one also takes the rounding remainder of the
+    # fractions: the links then sum to the access's network bytes.
+    shares = [int(b) for b in disk_sent]
+    if shares:
+        shares[-1] += net_bytes - sum(shares)
+    for disk_id, nbytes in zip(plan.disk_ids, shares):
+        scheme.cluster.filer_of_disk(int(disk_id)).link.account(nbytes)
+    trace_read_summary(
+        scheme.tracer, scheme.name, trial, t_open, t_done, consumed,
+        cfg.block_bytes, cfg.data_bytes,
+        network_bytes=net_bytes,
+        span_args={"rounds": rounds},
+        failed_instant=False,
+    )
+    completion.trace(scheme.tracer, tracker, t_fill, t_done, consumed)
+    extra = dict(plan.extra)
+    extra.update(completion.extras(scheme, tracker, t_fill, t_done))
+    extra["handoffs"] = rounds - 1
+    if served_by is not None:
+        extra["served_by"] = served_by
+    if completion.wants_order:
+        extra["arrival_order"] = order
+    spec.reaction.annotate(scheme, record, extra, t_done, t_open)
+    return AccessResult(
+        latency_s=t_done,
+        data_bytes=cfg.data_bytes,
+        network_bytes=net_bytes,
+        disk_blocks=blocks_sent - cache_hits,
+        blocks_received=consumed,
+        cache_hits=cache_hits,
         rounds=rounds,
         extra=extra,
     )

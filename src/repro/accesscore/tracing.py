@@ -6,7 +6,8 @@ read counter, byte ledger (consumed/data, plus network for engines that
 account it inline), the open span, and either the whole-access read span
 or the failed-read instant.  :func:`trace_read_summary` emits that
 sequence once, in the exact order the goldens pinned; the thin wrappers
-only choose which optional pieces apply.
+only choose which optional pieces apply.  Adaptive hand-offs are traced
+by :func:`trace_handoff`, for both engines.
 """
 
 from __future__ import annotations
@@ -71,6 +72,16 @@ def trace_read_summary(
                 args={"trial": trial},
             )
         tracer.count("scheme.failed_reads")
+
+
+def trace_handoff(tracer, t: float, round_no: int, thief, victim, eligible) -> None:
+    """One adaptive hand-off: the idle ``thief`` disk re-requests part of
+    the ``victim``'s queue, opening request round ``round_no`` (§6.2.1)."""
+    if not tracer.enabled:
+        return
+    tracer.count("scheme.handoffs")
+    args = {"round": round_no, "thief": thief, "victim": victim, "eligible": eligible}
+    tracer.instant("scheme.round", "scheme", t, track="scheme", args=args)
 
 
 def trace_read_access(

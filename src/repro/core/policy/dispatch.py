@@ -26,12 +26,14 @@ import numpy as np
 from repro.accesscore.result import AccessResult
 from repro.accesscore.routing import request_arrival_time, response_arrival_times
 from repro.accesscore.timeline import (
+    HANDOFF_BUDGET_PER_DISK,
+    adaptive_epilogue,
     completion_with_order,
     consume_sorted_arrivals,
     read_epilogue,
     serve_read_queues,
 )
-from repro.accesscore.tracing import trace_read_summary
+from repro.accesscore.tracing import trace_handoff
 from repro.disk.service import BlockService
 
 
@@ -141,7 +143,8 @@ class AdaptiveDispatch:
     with physical-granularity hand-offs.
     """
 
-    #: The event-driven wrapper keys its steal loop off this flag.
+    #: The event engine runs an ``AdaptiveClient`` for compositions
+    #: whose dispatch carries this flag.
     adaptive = True
 
     def read(self, scheme, spec, record, plan, trial) -> AccessResult:
@@ -207,6 +210,7 @@ class AdaptiveDispatch:
         blocks_fetched = 0
         served_by: dict[int, int] = {}
         partial_bytes = 0.0  # fractions delivered by victims before hand-off
+        partial_by_disk = np.zeros(len(disks))  # the same fractions, per victim
         # Plain-text replicas let the client assemble a block from fractions
         # fetched off different disks (§6.3.1): frac[bid] is the portion
         # still to fetch after mid-transfer hand-offs.
@@ -299,10 +303,8 @@ class AdaptiveDispatch:
             blocks_fetched += len(hit_ids)
             serve_batch(run, [b for b, c in zip(ids, cached) if not c], run.ready)
 
-        # Adaptive hand-offs.  The budget is a safety valve far above any
-        # sane hand-off count: past it the client stops re-planning and
-        # lets the outstanding queues drain.
-        handoff_budget = 50 * len(disks)
+        # Adaptive hand-offs, up to the shared safety-valve budget.
+        handoff_budget = HANDOFF_BUDGET_PER_DISK * len(disks)
         while events:
             finish, a_idx, version = heapq.heappop(events)
             a = runs[a_idx]
@@ -341,22 +343,7 @@ class AdaptiveDispatch:
             b = runs[best_b]
             rounds += 1
             t_cancel = t_dec + b.one_way
-            if tracer.enabled:
-                # Each hand-off opens a new request round (§6.2.1): the
-                # idle thief re-requests part of the victim's queue.
-                tracer.count("scheme.handoffs")
-                tracer.instant(
-                    "scheme.round",
-                    "scheme",
-                    t_dec,
-                    track="scheme",
-                    args={
-                        "round": rounds,
-                        "thief": a.disk_id,
-                        "victim": b.disk_id,
-                        "eligible": best_cnt,
-                    },
-                )
+            trace_handoff(tracer, t_dec, rounds, a.disk_id, b.disk_id, best_cnt)
             done, remaining = b.pending_at(t_cancel)
             inflight = b.inflight_at(t_cancel)
             elig = [x for x in remaining if a_idx in holders(x)]
@@ -406,7 +393,9 @@ class AdaptiveDispatch:
                         dur = max(c_if - start_if, 1e-12)
                         left = min(1.0, max(0.0, (c_if - t_cancel) / dur))
                         before = frac.get(inflight, 1.0)
-                        partial_bytes += before * (1.0 - left) * cfg.block_bytes
+                        sent = before * (1.0 - left) * cfg.block_bytes
+                        partial_bytes += sent
+                        partial_by_disk[b.idx] += sent
                         frac[inflight] = before * left
                 elif np.isfinite(c_if):
                     t_client = response_arrival_times(
@@ -431,39 +420,18 @@ class AdaptiveDispatch:
             times = np.empty(0, dtype=np.float64)
             ids = np.empty(0, dtype=np.int64)
         t_fill, consumed = consume_sorted_arrivals(tracker, times, ids)
-        t_done, _ = completion.finish(scheme, tracker, t_fill)
-
-        # Fetched blocks cross the network once; block fractions delivered
-        # by a victim before a hand-off add a whisker of extra bytes — the
-        # scheme's "just a little more than zero" overhead (Fig 6-8).
-        net_bytes = int(blocks_fetched * cfg.block_bytes + partial_bytes)
-        for run in runs:
-            scheme.cluster.filer_of_disk(run.disk_id).link.account(
-                len(run.batch_ids) * cfg.block_bytes
-            )
-        trace_read_summary(
-            tracer, scheme.name, trial, t0, t_done, consumed,
-            cfg.block_bytes, cfg.data_bytes,
-            network_bytes=net_bytes,
-            span_args={"rounds": rounds},
-            failed_instant=False,
+        # Each disk sent the blocks it served (cache hits included) plus
+        # the fractions it delivered before handing a block off.
+        served = np.bincount(
+            np.fromiter(served_by.values(), np.int64, len(served_by)),
+            minlength=len(runs),
         )
-        completion.trace(tracer, tracker, t_fill, t_done, consumed)
-
-        extra = dict(plan.extra)
-        extra.update(completion.extras(scheme, tracker, t_fill, t_done))
-        extra["handoffs"] = rounds - 1
-        extra["served_by"] = served_by
-        if completion.wants_order:
-            extra["arrival_order"] = [int(b) for _, b in arrivals[:consumed]]
-        spec.reaction.annotate(scheme, record, extra, t_done, t0)
-        return AccessResult(
-            latency_s=t_done,
-            data_bytes=cfg.data_bytes,
-            network_bytes=net_bytes,
-            disk_blocks=blocks_fetched - cache_hits,
-            blocks_received=consumed,
+        return adaptive_epilogue(
+            scheme, spec, record, plan, trial,
+            tracker, t_fill, consumed, ids[:consumed].tolist(), rounds, t0,
+            disk_sent=(served * cfg.block_bytes + partial_by_disk).tolist(),
+            blocks_sent=blocks_fetched,
             cache_hits=cache_hits,
-            rounds=rounds,
-            extra=extra,
+            partial_bytes=partial_bytes,
+            served_by=served_by,
         )

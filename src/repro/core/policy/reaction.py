@@ -6,7 +6,8 @@ The reaction layer owns three decision points of a read:
   :class:`~repro.core.policy.base.ReadPlan` (or a finished result when the
   fate is already sealed, like RAID-5's double failure);
 * :meth:`~PassiveReaction.on_stall` — build second-round streams after a
-  stalled first round (RobuSTore's re-speculation), or ``None``;
+  stalled first round (RobuSTore's re-speculation), or ``None``; the
+  event engine asks :meth:`~PassiveReaction.retry_targets` instead;
 * :meth:`~PassiveReaction.annotate` — post-access bookkeeping on the
   result extras (RobuSTore's repair-trigger flags, through the
   access-core's single repair wiring site).
@@ -32,6 +33,9 @@ class PassiveReaction:
     def on_stall(self, scheme, streams, trial, file_name, t_fill):
         return None
 
+    def retry_targets(self, scheme, pending, t_retry_floor, t0):
+        return None
+
     def annotate(self, scheme, record, extra, t_done, t0):
         return None
 
@@ -55,9 +59,6 @@ class EmergentFailover(PassiveReaction):
 
 class Respeculate(PassiveReaction):
     """RobuSTore: re-request undelivered blocks, flag files for repair."""
-
-    #: The event-driven wrapper keys its second-round machinery off this.
-    respeculates = True
 
     #: When permanent fail-stops push a file's surviving redundancy below
     #: this fraction of the configured degree, reads flag the file for a

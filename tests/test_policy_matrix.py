@@ -11,6 +11,8 @@ beyond the registered points — must satisfy the same contracts:
   exactly as long as ``blocks_received``;
 * the tracer's byte-flow ledger reconciles with the ``AccessResult``
   (``consumed + cancelled == network``, ledger io_overhead == result);
+* the filer links' byte counters sum to the read's ``network_bytes`` on
+  both engines, with a cold and with a write-warmed filer cache;
 * policies are stateless singletons, so identical seeds give identical
   results no matter which composition ran before (the runtime complement
   of lint rule SIM007).
@@ -24,13 +26,15 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.accesscore.events import event_read
 from repro.accesscore.result import AccessConfig
 from repro.accesscore.routing import MB
 from repro.cluster.server import Cluster
 from repro.core.pipeline import PolicyScheme, scheme_class
 from repro.core.policy.compose import COMPOSITIONS, SchemeSpec
 from repro.core.policy.dispatch import AdaptiveDispatch
-from repro.experiments.harness import TrialPlan, run_scheme
+from repro.experiments.config import DISKS_PER_FILER
+from repro.experiments.harness import TrialPlan, _run_trial, run_scheme
 from repro.obs import TraceReport, Tracer
 from repro.sim.rng import RngHub
 
@@ -176,6 +180,65 @@ def test_byte_ledger_reconciles(name):
         # accounting (the generic read trace), by design.
         assert report.data_bytes == result.data_bytes == CFG.data_bytes
         assert report.io_overhead == result.io_overhead
+
+
+def read_link_bytes(name, engine, warm, seed=3):
+    """One read's result and the bytes its filer links counted."""
+    cls = scheme_class(name)
+    cfg = CFG
+    if cls.spec.redundancy_override is not None:
+        cfg = dataclasses.replace(cfg, redundancy=cls.spec.redundancy_override)
+    cluster = Cluster(
+        n_disks=16, rtt_s=0.001, fs_cache_bytes=512 * MB if warm else 0,
+        cache_line_bytes=cfg.block_bytes,
+    )
+    hub = RngHub(seed)
+    scheme = cls(cluster, cfg, hub=hub)
+    cluster.redraw_disk_states(hub.fresh("env", name, 0))
+    if warm:
+        scheme.write("f", 0)  # write-through fills the filer caches
+    else:
+        scheme.prepare("f", 0)
+    cluster.reset_network_counters()
+    if engine == "event":
+        result = event_read(scheme, "f", trial=0).result
+    else:
+        result = scheme.read("f", 0)
+    return result, cluster.total_network_bytes
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("engine", ["closed", "event"])
+@pytest.mark.parametrize("name", sorted(COMPOSITIONS))
+def test_link_bytes_reconcile_with_network_bytes(name, engine, warm):
+    """Every link is charged what its disks sent: hits and hand-offs too."""
+    result, link_bytes = read_link_bytes(name, engine, warm)
+    assert link_bytes == result.network_bytes > 0
+    if warm:
+        assert result.cache_hits > 0
+
+
+def test_link_bytes_reconcile_with_fractional_handoffs():
+    """A victim's partial block before a hand-off lands on its own link.
+
+    Four disks and a short round trip: the closed form hands in-flight
+    blocks over mid-transfer, so some reads' network bytes are not a
+    whole number of blocks — and the links still sum to them exactly.
+    """
+    cfg = AccessConfig(data_bytes=8 * MB, block_bytes=1 * MB, n_disks=4, redundancy=2.0)
+    plan = TrialPlan(access=cfg, mode="read", pool=16, rtt_s=0.0001, seed=0, trials=10)
+    hub = RngHub(plan.seed)
+    cluster = Cluster(
+        n_disks=plan.pool, disks_per_filer=DISKS_PER_FILER, rtt_s=plan.rtt_s
+    )
+    scheme = scheme_class("rraid-a")(cluster, cfg, hub=hub)
+    fractional = 0
+    for trial in range(plan.trials):
+        cluster.reset_network_counters()
+        result = _run_trial(plan, scheme, cluster, hub, "rraid-a", trial)
+        assert cluster.total_network_bytes == result.network_bytes
+        fractional += result.network_bytes % cfg.block_bytes != 0
+    assert fractional > 0
 
 
 def test_policies_are_stateless_across_runs():

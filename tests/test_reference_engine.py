@@ -153,7 +153,7 @@ def test_engines_match_in_mean():
     for trial in range(6):
         scheme = make_scheme("robustore", trial=trial)
         scheme.prepare("f", trial)
-        e_lats.append(event_read(scheme, "f", trial=trial).latency_s)
+        e_lats.append(event_read(scheme, "f", trial=trial).result.latency_s)
         scheme2 = make_scheme("robustore", trial=trial)
         scheme2.prepare("f", trial)
         c_lats.append(scheme2.read("f", trial).latency_s)
@@ -176,7 +176,7 @@ def test_event_write_registers_replayable_placement():
     closed = scheme.read("g", 0)
     assert np.isfinite(closed.latency_s)
     # ...and so does the event engine.
-    again = event_read(scheme, "g", trial=1)
+    again = event_read(scheme, "g", trial=1).result
     assert np.isfinite(again.latency_s)
 
 
@@ -191,18 +191,18 @@ def test_multi_client_contention():
     assert len(packed.per_client) == 4
     assert all(np.isfinite(v) for v in packed.per_client.values())
     # Shared queues: the slowest of 4 clients is no faster than 1 alone.
-    assert max(packed.per_client.values()) >= solo.latency_s
+    assert max(packed.per_client.values()) >= solo.result.latency_s
 
 
 def test_background_load_slows_reads():
     scheme = make_scheme("robustore")
     scheme.prepare("f", 0)
-    quiet = event_read(scheme, "f", trial=0)
+    quiet = event_read(scheme, "f", trial=0).result
     loaded_scheme = make_scheme(
         "robustore", bg={d: 0.01 for d in range(16)}
     )
     loaded_scheme.prepare("f", 0)
-    loaded = event_read(loaded_scheme, "f", trial=0)
+    loaded = event_read(loaded_scheme, "f", trial=0).result
     assert np.isfinite(loaded.latency_s)
     assert loaded.latency_s > quiet.latency_s
 
