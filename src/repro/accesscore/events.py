@@ -158,7 +158,7 @@ class EventRun:
     def __init__(self, scheme, disk_ids, trial: int) -> None:
         self.env = env = Environment()
         self.cluster = cluster = scheme.cluster
-        rng_for = scheme.reference_rng_factory(trial)
+        rng_for = scheme.reference_rng_factory(trial, disk_ids)
         block_bytes = scheme.config.block_bytes
         self.drives = {
             int(d): EventDrive(env, cluster, int(d), rng_for(int(d)), block_bytes)

@@ -53,6 +53,8 @@ class Filer:
         self.cache = cache
         self.disk_bytes_read = 0
         self.tracer = tracer if tracer is not None else NULL_TRACER
+        #: Lines :meth:`age_cache` has pushed through the cache so far.
+        self._age_counter = 0
 
     # -- cache interface (block granularity) -----------------------------------
     def cached_blocks(self, file_name: str, block_ids) -> np.ndarray:
@@ -62,7 +64,7 @@ class Filer:
         :meth:`read_access` / :meth:`write_access`).
         """
         if self.cache is None:
-            mask = np.zeros(len(list(block_ids)), dtype=bool)
+            mask = np.zeros(len(block_ids), dtype=bool)
         else:
             mask = np.array(
                 [self.cache.contains_line((file_name, int(b))) for b in block_ids],
@@ -78,7 +80,7 @@ class Filer:
         """Blocks served from disk enter the cache; hits refresh LRU."""
         before = self.disk_bytes_read
         if self.cache is None:
-            self.disk_bytes_read += len(list(block_ids)) * block_bytes
+            self.disk_bytes_read += len(block_ids) * block_bytes
         else:
             for b in block_ids:
                 key = (file_name, int(b))
@@ -100,10 +102,10 @@ class Filer:
         cache is shared by all accesses to the filer's eight disks)."""
         if self.cache is None or nbytes <= 0:
             return
-        lines = nbytes // self.cache.line_bytes
-        for i in range(int(lines)):
-            self._age_counter = getattr(self, "_age_counter", 0) + 1
-            self.cache.insert_line(("__aging__", self._age_counter))
+        first = self._age_counter + 1
+        self._age_counter += int(nbytes // self.cache.line_bytes)
+        for line in range(first, self._age_counter + 1):
+            self.cache.insert_line(("__aging__", line))
 
     # -- latency helpers ----------------------------------------------------------
     def request_arrival_delay(self) -> float:

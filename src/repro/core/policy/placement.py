@@ -124,7 +124,7 @@ class RotatedReplicaPlacement(_PlacementBase):
         for idx, stored in enumerate(record.placement):
             for coded_id in stored:
                 holders.setdefault(int(coded_id) % k, set()).add(idx)
-        primaries = [[b for b in range(k) if b % h == idx] for idx in range(h)]
+        primaries = [list(range(idx, k, h)) for idx in range(h)]
         return primaries, holders
 
 

@@ -137,7 +137,7 @@ class Respeculate(PassiveReaction):
             [pending[d] for d in disks],
             cfg.block_bytes,
             t_retry,
-            scheme.service_rng_factory(trial, "read-retry"),
+            scheme.service_rng_factory(trial, "read-retry", disks),
             file_name,
         )
 

@@ -61,7 +61,7 @@ class UniformWrite:
             pspec.placement,
             cfg.block_bytes,
             t0,
-            scheme.service_rng_factory(trial, "write"),
+            scheme.service_rng_factory(trial, "write", disks),
             file_name,
         )
         return self.settle(scheme, file_name, disks, pspec, t_done, net, t0)
@@ -220,7 +220,7 @@ class SpeculativeRatelessWrite:
         cfg = scheme.config
         disks, per_disk_cap, target, graph = self.supply_plan(scheme, trial)
         h = len(disks)
-        rng_for = scheme.service_rng_factory(trial, "write")
+        rng_for = scheme.service_rng_factory(trial, "write", disks)
         t0 = scheme.open_latency()
 
         # Each disk streams ids d, d+H, d+2H, ...; speculative writing keeps

@@ -109,7 +109,7 @@ def _helper_read(scheme, record, trial: int, queues, file_name: str):
         queues,
         cfg.block_bytes,
         0.0,
-        scheme.service_rng_factory(trial, "rebuild-read"),
+        scheme.service_rng_factory(trial, "rebuild-read", record.disk_ids),
         file_name,
     )
     arrivals = [s.arrivals for s in streams if s.arrivals.size]
@@ -131,7 +131,7 @@ def _write_replacements(scheme, record, trial: int, writes, file_name: str):
         writes,
         scheme.config.block_bytes,
         0.0,
-        scheme.service_rng_factory(trial, "rebuild-write"),
+        scheme.service_rng_factory(trial, "rebuild-write", record.disk_ids),
         file_name,
     )
     if not np.isfinite(t_write):
@@ -203,7 +203,7 @@ def _repair_lt(scheme, file_name: str, trial: int, record, dead, healthy, lost):
     new_placement = [[] for _ in record.disk_ids]
     for j, bid in enumerate(new_ids):
         new_placement[healthy[j % len(healthy)]].append(bid)
-    rng_for = scheme.service_rng_factory(trial, "repair-write")
+    rng_for = scheme.service_rng_factory(trial, "repair-write", record.disk_ids)
     t_write, write_bytes = simulate_uniform_write(
         scheme.cluster,
         record.disk_ids,

@@ -58,7 +58,7 @@ def update_access(
         placement,
         cfg.block_bytes,
         t0,
-        scheme.service_rng_factory(trial, "update"),
+        scheme.service_rng_factory(trial, "update", disk_ids),
         file_name,
     )
     scheme.metadata.update_placement(file_name, record.placement)

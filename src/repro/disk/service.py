@@ -140,24 +140,34 @@ class BlockService:
         # Positioning events per block: each request positions with
         # probability (1 - p_seq); a fully sequential stream flows across
         # block boundaries too, so only the access's very first request is
-        # forced to position.
-        n_pos = self.rng.binomial(n_req, 1.0 - self.layout.p_sequential, size=n_blocks)
+        # forced to position.  Each block then pays its requests'
+        # controller overhead and the media transfer.
+        overhead = n_req * spec.controller_overhead_s
+        p_pos = 1.0 - self.layout.p_sequential
+        if p_pos == 0.0:
+            # binomial(n, 0.0) consumes no bits and returns zeros, so block
+            # 0's forced positioning is the only draw.  The general path's
+            # sums reduce to these: bincount adds a lone weight to 0.0
+            # exactly, and 0.0 + overhead is overhead.
+            out = np.full(n_blocks, overhead + xfer)
+            pos = (
+                mech.sample_local_seek(self.rng, 1)[0]
+                + mech.sample_rotational_latency(self.rng, 1)[0]
+            )
+            out[0] = pos + overhead + xfer
+            return out
+        n_pos = self.rng.binomial(n_req, p_pos, size=n_blocks)
         n_pos[0] += 1
-
         # Sum of exact positioning draws per block (bincount handles blocks
         # with zero positioning events cleanly).
         total = int(n_pos.sum())
-        if total:
-            draws = mech.sample_local_seek(self.rng, total)
-            draws += mech.sample_rotational_latency(self.rng, total)
-            owner = np.repeat(np.arange(n_blocks), n_pos)
-            total_pos = np.bincount(owner, weights=draws, minlength=n_blocks)
-        else:
-            total_pos = np.zeros(n_blocks, dtype=np.float64)
-
+        draws = mech.sample_local_seek(self.rng, total)
+        draws += mech.sample_rotational_latency(self.rng, total)
+        owner = np.repeat(np.arange(n_blocks), n_pos)
+        total_pos = np.bincount(owner, weights=draws, minlength=n_blocks)
         # In-place over the bincount result; float addition is commutative
         # bit-for-bit, so this equals ``overhead + total_pos + xfer``.
-        total_pos += n_req * spec.controller_overhead_s
+        total_pos += overhead
         total_pos += xfer
         return total_pos
 

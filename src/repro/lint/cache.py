@@ -36,7 +36,7 @@ from typing import Iterable, Optional
 #: Version salt folded into every run key.  Bump whenever a rule's
 #: behaviour or the report format changes, so stale entries can never
 #: replay findings computed under older semantics.
-LINT_SALT = "lint-v3"
+LINT_SALT = "lint-v4"
 
 #: Default cache location (under the ``repro.exec`` cache root so one
 #: ``rm -rf .repro-cache`` clears every content-addressed artefact).

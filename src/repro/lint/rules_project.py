@@ -14,10 +14,11 @@ of per file, so they see through module boundaries.
   per-file rules, which already point at the offending line — SIM010
   reports only taint that crosses at least one call edge.
 * **SIM011** — RngHub stream discipline.  Every ``hub.stream(...)`` /
-  ``hub.fresh(...)`` call site in the ``repro`` package must use a
-  string-literal stream name declared in the ``STREAMS`` registry
-  (``repro/sim/rng.py``) with a declared key arity, so a typo'd name or
-  a drifted key shape cannot silently fork the RNG universe.
+  ``hub.fresh(...)`` / ``hub.fresh_batch(...)`` call site in the
+  ``repro`` package must use a string-literal stream name declared in the
+  ``STREAMS`` registry (``repro/sim/rng.py``) with a declared key arity
+  (``fresh_batch``'s id vector counts as the last key part), so a typo'd
+  name or a drifted key shape cannot silently fork the RNG universe.
 * **SIM012** *(warning)* — dead/drifted exports.  An ``__all__`` entry
   that names a symbol the module does not define, or that no other
   module, test, benchmark or example ever imports, marks a back-compat
@@ -93,8 +94,8 @@ def _arity_text(allowed: tuple[int, ...]) -> str:
 @rule(
     "SIM011",
     Severity.ERROR,
-    "hub.stream()/hub.fresh() names must be string literals from the "
-    "STREAMS registry with the declared key arity",
+    "hub.stream()/fresh()/fresh_batch() names must be string literals "
+    "from the STREAMS registry with the declared key arity",
     repro_only=True,
     project=True,
 )
@@ -109,7 +110,7 @@ def check_stream_discipline(project: ProjectContext) -> Iterator:
             func = call.func
             if not (
                 isinstance(func, ast.Attribute)
-                and func.attr in ("stream", "fresh")
+                and func.attr in ("stream", "fresh", "fresh_batch")
                 and _is_hub_ref(func.value)
             ):
                 continue

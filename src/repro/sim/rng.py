@@ -12,6 +12,7 @@ from __future__ import annotations
 import struct
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 
 def _fnv32(data: bytes, h: int = 2166136261) -> int:
@@ -21,7 +22,7 @@ def _fnv32(data: bytes, h: int = 2166136261) -> int:
     return h
 
 
-#: Process-wide memo of string -> FNV-1a fold (see :meth:`RngHub._derive`).
+#: Process-wide memo of string -> FNV-1a fold (see :meth:`RngHub._words`).
 _STR_ENTROPY: dict[str, int] = {}
 
 
@@ -73,9 +74,10 @@ def stable_digest(*parts) -> str:
 
 
 #: Declared stream universe: every ``hub.stream(...)`` / ``hub.fresh(...)``
-#: call site in the ``repro`` package must use one of these names as a
-#: string literal, with a key of the declared total arity (name included)
-#: — enforced whole-program by lint rule SIM011.  A typo'd name or a
+#: / ``hub.fresh_batch(...)`` call site in the ``repro`` package must use
+#: one of these names as a string literal, with a key of the declared total
+#: arity (name included; ``fresh_batch``'s id vector counts as the last
+#: part) — enforced whole-program by lint rule SIM011.  A typo'd name or a
 #: drifted key shape would silently fork the RNG tree and perturb every
 #: later draw; declaring the shape here makes that a lint error instead.
 #:
@@ -100,6 +102,129 @@ STREAMS = {
 }
 
 
+# -- SeedSequence's hash-mix, for RngHub.fresh_batch ----------------------------
+# numpy publishes SeedSequence's algorithm (numpy/random/bit_generator.pyx):
+# entropy words are hash-mixed into a 4-word pool, and PCG64 seeds from
+# ``generate_state(4, np.uint64)`` over that pool.  ``_fold`` replays the
+# mixing on Python ints, masking every product to 32 bits;
+# ``_pcg64_seeds`` replays the last word's mixing and ``generate_state``
+# on uint32 arrays, whose products wrap to the same 32 bits.
+# tests/test_rng_batch.py pins both against SeedSequence.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
+
+
+def _hashmix(value: int, hash_const: int) -> tuple[int, int]:
+    """One ``hashmix`` step; returns ``(mixed value, next hash constant)``."""
+    value ^= hash_const
+    hash_const = hash_const * _MULT_A & _MASK32
+    value = value * hash_const & _MASK32
+    return value ^ (value >> _XSHIFT), hash_const
+
+
+def _mix(x: int, y: int) -> int:
+    """``mix``: fold hashed word ``y`` into pool word ``x``."""
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return r ^ (r >> _XSHIFT)
+
+
+def _fold(words: list[int]) -> tuple[list[int], int]:
+    """``mix_entropy`` over ``words`` (at least a pool's worth).
+
+    Returns the pool and the hash constant the next word would use.
+    """
+    hash_const = _INIT_A
+    pool = []
+    for word in words[:_POOL_SIZE]:
+        word, hash_const = _hashmix(word, hash_const)
+        pool.append(word)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                word, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], word)
+    for extra in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            word, hash_const = _hashmix(extra, hash_const)
+            pool[dst] = _mix(pool[dst], word)
+    return pool, hash_const
+
+
+def _hash_consts(hash_const: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (xor, multiply) constants of ``n`` successive hash steps."""
+    xors, muls = [], []
+    for _ in range(n):
+        xors.append(hash_const)
+        hash_const = hash_const * mult & _MASK32
+        muls.append(hash_const)
+    return np.array(xors, dtype=np.uint32), np.array(muls, dtype=np.uint32)
+
+
+#: ``generate_state(4, np.uint64)``: 8 uint32 words cycling the pool, each
+#: hashed with the next constant of a fixed ``_INIT_B`` sequence.
+_STATE_CYCLE = np.arange(8) % _POOL_SIZE
+_STATE_XOR, _STATE_MUL = _hash_consts(_INIT_B, _MULT_B, 8)
+
+
+def _pcg64_seeds(pool: list[int], hash_const: int, column: np.ndarray) -> np.ndarray:
+    """PCG64 seed words of ``prefix + [i]`` for each ``i`` in ``column``.
+
+    ``(pool, hash_const)`` is the prefix's :func:`_fold`.  The column is
+    the last entropy word: each pool word takes one hashmix of it, then
+    ``generate_state(4, np.uint64)`` runs — all as (ids, words) uint32
+    arrays.  Returns a (len(column), 4) uint64 array.
+    """
+    xors, muls = _hash_consts(hash_const, _MULT_A, _POOL_SIZE)
+    hashed = (column[:, None] ^ xors) * muls
+    hashed ^= hashed >> _XSHIFT
+    mixed = np.array([_MIX_MULT_L * p & _MASK32 for p in pool], dtype=np.uint32)
+    mixed = mixed - np.uint32(_MIX_MULT_R) * hashed
+    mixed ^= mixed >> _XSHIFT
+    state = mixed[:, _STATE_CYCLE] ^ _STATE_XOR
+    state *= _STATE_MUL
+    state ^= state >> _XSHIFT
+    # SeedSequence joins word pairs little-endian, whatever the platform.
+    return np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+def _uint32_words(n: int) -> list[int]:
+    """SeedSequence's coercion of one non-negative int: 32-bit words, low first."""
+    if n < 0:
+        raise ValueError(f"seed must be non-negative, got {n}")
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+class _PresetSeed(ISeedSequence):
+    """A seed sequence whose PCG64 state words are already computed.
+
+    ``PCG64(seed)`` asks its seed sequence for ``generate_state(4,
+    np.uint64)`` and nothing else; :meth:`RngHub.fresh_batch` precomputes
+    exactly that array, so the generator skips ``SeedSequence``'s set-up.
+    """
+
+    __slots__ = ("_state",)
+
+    def __init__(self, state: np.ndarray) -> None:
+        self._state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError("a preset seed only serves PCG64's 4 uint64 words")
+        return self._state
+
+
 class RngHub:
     """Root of a tree of named, independent random generators.
 
@@ -122,7 +247,7 @@ class RngHub:
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
-        self._root = np.random.SeedSequence(self.seed)
+        self._seed_words = _uint32_words(self.seed)
         self._cache: dict[tuple, np.random.Generator] = {}
 
     def stream(self, *key) -> np.random.Generator:
@@ -146,22 +271,50 @@ class RngHub:
         """
         return np.random.Generator(np.random.PCG64(self._derive(key)))
 
-    def _derive(self, key: tuple) -> np.random.SeedSequence:
-        # Map arbitrary hashable keys onto stable integer entropy.  String
-        # parts (stream names, scheme names, phases) recur on every call,
-        # so their FNV folds are memoised process-wide.
-        words = [self.seed]
+    def fresh_batch(self, *key) -> list[np.random.Generator]:
+        """``[self.fresh(*key[:-1], i) for i in key[-1]]``, derived at once.
+
+        ``key[-1]`` is a vector of integer ids (an access's disk ids).  The
+        prefix is folded through ``SeedSequence``'s hash-mix once; the id
+        column is then mixed in and every PCG64 state generated with numpy
+        array arithmetic, so each generator costs one ``PCG64``
+        construction from precomputed words instead of a ``SeedSequence``
+        plus a ``PCG64`` seeding.  Generators, states and draws equal the
+        per-id :meth:`fresh` ones bit for bit.
+        """
+        *prefix, ids = key
+        words = self._words(prefix)
+        if len(words) < _POOL_SIZE:
+            raise ValueError(
+                f"fresh_batch needs a key prefix of {_POOL_SIZE} entropy words "
+                f"(seed included) before the ids; got {len(words)}"
+            )
+        column = np.fromiter((int(i) & _MASK32 for i in ids), dtype=np.uint32)
+        seeds = _pcg64_seeds(*_fold(words), column)
+        return [np.random.Generator(np.random.PCG64(_PresetSeed(s))) for s in seeds]
+
+    def _words(self, key) -> list[int]:
+        """The ``SeedSequence`` entropy words of ``key``, seed words first.
+
+        Integer parts are masked to 32 bits; string parts (stream names,
+        scheme names, phases) fold through FNV-1a, memoised process-wide
+        because they recur on every call.
+        """
+        words = list(self._seed_words)
         append = words.append
         for part in key:
             if isinstance(part, (int, np.integer)):
-                append(int(part) & 0xFFFFFFFF)
+                append(int(part) & _MASK32)
             else:
                 s = str(part)
                 w = _STR_ENTROPY.get(s)
                 if w is None:
                     w = _STR_ENTROPY[s] = _fnv32(s.encode())
                 append(w)
-        return np.random.SeedSequence(words)
+        return words
+
+    def _derive(self, key: tuple) -> np.random.SeedSequence:
+        return np.random.SeedSequence(self._words(key))
 
     def spawn(self, *key) -> "RngHub":
         """Return a child hub whose streams are independent of this hub's.

@@ -464,6 +464,72 @@ def test_cli_list_rules():
 
 
 # ---------------------------------------------------------------------------
+# SIM011 — the batched stream call (whole-program rule: needs a package tree)
+
+#: A minimal registry: the batched call's id vector is the last key part.
+BATCH_REGISTRY = (
+    "STREAMS = {'svc': (3, 5), 'refsvc': 4}\n"
+    "\n"
+    "\n"
+    "class RngHub:\n"
+    "    def fresh_batch(self, *key):\n"
+    "        return list(key[-1])\n"
+)
+
+
+def _sim011_batch_findings(tmp_path, caller: str):
+    files = {
+        "src/repro/__init__.py": "",
+        "src/repro/sim/__init__.py": "",
+        "src/repro/sim/rng.py": BATCH_REGISTRY,
+        "src/repro/core/__init__.py": "",
+        "src/repro/core/streams.py": caller,
+    }
+    for rel, source in files.items():
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(source)
+    return lint_paths([tmp_path / "src" / "repro" / "core" / "streams.py"], ["SIM011"])
+
+
+def test_sim011_flags_misspelled_batched_stream(tmp_path):
+    findings = _sim011_batch_findings(
+        tmp_path,
+        "def rngs(hub, name, trial, ids):\n"
+        "    return hub.fresh_batch('refsrv', name, trial, ids)\n",
+    )
+    assert len(findings) == 1
+    assert "unknown stream name 'refsrv'" in findings[0].message
+
+
+def test_sim011_flags_batched_arity_counting_the_id_vector(tmp_path):
+    findings = _sim011_batch_findings(
+        tmp_path,
+        "def rngs(hub, name, trial, phase, ids):\n"
+        "    short = hub.fresh_batch('refsvc', name, ids)\n"
+        "    long = hub.fresh_batch('refsvc', name, trial, phase, ids)\n"
+        "    return short, long\n",
+    )
+    messages = sorted(f.message for f in findings)
+    assert len(findings) == 2
+    assert "'refsvc' key has 3 part(s)" in messages[0]
+    assert "'refsvc' key has 5 part(s)" in messages[1]
+
+
+def test_sim011_flags_computed_batched_name_and_accepts_declared_shapes(tmp_path):
+    findings = _sim011_batch_findings(
+        tmp_path,
+        "def rngs(hub, name, trial, phase, ids, family):\n"
+        "    svc = hub.fresh_batch('svc', name, trial, phase, ids)\n"
+        "    ref = hub.fresh_batch('refsvc', name, trial, ids)\n"
+        "    computed = hub.fresh_batch(family, name, trial, ids)\n"
+        "    return svc, ref, computed\n",
+    )
+    assert [f.line for f in findings] == [4]
+    assert "hub.fresh_batch(...) stream name must be a string literal" in findings[0].message
+
+
+# ---------------------------------------------------------------------------
 # the shipped tree is clean
 
 
