@@ -171,6 +171,16 @@ class Cluster:
     def disk_state(self, disk_id: int) -> DiskState:
         return self._disk_states[disk_id]
 
+    def has_background(self, disk_id: int) -> bool:
+        """Whether the disk serves a background load.
+
+        Exactly these disks draw a background phase in :meth:`block_service`,
+        so an access derives ``"bgphase"`` streams for them alone.  A disk
+        whose state was never drawn has none.
+        """
+        st = self._disk_states.get(disk_id)
+        return st is not None and st.background is not None
+
     # -- fault injection --------------------------------------------------------
     def install_faults(self, plan) -> None:
         """Install a :class:`repro.faults.plan.FaultPlan` (or ``None`` to clear).
@@ -212,13 +222,13 @@ class Cluster:
 
         ``phase_rng_for(disk_id)`` (when given) supplies the dedicated
         ``"bgphase"`` stream for the background phase draw.  It is only
-        invoked when the disk actually carries a background load — stream
-        derivation costs real hash work, and background-free experiments
-        (most of the grid) must not pay it per disk per access.
+        invoked when :meth:`has_background` holds — stream derivation
+        costs real hash work, and background-free experiments (most of the
+        grid) must not pay it per disk per access.
         """
         st = self._disk_states[disk_id]
         phase_rng = None
-        if phase_rng_for is not None and st.background is not None:
+        if phase_rng_for is not None and self.has_background(disk_id):
             phase_rng = phase_rng_for(disk_id)
         return BlockService(
             self.mechanics,

@@ -120,12 +120,16 @@ class TestClusterLaziness:
         from repro.core.base import SchemeBase
 
         hub = RngHub(5)
+        cluster = Cluster(n_disks=8, disks_per_filer=4)
+        cluster.redraw_disk_states(
+            np.random.default_rng(0), background_intervals={3: 0.006}
+        )
         scheme = SchemeBase(
-            Cluster(n_disks=8, disks_per_filer=4),
+            cluster,
             AccessConfig(data_bytes=8 * MB, block_bytes=MB, n_disks=4),
             hub=hub,
         )
-        rng_for = scheme.service_rng_factory(trial=2, phase="read")
+        rng_for = scheme.service_rng_factory(trial=2, phase="read", disk_ids=[3])
         phase_rng_for = rng_for.phase_rng_for
         expect = hub.fresh("bgphase", "base", 2, "read", 3)
         assert phase_rng_for(3).random() == expect.random()

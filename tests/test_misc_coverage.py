@@ -55,10 +55,11 @@ class TestSchemeBase:
     def test_service_rng_factory_streams_differ(self):
         cluster = Cluster(n_disks=4)
         base = SchemeBase(cluster, AccessConfig(data_bytes=4 * MB, n_disks=4), hub=RngHub(2))
-        f = base.service_rng_factory(0, "read")
-        assert f(0).random() != f(1).random()
-        g = base.service_rng_factory(0, "write")
-        assert f(0).random() != g(0).random()
+        f = base.service_rng_factory(0, "read", [0, 1])
+        f0 = f(0).random()  # each disk's stream is handed out once
+        assert f0 != f(1).random()
+        g = base.service_rng_factory(0, "write", [0])
+        assert f0 != g(0).random()
 
 
 class TestCalibrationFormatting:
