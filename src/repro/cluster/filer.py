@@ -104,8 +104,7 @@ class Filer:
             return
         first = self._age_counter + 1
         self._age_counter += int(nbytes // self.cache.line_bytes)
-        for line in range(first, self._age_counter + 1):
-            self.cache.insert_line(("__aging__", line))
+        self.cache.insert_fresh("__aging__", range(first, self._age_counter + 1))
 
     # -- latency helpers ----------------------------------------------------------
     def request_arrival_delay(self) -> float:

@@ -10,6 +10,14 @@ aligned groups of lines).
 
 from __future__ import annotations
 
+from itertools import repeat
+
+import numpy as np
+
+#: Tag of a slot that :meth:`SetAssociativeCache.insert_fresh` filled.
+#: It equals no key, so a probe never hits it and only the slot counts.
+AGED = object()
+
 
 class SetAssociativeCache:
     """A W-way set-associative LRU cache over (stream, line) keys.
@@ -22,6 +30,8 @@ class SetAssociativeCache:
         Line size.
     ways:
         Associativity (lines per set).
+
+    Real tags are unique in a set; :data:`AGED` slots may repeat.
     """
 
     def __init__(
@@ -74,6 +84,30 @@ class SetAssociativeCache:
         """Probe without touching LRU order or counters."""
         idx, tag = self._index(key)
         return tag in self._sets[idx]
+
+    def insert_fresh(self, stream, lines: range) -> None:
+        """Install ``(stream, line)`` for each of ``lines`` at once.
+
+        Equivalent to ``insert_line`` per line, in order, for lines the
+        cache has never held and nothing probes afterwards.  Sets are
+        indexed as in :meth:`_index`.  A set that takes ``k`` of the
+        lines drops its ``len + k - ways`` oldest entries (all of them
+        once ``k >= ways``) and appends ``min(k, ways)`` :data:`AGED`
+        slots.
+        """
+        tags = zip(repeat(stream), lines)
+        hashes = np.fromiter(map(hash, tags), np.int64, len(lines))
+        counts = np.bincount(hashes % self.n_sets, minlength=self.n_sets)
+        ways = self.ways
+        aged = [AGED] * ways
+        sets = self._sets
+        touched = np.flatnonzero(counts)
+        for idx, k in zip(touched.tolist(), counts[touched].tolist()):
+            s = sets[idx]
+            drop = len(s) + k - ways
+            if drop > 0:
+                del s[:drop]
+            s.extend(aged[:k])
 
     # -- whole-range helpers -----------------------------------------------------
     def lookup_range(self, stream, offset: int, nbytes: int) -> float:

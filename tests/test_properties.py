@@ -196,7 +196,9 @@ def test_fscache_lru_never_exceeds_capacity(ways, keys):
         cache.lookup_line(key % 7)
     for s in cache._sets:
         assert len(s) <= ways
-        assert len(set(s)) == len(s)  # no duplicate tags in a set
+        # Real tags are unique in a set; this cache never ages, so every
+        # tag is real.
+        assert len(set(s)) == len(s)
 
 
 @settings(max_examples=25, deadline=None)
