@@ -10,7 +10,7 @@ decode-tail charging.  Two engines *wrap* it without duplicating it:
   builds per-disk :class:`timeline.DiskStream` objects in one shot and
   :func:`timeline.read_epilogue` settles completion, cancel accounting,
   tracing and repair annotation (:func:`timeline.adaptive_epilogue` for
-  work-stealing reads);
+  work-stealing reads, which :class:`adaptive.AdaptiveRead` computes);
 * the **event-driven engine** (:mod:`repro.accesscore.events`) runs the
   same objects as discrete-event processes on the :mod:`repro.sim` kernel,
   one client class per dispatch policy, and settles through the *same*
@@ -23,6 +23,9 @@ Single wiring sites (the unification contract):
   :class:`events.EventRun` for the one DES fault-pump attachment;
 * scheme-level read tracing — :mod:`repro.accesscore.tracing` via the
   two epilogues (and :func:`tracing.trace_handoff` for hand-offs);
+* adaptive hand-off rules (budget, victim choice, second-half steal,
+  last-block pace test, round 1's filer-cache split) —
+  :mod:`repro.accesscore.adaptive`, for both engines;
 * repair triggering — :func:`repro.accesscore.repair.annotate_repair`.
 
 Layering rule: ``accesscore`` never imports :mod:`repro.core` — policy

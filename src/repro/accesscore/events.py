@@ -32,10 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.accesscore.adaptive import (
+    HANDOFF_BUDGET_PER_DISK, pick_victim, second_half, split_round1, worth_last_block,
+)
 from repro.accesscore.result import AccessResult
 from repro.accesscore.routing import request_arrival_time, response_arrival_times
 from repro.accesscore.timeline import (
-    HANDOFF_BUDGET_PER_DISK,
     DiskStream,
     adaptive_epilogue,
     failed_write_result,
@@ -425,7 +427,9 @@ class AdaptiveClient(_Client):
     split here, so a single-block steal that finds nothing queued fetches
     one speculative duplicate instead.  Nothing is cancelled at the end:
     outstanding queues drain, as the closed form's event loop runs dry.
-    Settles through :func:`~repro.accesscore.timeline.adaptive_epilogue`.
+    The hand-off rules are :mod:`repro.accesscore.adaptive`'s, shared with
+    the closed form.  Settles through
+    :func:`~repro.accesscore.timeline.adaptive_epilogue`.
     """
 
     def __init__(self, run, scheme, record, plan, cid) -> None:
@@ -477,15 +481,12 @@ class AdaptiveClient(_Client):
             return
         self.t_arrived[idx] = env.now
         filer = run.cluster.filer_of_disk(d)
-        cached = filer.cached_blocks(self.record.name, np.asarray(ids, dtype=np.int64))
-        hit_ids = [b for b, c in zip(ids, cached) if c]
-        for b in hit_ids:
+        hits, queued = split_round1(filer, self.record.name, ids, self.scheme.config.block_bytes)
+        for b in hits:
             env.process(
                 self.deliver(run.response(d, env.now), b), name=f"hit-c{self.cid}"
             )
-        filer.record_read(self.record.name, hit_ids, self.scheme.config.block_bytes)
-        self.hits[idx] += len(hit_ids)
-        queued = [b for b, c in zip(ids, cached) if not c]
+        self.hits[idx] += len(hits)
         for b in queued:
             env.process(self.fetch(int(b), idx), name=f"unit-c{self.cid}")
         if not queued:
@@ -548,26 +549,19 @@ class AdaptiveClient(_Client):
     def steal(self, thief: int):
         """The client reacts to a drained disk: find a victim, steal."""
         run, env = self.run, self.env
-        yield env.timeout(run.one_way[self.disk_ids[thief]])
+        one_way = run.one_way[self.disk_ids[thief]]
+        yield env.timeout(one_way)
         if self.handoffs >= self.budget or self.tracker.complete:
             return
-        best, elig = None, []
-        for victim in range(len(self.disk_ids)):
-            if victim != thief:
-                units = self.eligible(victim, thief)
-                if len(units) > len(elig):
-                    best, elig = victim, units
+        units = [self.eligible(victim, thief) for victim in range(len(self.disk_ids))]
+        best, _ = pick_victim([len(u) for u in units], thief)
         if best is None:
             return
-        if len(elig) == 1:
-            # Hand-off of a victim's last block: only worthwhile when the
-            # thief is clearly faster by the client's observed per-disk
-            # pace — otherwise two idle disks would bounce the block
-            # forever (same rule as the closed form).
-            thief_time = self.pace(thief) + 3 * run.one_way[self.disk_ids[thief]]
-            if not thief_time < 0.5 * self.pace(best):
-                return
-        steal = elig[len(elig) // 2 :]  # the second half
+        elig = units[best]
+        # The client judges both disks by the pace it has observed.
+        if len(elig) == 1 and not worth_last_block(self.pace(thief), one_way, self.pace(best)):
+            return
+        steal = second_half(elig)
         self.handoffs += 1
         victim_d = self.disk_ids[best]
         trace_handoff(

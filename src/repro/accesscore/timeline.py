@@ -37,11 +37,6 @@ from repro.accesscore.tracing import (
 )
 from repro.disk.service import served_before
 
-#: Adaptive reads stop re-planning after this many hand-offs per disk and
-#: let the outstanding queues drain — a safety valve far above any sane
-#: hand-off count, shared by both engines.
-HANDOFF_BUDGET_PER_DISK = 50
-
 
 @dataclass
 class DiskStream:

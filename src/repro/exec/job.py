@@ -18,8 +18,10 @@ safe.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 from dataclasses import dataclass
+from pathlib import Path
 
 from repro.accesscore.result import AccessConfig, AccessResult
 from repro.disk.workload import InDiskLayout
@@ -29,11 +31,27 @@ from repro.faults.model import FaultModel
 from repro.faults.plan import FaultPlan
 from repro.sim.rng import stable_digest
 
-#: Version salt folded into every cache key.  Bump this whenever a change
-#: alters simulation *results* (not just performance), so stale cache
-#: entries can never be served for new semantics; ``python -m repro.exec gc``
-#: sweeps entries written under older salts.
-CODE_SALT = "exec-v1"
+
+def source_salt(root: Path | None = None) -> str:
+    """Digest of a ``repro`` package tree's source.
+
+    Folds the sorted relative path and the sha256 of every ``.py`` file
+    under ``root`` (default: this installed package) through
+    :func:`stable_digest`, so any edit to any source file changes it.
+    """
+    root = Path(__file__).resolve().parents[1] if root is None else Path(root)
+    parts: list[str] = []
+    for rel in sorted(p.relative_to(root).as_posix() for p in root.rglob("*.py")):
+        parts += [rel, hashlib.sha256((root / rel).read_bytes()).hexdigest()]
+    return stable_digest(*parts)
+
+
+#: Code-version salt folded into every cache key: the package source's
+#: digest, computed once at import.  A change to any ``.py`` file under
+#: ``repro`` (one that moves results included) makes every cached entry a
+#: miss; ``python -m repro.exec gc`` sweeps entries written under older
+#: salts.
+CODE_SALT = source_salt()
 
 
 def canonical_json(obj) -> str:

@@ -8,8 +8,8 @@ module factors the structure out behind a small API:
   priority (URGENT before NORMAL), then insertion order.  The insertion
   counter is unique, so the event object itself is never compared and
   every pop sequence is bit-identical to the reference implementation
-  (:mod:`repro.sim._calendar_ref` — kept importable exactly so the
-  differential suite in ``tests/test_sim_calendar.py`` can prove this).
+  (``tests/_calendar_ref.py``, the oracle the differential suite in
+  ``tests/test_sim_calendar.py`` proves this against).
 * **indexed** — :meth:`push` returns a handle; :meth:`cancel` removes
   the entry by tombstoning it in place (lazy deletion), O(1).
   Cancelled entries are discarded when they surface at the top.  Only

@@ -65,7 +65,7 @@ class Environment:
         :class:`repro.sim.calendar.EventCalendar`; any object with the
         same ``push``/``pop``/``peek_time`` protocol is accepted (the
         differential tests inject
-        :class:`repro.sim._calendar_ref.ReferenceCalendar` here to prove
+        ``tests/_calendar_ref.ReferenceCalendar`` here to prove
         the kernel's dispatch order is implementation-independent).
     """
 

@@ -1,7 +1,7 @@
 """Differential suite for the indexed event calendar.
 
 :class:`repro.sim.calendar.EventCalendar` replaced the kernel's raw-heapq
-pending set; :class:`repro.sim._calendar_ref.ReferenceCalendar` preserves
+pending set; :class:`tests._calendar_ref.ReferenceCalendar` preserves
 the seed implementation as the oracle.  Hypothesis drives adversarial
 schedule/cancel/pop interleavings — duplicate timestamps, URGENT/NORMAL
 mixes, cancels of live, popped and already-cancelled handles — through
@@ -17,9 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim._calendar_ref import ReferenceCalendar
 from repro.sim.calendar import EventCalendar
 from repro.sim.core import NORMAL, URGENT, Environment
+from tests._calendar_ref import ReferenceCalendar
 
 #: Deliberately tiny time alphabet so ties on (time) and (time, priority)
 #: are the common case, not the corner case.

@@ -1,6 +1,6 @@
 """The adaptive read's array victim scan must pick what the per-run loop did.
 
-:class:`~repro.core.policy.dispatch.VictimIndex` replaced a Python loop
+:class:`~repro.accesscore.adaptive.VictimIndex` replaced a Python loop
 that ran one ``searchsorted`` per live run at every hand-off decision.
 The loop is kept here, verbatim in behaviour, as the reference oracle:
 
@@ -12,7 +12,7 @@ The loop is kept here, verbatim in behaviour, as the reference oracle:
   on the array index and once on an index whose pick is the loop, and
   must return identical results.
 
-:class:`~repro.core.policy.dispatch.ArrivalLog` replaced one global
+:class:`~repro.accesscore.adaptive.ArrivalLog` replaced one global
 arrival list that every hand-off filtered for the victim's cancelled
 blocks; the log trims the victim's own batch instead.  That filter is
 the second oracle: the same faulted reads, plus warm-cache ones whose
@@ -28,10 +28,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.accesscore import adaptive
+from repro.accesscore.adaptive import ArrivalLog, VictimIndex
 from repro.accesscore.result import AccessConfig
 from repro.accesscore.routing import MB
-from repro.core.policy import dispatch
-from repro.core.policy.dispatch import ArrivalLog, VictimIndex
 from repro.experiments.faultstorm import HORIZON_S, STORM
 from repro.experiments.harness import TrialPlan, run_scheme
 
@@ -237,7 +237,7 @@ _FAULTS = pytest.mark.parametrize(
 @_FAULTS
 def test_faulted_adaptive_reads_match_reference_loop(monkeypatch, scheme, faults):
     fast = _faulted_reads(scheme, **faults)
-    monkeypatch.setattr(dispatch, "VictimIndex", LoopIndex)
+    monkeypatch.setattr(adaptive, "VictimIndex", LoopIndex)
     monkeypatch.setattr(LoopIndex, "picks", 0)
     slow = _faulted_reads(scheme, **faults)
     assert LoopIndex.picks > 0
@@ -260,7 +260,7 @@ def test_faulted_adaptive_reads_match_reference_loop(monkeypatch, scheme, faults
 )
 def test_faulted_adaptive_reads_match_global_arrival_filter(monkeypatch, scheme, faults):
     fast = _faulted_reads(scheme, **faults)
-    monkeypatch.setattr(dispatch, "ArrivalLog", GlobalFilterLog)
+    monkeypatch.setattr(adaptive, "ArrivalLog", GlobalFilterLog)
     monkeypatch.setattr(GlobalFilterLog, "cancels", 0)
     slow = _faulted_reads(scheme, **faults)
     assert GlobalFilterLog.cancels > 0
