@@ -46,7 +46,6 @@ from repro.accesscore.timeline import (
 from repro.accesscore.tracing import trace_handoff
 from repro.disk.drive import DiskDrive, DiskRequest
 from repro.disk.geometry import SECTOR_BYTES
-from repro.disk.mechanics import DiskMechanics
 from repro.disk.workload import BackgroundWorkload
 from repro.sim import Environment, Store
 from repro.sim.rng import stable_seed
@@ -92,15 +91,12 @@ class EventDrive:
         self.env = env
         self.disk_id = disk_id
         self.block_bytes = block_bytes
-        self.svc = cluster.block_service(disk_id, rng)
+        self.svc = svc = cluster.block_service(disk_id, rng)
         # The block-service sampler substitutes for the drive's
-        # sector-level timing so both engines draw from one distribution.
+        # sector-level timing so both engines draw from one distribution;
+        # the drive needs no rng of its own.
         self.drive = DiskDrive(
-            env,
-            DiskMechanics(),
-            np.random.default_rng(0),
-            scheduler="fair",
-            service_time_fn=self._service_time,
+            env, svc.mechanics, scheduler="fair", service_time_fn=self._service_time
         )
         state = cluster.disk_state(disk_id)
         if state.failed:
@@ -114,16 +110,20 @@ class EventDrive:
             )
 
     def _service_time(self, req: DiskRequest) -> float:
+        svc = self.svc
         if req.is_background:
-            bg = self.svc.background
-            if bg is not None:
-                return float(
-                    bg.sample_services(
-                        1, self.svc.mechanics, self.svc.spt, self.svc.rng
-                    )[0]
-                )
-            return 0.005
-        return float(self.svc.block_service_times(1, self.block_bytes)[0])
+            bg = svc.background
+            if bg is None:
+                return 0.005
+            # BackgroundLoad.sample_services(1, ...) in floats: the same
+            # draw and the same order of additions, so the same bits.
+            spec = svc.mechanics.spec
+            return (
+                spec.controller_overhead_s
+                + svc.rng.random() * spec.rotation_period_s
+                + float(svc.mechanics.transfer_time(bg.sectors, svc.spt))
+            )
+        return float(svc.block_service_times(1, self.block_bytes)[0])
 
     def submit_block(self, tag) -> DiskRequest:
         sectors = max(1, self.block_bytes // SECTOR_BYTES)

@@ -25,6 +25,7 @@ from repro.sim import Environment, Event
 
 _req_ids = count()
 _drive_ids = count()
+_INF = float("inf")
 
 #: Interface (bus) transfer rate for cache hits, bytes/s.
 BUS_RATE_BPS = 100e6
@@ -44,7 +45,9 @@ class DiskRequest:
         True for competitive-workload requests.
     done:
         Fires with the completion time when served; with ``None`` when
-        cancelled.
+        cancelled.  ``None`` for background requests, which are
+        fire-and-forget: nothing waits for them, so the drive gives them
+        no event.
     """
 
     lba: int
@@ -70,22 +73,28 @@ class DiskDrive:
     mechanics:
         Mechanical model (shared geometry).
     rng:
-        Random stream for seek distances / rotational phases.
+        Random stream for seek distances / rotational phases.  Optional
+        when ``service_time_fn`` times every request.
     scheduler:
-        Queue discipline name: ``fcfs``, ``sstf`` or ``elevator``.
+        Queue discipline name: ``fcfs``, ``sstf``, ``elevator`` or ``fair``.
     cache:
         Optional segment cache (pass ``None`` to disable).
+    service_time_fn:
+        Optional replacement of the sector-level timing, called with each
+        request as its service begins.
     """
 
     def __init__(
         self,
         env: Environment,
         mechanics: DiskMechanics,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None = None,
         scheduler: str = "fcfs",
         cache: SegmentCache | None = None,
         service_time_fn: Optional[Callable[["DiskRequest"], float]] = None,
     ) -> None:
+        if rng is None and service_time_fn is None:
+            raise ValueError("a drive without a service_time_fn needs an rng")
         self.env = env
         self.mechanics = mechanics
         self.rng = rng
@@ -107,24 +116,27 @@ class DiskDrive:
         #: factor > 1 stretches each service begun while it is in effect.
         self.failed = False
         self.slow_factor = 1.0
-        self._abort: Optional[Event] = None
+        #: The event the service in flight waits on (see :meth:`_run`).
+        self._wake: Optional[Event] = None
         self.tracer = env.tracer
         self.obs_name = f"drive{next(_drive_ids)}"
         env.process(self._run(), name="disk-drive")
 
     # -- client interface ---------------------------------------------------
     def submit(self, request: DiskRequest) -> DiskRequest:
-        """Queue a request; its ``done`` event fires on completion.
+        """Queue a request; a foreground request's ``done`` event fires on
+        completion (background requests get none).
 
         Submitting to a failed drive completes the request immediately with
         an infinite timestamp — the erasure signal the schemes act on.
         """
-        if request.done is None:
-            request.done = self.env.event()
+        if request.done is None and not request.is_background:
+            request.done = Event(self.env)
         if self.failed:
-            request.done.succeed(float("inf"))
+            if request.done is not None:
+                request.done.succeed(_INF)
             return request
-        request.cylinder = int(self.mechanics.geometry.cylinder_of_lba(request.lba))
+        request.cylinder = self.mechanics.geometry.cylinder_of_lba(request.lba)
         self.queue.push(request)
         if self.tracer.enabled:
             self.tracer.counter(
@@ -177,9 +189,14 @@ class DiskDrive:
         flushed = self.queue.cancel(lambda req: True)
         for req in flushed:
             if req.done is not None and not req.done.triggered:
-                req.done.succeed(float("inf"))
-        if self._abort is not None and not self._abort.triggered:
-            self._abort.succeed(None)
+                req.done.succeed(_INF)
+        wake, self._wake = self._wake, None
+        if wake is not None:
+            # Abort the service in flight, once, one hop later: a
+            # completion also reaches the service loop in two dispatches
+            # (timeout, then wake), so same-instant events keep their
+            # order either way.
+            self.env.timeout(0).callbacks.append(wake.succeed_once)
         if self.tracer.enabled:
             self.tracer.instant(
                 "drive.fail",
@@ -247,20 +264,21 @@ class DiskDrive:
             self.busy = True
             t_start = env.now
             service = self._service_time(req) * self.slow_factor
-            # Race the service against a fail-stop: a drive that dies
-            # mid-transfer never delivers the request.
-            done = env.timeout(service)
-            self._abort = env.event()
-            yield env.any_of([done, self._abort])
-            # A Timeout is `triggered` from construction (it carries its
-            # value immediately); only `processed` says it actually fired.
-            aborted = self._abort.triggered and not done.processed
-            self._abort = None
+            # Race the service against a fail-stop: the timeout and
+            # fail()'s hop both fire one wake event, and whichever comes
+            # first wins.  A drive that dies mid-transfer never delivers
+            # the request.
+            timeout = env.timeout(service)
+            wake = self._wake = Event(env)
+            timeout.callbacks.append(wake.succeed_once)
+            yield wake
+            self._wake = None
             self.busy = False
-            if aborted:
+            if not timeout.processed:
+                # fail()'s hop woke the loop before the service finished.
                 self.busy_time += env.now - t_start
                 if req.done is not None and not req.done.triggered:
-                    req.done.succeed(float("inf"))
+                    req.done.succeed(_INF)
                 if self.tracer.enabled:
                     self.tracer.instant(
                         "drive.abort",
@@ -312,12 +330,10 @@ class DiskDrive:
             dist = abs(req.cylinder - self.current_cylinder)
             t += float(mech.seek_time(dist))
             t += float(mech.sample_rotational_latency(self.rng, 1)[0])
-        spt = int(mech.geometry.spt_of_lba(req.lba))
+        spt = mech.geometry.spt_of_lba(req.lba)
         t += float(mech.transfer_time(req.sectors, spt))
 
-        self.current_cylinder = int(
-            mech.geometry.cylinder_of_lba(req.lba + req.sectors - 1)
-        )
+        self.current_cylinder = mech.geometry.cylinder_of_lba(req.lba + req.sectors - 1)
         self._last_end_lba = req.lba + req.sectors
         if self.cache is not None:
             self.cache.fill(req.lba, req.sectors)

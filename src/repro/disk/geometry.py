@@ -7,9 +7,8 @@ is one of the performance-variation sources the experiments exercise.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-
-import numpy as np
 
 SECTOR_BYTES = 512
 
@@ -61,40 +60,38 @@ class DiskGeometry:
         self.zones = list(zones)
         self.heads = heads
         self.cylinders = expect
-        # Cumulative sector count at the start of each zone.
+        # Cumulative sector count at the start of each zone, as Python
+        # ints: the drive maps one LBA per request, and a bisect over a
+        # list costs a fraction of one numpy call.
         starts = [0]
         for z in zones:
             starts.append(starts[-1] + z.cylinders * heads * z.sectors_per_track)
-        self._zone_sector_starts = np.array(starts, dtype=np.int64)
-        self._zone_cyl_los = np.array([z.cyl_lo for z in zones], dtype=np.int64)
-        self._zone_spts = np.array([z.sectors_per_track for z in zones], dtype=np.int64)
+        self._zone_sector_starts = starts
 
     @property
     def total_sectors(self) -> int:
-        return int(self._zone_sector_starts[-1])
+        return self._zone_sector_starts[-1]
 
     @property
     def capacity_bytes(self) -> int:
         return self.total_sectors * SECTOR_BYTES
 
-    def zone_index_of_lba(self, lba) -> np.ndarray:
-        """Zone index for each LBA (vectorised)."""
-        lba = np.asarray(lba, dtype=np.int64)
-        if np.any((lba < 0) | (lba >= self.total_sectors)):
+    def zone_index_of_lba(self, lba: int) -> int:
+        """Index of the zone holding ``lba``."""
+        if not 0 <= lba < self._zone_sector_starts[-1]:
             raise ValueError("LBA out of range")
-        return np.searchsorted(self._zone_sector_starts, lba, side="right") - 1
+        return bisect_right(self._zone_sector_starts, lba) - 1
 
-    def cylinder_of_lba(self, lba) -> np.ndarray:
-        """Cylinder holding each LBA (vectorised)."""
-        lba = np.asarray(lba, dtype=np.int64)
+    def cylinder_of_lba(self, lba: int) -> int:
+        """Cylinder holding ``lba``."""
         zi = self.zone_index_of_lba(lba)
+        z = self.zones[zi]
         off = lba - self._zone_sector_starts[zi]
-        per_cyl = self.heads * self._zone_spts[zi]
-        return self._zone_cyl_los[zi] + off // per_cyl
+        return z.cyl_lo + off // (self.heads * z.sectors_per_track)
 
-    def spt_of_lba(self, lba) -> np.ndarray:
-        """Sectors-per-track at each LBA's zone (vectorised)."""
-        return self._zone_spts[self.zone_index_of_lba(lba)]
+    def spt_of_lba(self, lba: int) -> int:
+        """Sectors-per-track of the zone holding ``lba``."""
+        return self.zones[self.zone_index_of_lba(lba)].sectors_per_track
 
     def spt_at_cylinder(self, cylinder: int) -> int:
         for z in self.zones:
@@ -105,9 +102,9 @@ class DiskGeometry:
     def locate(self, lba: int) -> tuple[int, int, int]:
         """Return (cylinder, head, sector-in-track) for a single LBA."""
         lba = int(lba)
-        zi = int(self.zone_index_of_lba(lba))
+        zi = self.zone_index_of_lba(lba)
         z = self.zones[zi]
-        off = lba - int(self._zone_sector_starts[zi])
+        off = lba - self._zone_sector_starts[zi]
         per_cyl = self.heads * z.sectors_per_track
         cyl = z.cyl_lo + off // per_cyl
         rem = off % per_cyl
@@ -119,9 +116,9 @@ class DiskGeometry:
         """Number of track boundaries crossed by a contiguous transfer."""
         if sectors <= 0:
             return 0
-        zi = int(self.zone_index_of_lba(lba))
+        zi = self.zone_index_of_lba(lba)
         spt = self.zones[zi].sectors_per_track
-        off = lba - int(self._zone_sector_starts[zi])
+        off = lba - self._zone_sector_starts[zi]
         first = off // spt
         last = (off + sectors - 1) // spt
         return int(last - first)

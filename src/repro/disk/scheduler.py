@@ -37,9 +37,16 @@ class RequestQueue:
         raise NotImplementedError
 
     def cancel(self, predicate: Callable[[Any], bool]) -> list[Any]:
-        """Remove and return all queued requests matching ``predicate``."""
-        hit = [r for r in self._items if predicate(r)]
-        self._items = [r for r in self._items if not predicate(r)]
+        """Remove and return all queued requests matching ``predicate``.
+
+        One pass, calling ``predicate`` once per queued request; the
+        removed and the kept requests each stay in queue order.
+        """
+        hit: list[Any] = []
+        kept: list[Any] = []
+        for r in self._items:
+            (hit if predicate(r) else kept).append(r)
+        self._items = kept
         self.cancelled_total += len(hit)
         return hit
 

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.disk.geometry import SECTOR_BYTES, DiskGeometry, Zone, default_geometry
+from tests._drive_ref import NumpyZoneMap
 
 
 def small_geometry():
@@ -43,9 +46,41 @@ def test_locate_first_and_boundary():
 
 def test_cylinder_of_lba_vectorised():
     g = small_geometry()
-    lbas = np.array([0, 199, 200, 2000, g.total_sectors - 1])
-    cyls = g.cylinder_of_lba(lbas)
-    assert list(cyls) == [0, 0, 1, 10, 19]
+    lbas = [0, 199, 200, 2000, g.total_sectors - 1]
+    assert [g.cylinder_of_lba(lba) for lba in lbas] == [0, 0, 1, 10, 19]
+
+
+@st.composite
+def zonings(draw):
+    """1-8 zones of 1-6 cylinders each, 1-4 heads."""
+    n = draw(st.integers(1, 8))
+    zones, lo = [], 0
+    for _ in range(n):
+        cyls = draw(st.integers(1, 6))
+        zones.append(Zone(lo, lo + cyls - 1, draw(st.integers(1, 40))))
+        lo += cyls
+    return DiskGeometry(zones, heads=draw(st.integers(1, 4)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(g=zonings())
+def test_scalar_lookups_match_the_array_formula(g):
+    """Every zone start +-1, 0 and the last LBA map as numpy's searchsorted
+    formula maps them; the answers are Python ints."""
+    ref = NumpyZoneMap(g)
+    assert g.total_sectors == ref.total_sectors
+    starts = ref._zone_sector_starts[:-1].tolist()
+    lbas = {0, g.total_sectors - 1}
+    lbas.update(lba + d for lba in starts for d in (-1, 0, 1))
+    for lba in sorted(x for x in lbas if 0 <= x < g.total_sectors):
+        for name in ("zone_index_of_lba", "cylinder_of_lba", "spt_of_lba"):
+            got = getattr(g, name)(lba)
+            assert type(got) is int, (name, lba)
+            assert got == int(getattr(ref, name)(lba)), (name, lba)
+    for name in ("zone_index_of_lba", "cylinder_of_lba", "spt_of_lba"):
+        for lba in (-1, g.total_sectors):
+            with pytest.raises(ValueError):
+                getattr(g, name)(lba)
 
 
 def test_lba_out_of_range():

@@ -52,6 +52,22 @@ class TestQueues:
         assert len(q) == 1
         assert q.pop().tag == "keep"
 
+    def test_cancel_calls_predicate_once_per_request_and_keeps_order(self):
+        q = FCFSQueue()
+        for c in range(8):
+            q.push(Req(c))
+        seen = []
+
+        def predicate(r):
+            seen.append(r.cylinder)
+            return r.cylinder % 3 == 1
+
+        removed = q.cancel(predicate)
+        assert seen == list(range(8))
+        assert [r.cylinder for r in removed] == [1, 4, 7]
+        assert [r.cylinder for r in q.peek_all()] == [0, 2, 3, 5, 6]
+        assert q.cancelled_total == 3
+
     def test_make_queue_names(self):
         assert isinstance(make_queue("FCFS"), FCFSQueue)
         assert isinstance(make_queue("sstf"), SSTFQueue)

@@ -1,0 +1,193 @@
+"""Differential oracle: the drive's request path against its reference.
+
+``tests/_drive_ref.py`` keeps the request path :class:`DiskDrive` had
+before the scalar rewrite: numpy zone lookups, a ``done`` event for every
+request and an ``AnyOf`` race between each service and a fail-stop.  The
+rewrite gives background requests no ``done`` event and wakes the service
+loop with one plain event, fired by the service timeout or, one hop after
+``fail``, by the abort.  Both paths must dispatch the events results
+depend on in the same order, so hypothesis drives identical seeded
+scripts through both drives and every observable must match: each
+foreground request's ``done`` value, the service order (request and start
+time), ``served_requests``, ``served_bytes``, ``busy_time`` and
+``queue.cancelled_total``.
+
+Script steps fall on a coarse time grid, with "same instant" and
+"one zero-delay hop later" as explicit waits, so fail, recover, submit
+and service completions collide as often as the grid allows.  The
+same-instant case the wake's hop count exists for is also pinned as a
+plain test, since a random script hits it only now and then.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.disk.cache import SegmentCache
+from repro.disk.drive import DiskDrive, DiskRequest
+from repro.disk.geometry import DiskGeometry, Zone
+from repro.disk.mechanics import DiskMechanics
+from repro.disk.workload import BackgroundWorkload
+from repro.sim import Environment
+from tests._drive_ref import ReferenceDrive
+
+#: Three zones over 30 cylinders: requests cross zone boundaries often.
+GEOMETRY = DiskGeometry([Zone(0, 9, 64), Zone(10, 19, 48), Zone(20, 29, 32)], heads=2)
+#: Waits between script steps: same instant, one zero-delay hop, or time
+#: (same-instant steps weighted up, so collisions are common).
+WAITS = st.sampled_from(["now", "now", "hop", "hop", 0.0625, 0.125, 0.25])
+ACTIONS = st.one_of(
+    st.tuples(st.just("fg"), st.integers(0, GEOMETRY.total_sectors - 64), st.integers(1, 64)),
+    st.tuples(st.just("bg"), st.integers(0, GEOMETRY.total_sectors - 64), st.integers(1, 64)),
+    st.tuples(st.just("cancel"), st.integers(0, 1)),
+    st.tuples(st.just("fail")),
+    st.tuples(st.just("recover")),
+    # A transient fault: fail and recover at one instant, which aborts the
+    # service in flight while the drive accepts new work at once.
+    st.tuples(st.just("restart")),
+    st.tuples(st.just("slow"), st.sampled_from([1.0, 1.5, 2.0])),
+)
+SCRIPTS = st.lists(st.tuples(WAITS, ACTIONS), min_size=20, max_size=60)
+
+
+def quantized_service(seed: int):
+    """Service times on a 1/16 s grid, drawn in service order."""
+    rng = np.random.default_rng(seed)
+    return lambda req: 0.0625 * int(rng.integers(1, 5))
+
+
+def run(drive_cls, script, *, scheduler, seed, service_fn=None, background=None,
+        cache=False):
+    """Run ``script`` on a fresh ``drive_cls``; return every observable.
+
+    ``service_fn(seed)``, when given, builds the drive's
+    ``service_time_fn``; otherwise the drive times requests from its
+    mechanics and a seeded rng.
+    """
+    env = Environment()
+    if service_fn is not None:
+        drive = drive_cls(
+            env, DiskMechanics(geometry=GEOMETRY), scheduler=scheduler,
+            service_time_fn=service_fn(seed),
+        )
+    else:
+        drive = drive_cls(
+            env, DiskMechanics(geometry=GEOMETRY), np.random.default_rng(seed),
+            scheduler=scheduler, cache=SegmentCache() if cache else None,
+        )
+    if background is not None:
+        drive.attach_background(BackgroundWorkload(
+            background, np.random.default_rng(seed + 1),
+            extent_sectors=GEOMETRY.total_sectors,
+        ))
+    served = []
+    pop = drive.queue.pop
+
+    def recording_pop(head_cylinder=0):
+        req = pop(head_cylinder)
+        served.append((req.tag, req.lba, req.sectors, env.now))
+        return req
+
+    drive.queue.pop = recording_pop
+    foreground = []
+
+    def play():
+        for i, (wait, action) in enumerate(script):
+            if wait == "hop":
+                yield env.timeout(0)
+            elif wait != "now":
+                yield env.timeout(wait)
+            kind = action[0]
+            if kind in ("fg", "bg"):
+                req = drive.submit(DiskRequest(
+                    lba=action[1], sectors=action[2], tag=(kind, i),
+                    is_background=kind == "bg",
+                ))
+                if kind == "fg":
+                    foreground.append(req)
+            elif kind == "cancel":
+                drive.cancel(lambda r, p=action[1]: r.tag[0] == "fg" and r.tag[1] % 2 == p)
+            elif kind == "fail":
+                drive.fail()
+            elif kind == "restart":
+                drive.fail()
+                drive.recover()
+            elif kind == "recover":
+                drive.recover()
+            else:
+                drive.set_slow(action[1])
+
+    env.process(play())
+    env.run(until=sum(w for w, _ in script if not isinstance(w, str)) + 4.0)
+    return {
+        "done": [(r.tag, r.done.value if r.done.triggered else "pending") for r in foreground],
+        "served": served,
+        "served_requests": drive.served_requests,
+        "served_bytes": drive.served_bytes,
+        "busy_time": drive.busy_time,
+        "cancelled_total": drive.queue.cancelled_total,
+    }
+
+
+def assert_same(script, **kw):
+    got = run(DiskDrive, script, **kw)
+    assert got == run(ReferenceDrive, script, **kw)
+    return got
+
+
+@settings(deadline=None, max_examples=150)
+@given(script=SCRIPTS, seed=st.integers(0, 2**16),
+       background=st.sampled_from([None, 0.0625, 0.25]))
+def test_fair_queue_with_service_fn_and_background(script, seed, background):
+    assert_same(script, scheduler="fair", seed=seed, service_fn=quantized_service,
+                background=background)
+
+
+@settings(deadline=None, max_examples=100)
+@given(script=SCRIPTS, seed=st.integers(0, 2**16),
+       scheduler=st.sampled_from(["fcfs", "sstf", "elevator"]), cache=st.booleans(),
+       background=st.sampled_from([None, 0.125]))
+def test_sector_level_drives(script, seed, scheduler, cache, background):
+    assert_same(script, scheduler=scheduler, seed=seed, cache=cache, background=background)
+
+
+def test_same_instant_fail_recover_submit():
+    """A fail, a recover and a foreground submit at one instant, then a
+    background submit one zero-delay hop later.
+
+    The abort reaches the service loop two dispatches after ``fail``, as
+    a completion does, so the hop's background request is queued first
+    and the fair queue, whose turn it is, serves it before the foreground
+    request: 0.25 (fail) + 0.25 + 0.5.  Waking the loop one dispatch
+    after ``fail`` would serve the foreground request at once (0.75).
+    """
+    services = {"fg": 0.5, "bg": 0.25}
+    script = [
+        ("now", ("fg", 0, 8)),
+        (0.25, ("fail",)),
+        ("now", ("recover",)),
+        ("now", ("fg", 64, 8)),
+        ("hop", ("bg", 128, 8)),
+    ]
+    got = assert_same(script, scheduler="fair", seed=0,
+                      service_fn=lambda seed: lambda r: services[r.tag[0]])
+    assert got["done"] == [(("fg", 0), float("inf")), (("fg", 3), 1.0)]
+    assert got["busy_time"] == 1.0
+
+
+def test_background_requests_get_no_done_event():
+    env = Environment()
+    drive = DiskDrive(env, DiskMechanics(), scheduler="fair",
+                      service_time_fn=lambda r: 0.01)
+    bg = drive.submit(DiskRequest(lba=0, sectors=8, is_background=True))
+    fg = drive.submit(DiskRequest(lba=0, sectors=8))
+    env.run()
+    assert bg.done is None
+    assert fg.done.value == 0.01  # the fair queue serves foreground first
+    assert drive.served_requests == 2 and drive.busy_time == 0.02
+
+
+def test_drive_needs_an_rng_or_a_service_fn():
+    with pytest.raises(ValueError):
+        DiskDrive(Environment(), DiskMechanics())
