@@ -1,9 +1,9 @@
-"""Erasure-code playground: compare every code family in the repository.
+"""Erasure-code playground: compare the code families RobuSTore weighs.
 
-Encodes the same data with replication, parity, Reed-Solomon, Tornado,
-Raptor and (improved) LT codes, then reports rate, reconstruction
-flexibility and measured coding throughput — the Chapter 2/5 design-space
-tour that led the dissertation to pick LT codes.
+Encodes the same data with replication, parity, Reed-Solomon and
+(improved) LT codes, then reports rate, reconstruction flexibility and
+measured coding throughput — the Chapter 2/5 design-space tour that led
+the dissertation to pick LT codes.
 
 Run:  python examples/codes_playground.py
 """
@@ -19,8 +19,6 @@ from repro.coding import (
     ReedSolomonCode,
     ReplicationCode,
 )
-from repro.coding.raptor import RaptorCode
-from repro.coding.tornado import TornadoCode
 from repro.coding.xorblocks import random_blocks
 from repro.metrics.reporting import format_table
 
@@ -57,21 +55,6 @@ def main() -> None:
     ids = rng.choice(rs.n, size=k, replace=False)
     assert np.array_equal(rs.decode(ids, rs_coded[ids]), data)
     rows.append(_row("Reed-Solomon", rs.rate, t_enc, k, block_len, k, k))
-
-    # Tornado (cascade + RS cap).
-    tor = TornadoCode(k, beta=0.5, levels=2, rng=rng)
-    t0 = time.perf_counter()
-    tor.encode(data)
-    t_enc = time.perf_counter() - t0
-    rows.append(_row("Tornado", tor.rate, t_enc, k, block_len, "~K(1+e)", k))
-
-    # Raptor (pre-code + weak LT).
-    rap = RaptorCode(k, precode_rate=0.9, group=64)
-    graph = rap.build_graph(4 * rap.m, rng)
-    t0 = time.perf_counter()
-    rap.encode(data, graph)
-    t_enc = time.perf_counter() - t0
-    rows.append(_row("Raptor", k / graph.n, t_enc, k, block_len, "~K(1+e)", k))
 
     # Improved LT (the RobuSTore choice) with measured reception overhead.
     lt = ImprovedLTCode(k, c=1.0, delta=0.5)

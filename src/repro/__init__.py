@@ -6,7 +6,7 @@ Subpackages
     Generator-based discrete-event simulation kernel.
 ``repro.coding``
     Erasure codes: LT (with the dissertation's improvements), Reed-Solomon,
-    parity, replication, Tornado, Raptor, plus closed-form analysis.
+    parity, replication, regenerating codes, plus closed-form analysis.
 ``repro.disk``
     DiskSim-like block-level hard-drive model and workload generators.
 ``repro.net``
@@ -24,9 +24,10 @@ Subpackages
     Event tracing: spans/counters on the simulated clock, Chrome trace
     export, aggregated trace reports.
 ``repro.lint``
-    Simulator-aware static analysis (rules SIM001-SIM006) enforcing the
-    determinism conventions; the runtime complement is the DES causality
-    sanitizer in ``repro.sim`` (``REPRO_SANITIZE=1``).
+    Simulator-aware static analysis (rules SIM001-SIM007 and
+    SIM010-SIM012) enforcing the determinism conventions; the runtime
+    complement is the DES causality sanitizer in ``repro.sim``
+    (``REPRO_SANITIZE=1``).
 """
 
 __version__ = "1.0.0"

@@ -2,8 +2,8 @@
 
 Mirrors the simulator architecture of §6.2.2: 16 virtual filers each fronting
 8 virtual disks with a shared 2 GB filesystem cache, a metadata service the
-client consults on open/close (5 ms per access), per-server admission
-control (§5.4) and the credential-chain access-control model (Appendix C).
+client consults on open/close (5 ms per access) and per-server admission
+control (§5.4).
 """
 
 from repro.cluster.admission import (

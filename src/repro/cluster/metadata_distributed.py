@@ -147,7 +147,3 @@ class DistributedMetadataServer:
 
     def server_info(self, server_id: int) -> dict:
         return self._nodes[0].server_info(server_id)
-
-    def node_load(self) -> list[int]:
-        """Per-node access counters (load-balance diagnostics)."""
-        return [node.accesses for node in self._nodes]

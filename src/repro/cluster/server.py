@@ -201,9 +201,6 @@ class Cluster:
         injector = FaultInjector(self, plan)
         self.faults = injector if injector.has_faults else None
 
-    def clear_faults(self) -> None:
-        self.faults = None
-
     def disk_timeline(self, disk_id: int):
         """The disk's fault timeline under the active injector (or ``None``)."""
         return None if self.faults is None else self.faults.timeline(disk_id)

@@ -1,6 +1,7 @@
 """Erasure-coding stack.
 
-Implements every code discussed in the dissertation:
+Implements the codes the dissertation's evaluation runs, plus the
+regenerating codes behind the repair experiments:
 
 * :mod:`repro.coding.lt` — LT codes with the dissertation's improvements
   (pseudo-random uniform coverage, guaranteed decodability, lazy XOR),
@@ -9,8 +10,6 @@ Implements every code discussed in the dissertation:
   the optimal-code baseline (Table 5-1).
 * :mod:`repro.coding.parity` — single-parity code (RAID-5 style).
 * :mod:`repro.coding.replication` — replication as a degenerate code.
-* :mod:`repro.coding.tornado` / :mod:`repro.coding.raptor` — the other
-  near-optimal LDPC codes surveyed in §2.2.3.
 * :mod:`repro.coding.peeling` — the incremental belief-propagation decoder.
 * :mod:`repro.coding.analysis` — Appendix A closed-form reassembly analysis.
 * :mod:`repro.coding.regenerating` — exact product-matrix regenerating

@@ -110,13 +110,6 @@ def expected_replicated_blocks(k: int) -> float:
     return float(k * np.sum(1.0 / i))
 
 
-def minimum_erasure_blocks(k: int, mean_degree: float) -> float:
-    """§5.2.2 lower bound: K ln K / d_e coded blocks to cover K originals."""
-    if mean_degree <= 0:
-        raise ValueError("mean_degree must be positive")
-    return k * log(k) / mean_degree if k > 1 else 1.0
-
-
 def median_blocks_needed(curve_m: np.ndarray, curve_p: np.ndarray) -> int:
     """Smallest M with coverage probability >= 0.5 along a curve."""
     idx = np.nonzero(np.asarray(curve_p) >= 0.5)[0]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.coding.gf256 import MUL, cauchy_matrix, gf_mat_inv, gf_matmul
+from repro.coding.gf256 import cauchy_matrix, gf_mat_inv, gf_matmul
 
 
 class ReedSolomonCode:
@@ -96,27 +96,3 @@ class ReedSolomonCode:
         sub = np.stack([self.generator_row(int(i)) for i in ids])
         inv = gf_mat_inv(sub)
         return gf_matmul(inv, coded_blocks)
-
-    def decoding_matrix_ops(self) -> int:
-        """Rough count of GF multiply-accumulate ops per decode (for docs)."""
-        return self.k * self.k
-
-
-def encode_bandwidth_probe(
-    code: ReedSolomonCode, block_len: int, rng: np.random.Generator
-) -> tuple[float, np.ndarray]:
-    """Encode random data once and return (seconds, coded blocks).
-
-    Helper for the Table 5-1 benchmark.
-    """
-    import time
-
-    data = rng.integers(0, 256, size=(code.k, block_len), dtype=np.uint8)
-    t0 = time.perf_counter()
-    coded = code.encode(data)
-    return time.perf_counter() - t0, coded
-
-
-def scale_row(coef: int, row: np.ndarray) -> np.ndarray:
-    """Scalar-vector product over GF(256) (exposed for tests)."""
-    return MUL[np.uint8(coef), np.asarray(row, dtype=np.uint8)]

@@ -68,11 +68,6 @@ def random_blocks(
     return rng.integers(0, 256, size=(n_blocks, block_len), dtype=np.uint8)
 
 
-def blocks_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    """Exact equality of two block arrays."""
-    return a.shape == b.shape and bool(np.array_equal(a, b))
-
-
 def split_into_blocks(data: bytes | np.ndarray, block_len: int) -> np.ndarray:
     """Split a byte string into fixed-size blocks, zero-padding the tail.
 

@@ -16,14 +16,15 @@ one per registry entry.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import ClassVar
 
-from repro.accesscore.result import AccessResult
+from repro.accesscore.result import AccessConfig, AccessResult
 from repro.cluster.metadata import FileRecord
 from repro.core.base import SchemeBase
-from repro.core.policy.compose import COMPOSITIONS, SchemeSpec, composition
+from repro.core.policy.compose import COMPOSITIONS, SchemeSpec
 
-__all__ = ["PolicyScheme", "scheme_class"]
+__all__ = ["PolicyScheme", "run_access", "scheme_class"]
 
 
 class PolicyScheme(SchemeBase):
@@ -78,7 +79,8 @@ def scheme_class(name: str) -> type[PolicyScheme]:
     return cls
 
 
-def redundancy_for(name: str, configured: float) -> float:
-    """The redundancy a scheme actually runs at (RAID-0 pins 0.0)."""
-    override = composition(name).redundancy_override
-    return configured if override is None else override
+def run_access(cls: type[PolicyScheme], access: AccessConfig) -> AccessConfig:
+    """The access config ``cls`` runs at: its composition's redundancy
+    override (RAID-0 pins 0.0) replaces the configured redundancy."""
+    override = cls.spec.redundancy_override
+    return access if override is None else replace(access, redundancy=override)

@@ -7,14 +7,14 @@ access's disks, and runs the scheme's read and/or write procedure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.accesscore.result import AccessConfig, AccessResult
 from repro.cluster.server import Cluster
-from repro.core.pipeline import scheme_class
+from repro.core.pipeline import run_access, scheme_class
 from repro.disk.workload import InDiskLayout
 from repro.experiments import config as C
 from repro.metrics.stats import MetricSummary, summarize
@@ -204,10 +204,7 @@ def run_scheme(
         raise ValueError(f"unknown engine {engine!r}")
     cls = scheme_class(scheme_name)  # raises ValueError for unknown names
     tracer = tracer if tracer is not None else current_tracer()
-    access = plan.access
-    override = cls.spec.redundancy_override
-    if override is not None:
-        access = replace(access, redundancy=override)
+    access = run_access(cls, plan.access)
     hub = RngHub(plan.seed)
     cluster = Cluster(
         n_disks=plan.pool,

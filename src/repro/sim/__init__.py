@@ -20,22 +20,18 @@ Example
 [5.0]
 """
 
-from repro.sim.calendar import EventCalendar
 from repro.sim.core import Environment, Interrupt, SimulationError
 from repro.sim.events import AllOf, AnyOf, Event, Process, Timeout
-from repro.sim.resources import PriorityResource, Resource, Store
+from repro.sim.resources import Store
 from repro.sim.rng import RngHub
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "Environment",
-    "EventCalendar",
     "Event",
     "Interrupt",
-    "PriorityResource",
     "Process",
-    "Resource",
     "RngHub",
     "SimulationError",
     "Store",

@@ -5,10 +5,10 @@ from __future__ import annotations
 import math
 import os
 from heapq import heappop, heappush
+from itertools import count
 from typing import Any, Generator, Optional
 
 from repro.obs.tracer import NULL_TRACER
-from repro.sim.calendar import EventCalendar
 from repro.sim.events import PENDING, AllOf, AnyOf, Event, Process, Timeout
 
 # Scheduling priorities: URGENT events (process initialisation, interrupts)
@@ -44,6 +44,11 @@ class Environment:
     the RobuSTore simulator (clients, filers, drives, workload generators)
     share one environment.
 
+    Pending events are ``heapq`` entries ``(time, priority, eid, event)``:
+    time-major, then scheduling priority (URGENT before NORMAL), then the
+    unique insertion counter ``eid``, so the event object itself is never
+    compared and same-instant events dispatch in scheduling order.
+
     Parameters
     ----------
     initial_time:
@@ -61,12 +66,12 @@ class Environment:
         active process and the timeline position.  ``None`` (default)
         reads the ``REPRO_SANITIZE`` environment variable.
     calendar:
-        Pending-event structure.  Defaults to a fresh
-        :class:`repro.sim.calendar.EventCalendar`; any object with the
-        same ``push``/``pop``/``peek_time`` protocol is accepted (the
-        differential tests inject
-        ``tests/_calendar_ref.ReferenceCalendar`` here to prove
-        the kernel's dispatch order is implementation-independent).
+        Optional replacement for the built-in heap: any object with
+        ``push(time, priority, event)``, ``pop() -> (time, priority, eid,
+        event)`` (raising ``IndexError`` when empty) and ``peek_time()``.
+        The differential tests inject
+        ``tests/_calendar_ref.ReferenceCalendar`` here to prove the
+        kernel's dispatch order is implementation-independent.
     """
 
     def __init__(
@@ -77,17 +82,13 @@ class Environment:
         calendar=None,
     ) -> None:
         self._now = float(initial_time)
-        self._calendar = calendar if calendar is not None else EventCalendar()
-        # Inline fast path: with the stock calendar the kernel pushes and
-        # pops on its heap directly, saving a Python call per event.  Any
-        # other calendar (e.g. the differential-test reference) goes
-        # through the push/pop protocol.
-        if type(self._calendar) is EventCalendar:
-            self._heap = self._calendar._heap
-            self._eid = self._calendar._eid
-        else:
-            self._heap = None
-            self._eid = None
+        # The kernel's own pending-event heap, or None when an injected
+        # calendar holds the pending events instead.
+        self._heap: Optional[list[tuple[float, int, int, Event]]] = (
+            [] if calendar is None else None
+        )
+        self._eid = count()
+        self._calendar = calendar
         self._active_proc: Optional[Process] = None
         self.tracer = tracer if tracer is not None else NULL_TRACER
         if sanitize is None:
@@ -118,10 +119,6 @@ class Environment:
         """Diagnostic suffix: the active process and timeline position."""
         proc = self._active_proc.name if self._active_proc is not None else "<none>"
         return f" (active process={proc}, t={self._now})"
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_proc
 
     # -- event factories ---------------------------------------------------
     def event(self) -> Event:
@@ -175,9 +172,7 @@ class Environment:
             self._sanitize_schedule(event)
         heap = self._heap
         if heap is not None:
-            # Inline EventCalendar.push — see the layout note in
-            # repro.sim.calendar.
-            heappush(heap, [self._now + delay, priority, next(self._eid), event])
+            heappush(heap, (self._now + delay, priority, next(self._eid), event))
         else:
             self._calendar.push(self._now + delay, priority, event)
         if self._inflight is not None:
@@ -197,7 +192,10 @@ class Environment:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none remain."""
-        return self._calendar.peek_time()
+        heap = self._heap
+        if heap is None:
+            return self._calendar.peek_time()
+        return heap[0][0] if heap else math.inf
 
     def step(self) -> None:
         """Process the next scheduled event.
@@ -209,18 +207,9 @@ class Environment:
         """
         heap = self._heap
         if heap is not None:
-            # Inline EventCalendar.pop: drop tombstoned entries, take the
-            # first live one.
-            while True:
-                if not heap:
-                    raise EmptySchedule()
-                entry = heappop(heap)
-                event = entry[3]
-                if event is not None:
-                    break
-                self._calendar._dead -= 1
-            entry[3] = None
-            t = entry[0]
+            if not heap:
+                raise EmptySchedule()
+            t, _, _, event = heappop(heap)
         else:
             try:
                 t, _, _, event = self._calendar.pop()

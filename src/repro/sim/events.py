@@ -77,12 +77,6 @@ class Event:
         self.env.schedule(self)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Mirror the state of another (triggered) event onto this one."""
-        self._ok = event._ok
-        self._value = event._value
-        self.env.schedule(self)
-
     def succeed_once(self, event: "Event") -> None:
         """Callback: succeed with ``None`` unless already triggered.
 

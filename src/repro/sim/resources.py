@@ -1,13 +1,12 @@
-"""Shared-resource primitives: counted resources, priority resources, stores.
+"""The FIFO store the event engine's clients read their inboxes through.
 
-These model contention points in the storage cluster — e.g. a drive's command
-slot, a filer's service capacity, or an admission controller's token pool.
+Each client of :mod:`repro.accesscore.events` collects block outcomes in
+one :class:`Store`: the drives' completion callbacks put, and the client
+process yields on :meth:`Store.get` until the next outcome arrives.
 """
 
 from __future__ import annotations
 
-import heapq
-from itertools import count
 from typing import TYPE_CHECKING, Any
 
 from repro.sim.events import Event
@@ -16,192 +15,35 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Environment
 
 
-class Request(Event):
-    """Pending acquisition of a :class:`Resource` slot.
-
-    Usable as a context manager inside a process::
-
-        with resource.request() as req:
-            yield req
-            ...
-    """
-
-    __slots__ = ("resource",)
-
-    def __init__(self, resource: "Resource") -> None:
-        super().__init__(resource.env)
-        self.resource = resource
-        resource._do_request(self)
-
-    def cancel(self) -> None:
-        """Withdraw the request / release the slot if already granted."""
-        self.resource.release(self)
-
-    def __enter__(self) -> "Request":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.cancel()
-
-
-class PriorityRequest(Request):
-    """A request carrying a priority (smaller = more urgent) and FIFO key."""
-
-    __slots__ = ("priority", "time", "key")
-
-    def __init__(self, resource: "PriorityResource", priority: int = 0) -> None:
-        self.priority = priority
-        self.time = resource.env.now
-        self.key = (priority, self.time, next(resource._seq))
-        super().__init__(resource)
-
-
-class Resource:
-    """A counted resource with ``capacity`` slots and a FIFO wait queue."""
-
-    def __init__(self, env: "Environment", capacity: int = 1) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.env = env
-        self.capacity = capacity
-        self.users: list[Request] = []
-        self.queue: list[Request] = []
-
-    @property
-    def count(self) -> int:
-        """Number of slots currently held."""
-        return len(self.users)
-
-    def request(self) -> Request:
-        return Request(self)
-
-    def _do_request(self, req: Request) -> None:
-        if len(self.users) < self.capacity:
-            self.users.append(req)
-            req.succeed(None)
-        else:
-            self.queue.append(req)
-
-    def release(self, req: Request) -> None:
-        """Free a granted slot (or drop a still-queued request)."""
-        if req in self.users:
-            self.users.remove(req)
-            self._grant_next()
-        elif req in self.queue:
-            self.queue.remove(req)
-
-    def _grant_next(self) -> None:
-        while self.queue and len(self.users) < self.capacity:
-            nxt = self.queue.pop(0)
-            self.users.append(nxt)
-            nxt.succeed(None)
-
-
-class PriorityResource(Resource):
-    """A resource whose wait queue is ordered by request priority."""
-
-    def __init__(self, env: "Environment", capacity: int = 1) -> None:
-        super().__init__(env, capacity)
-        self._seq = count()
-        self._heap: list[tuple[Any, PriorityRequest]] = []
-
-    def request(self, priority: int = 0) -> PriorityRequest:  # type: ignore[override]
-        return PriorityRequest(self, priority)
-
-    def _do_request(self, req: Request) -> None:
-        assert isinstance(req, PriorityRequest)
-        if len(self.users) < self.capacity:
-            self.users.append(req)
-            req.succeed(None)
-        else:
-            heapq.heappush(self._heap, (req.key, req))
-
-    def release(self, req: Request) -> None:
-        if req in self.users:
-            self.users.remove(req)
-            self._grant_next()
-        else:
-            self._heap = [(k, r) for (k, r) in self._heap if r is not req]
-            heapq.heapify(self._heap)
-
-    def _grant_next(self) -> None:
-        while self._heap and len(self.users) < self.capacity:
-            _, nxt = heapq.heappop(self._heap)
-            self.users.append(nxt)
-            nxt.succeed(None)
-
-
 class StoreGet(Event):
+    """Pending :meth:`Store.get`; fires with the item taken."""
+
     __slots__ = ()
 
 
-class StorePut(Event):
-    __slots__ = ("item",)
-
-    def __init__(self, env: "Environment", item: Any) -> None:
-        super().__init__(env)
-        self.item = item
-
-
 class Store:
-    """An unbounded-or-bounded FIFO buffer of Python objects.
+    """An unbounded FIFO buffer of Python objects.
 
-    Used for message queues between simulated entities (e.g. requests flowing
-    from client to filer to drive).
+    A put never waits, so :meth:`put` schedules no event: it only hands
+    the item to the oldest waiting getter, if there is one.
     """
 
-    def __init__(self, env: "Environment", capacity: float = float("inf")) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
+    def __init__(self, env: "Environment") -> None:
         self.env = env
-        self.capacity = capacity
         self.items: list[Any] = []
         self._getters: list[StoreGet] = []
-        self._putters: list[StorePut] = []
 
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def put(self, item: Any) -> StorePut:
-        """Deposit ``item``; the returned event fires once it is accepted."""
-        ev = StorePut(self.env, item)
-        if len(self.items) < self.capacity:
-            self.items.append(item)
-            ev.succeed(None)
-            self._serve_getters()
-        else:
-            self._putters.append(ev)
-        return ev
+    def put(self, item: Any) -> None:
+        """Deposit ``item``, serving the oldest waiting getter first."""
+        self.items.append(item)
+        if self._getters:
+            self._getters.pop(0).succeed(self.items.pop(0))
 
     def get(self) -> StoreGet:
         """Take the oldest item; the event fires with the item as value."""
         ev = StoreGet(self.env)
         if self.items:
             ev.succeed(self.items.pop(0))
-            self._serve_putters()
         else:
             self._getters.append(ev)
         return ev
-
-    def cancel_get(self, ev: StoreGet) -> None:
-        """Withdraw a pending get (used on request cancellation)."""
-        if ev in self._getters:
-            self._getters.remove(ev)
-
-    def filter_items(self, keep) -> list[Any]:
-        """Remove and return items for which ``keep(item)`` is false."""
-        removed = [it for it in self.items if not keep(it)]
-        self.items = [it for it in self.items if keep(it)]
-        return removed
-
-    def _serve_getters(self) -> None:
-        while self._getters and self.items:
-            getter = self._getters.pop(0)
-            getter.succeed(self.items.pop(0))
-
-    def _serve_putters(self) -> None:
-        while self._putters and len(self.items) < self.capacity:
-            putter = self._putters.pop(0)
-            self.items.append(putter.item)
-            putter.succeed(None)
-            self._serve_getters()

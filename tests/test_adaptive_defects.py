@@ -18,8 +18,6 @@ The passing tests beside them show each repro is live: the same plan
 finishes on the other engine, and speculative reads do warm the cache.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -27,7 +25,7 @@ from repro.accesscore.events import event_read
 from repro.accesscore.result import AccessConfig
 from repro.accesscore.routing import MB
 from repro.cluster.server import Cluster
-from repro.core.pipeline import scheme_class
+from repro.core.pipeline import run_access, scheme_class
 from repro.experiments.harness import TrialPlan, run_scheme
 from repro.sim.rng import RngHub
 
@@ -54,9 +52,7 @@ def _dead_disk_latencies(scheme: str, engine: str) -> list[float]:
 def _two_reads(name: str, engine: str) -> list:
     """Read one prepared file twice on trial 0 through 256 MB filer caches."""
     cls = scheme_class(name)
-    cfg = AccessConfig(data_bytes=32 * MB, n_disks=12)
-    if cls.spec.redundancy_override is not None:
-        cfg = dataclasses.replace(cfg, redundancy=cls.spec.redundancy_override)
+    cfg = run_access(cls, AccessConfig(data_bytes=32 * MB, n_disks=12))
     cluster = Cluster(n_disks=12, fs_cache_bytes=256 * MB, cache_line_bytes=cfg.block_bytes)
     hub = RngHub(0)
     scheme = cls(cluster, cfg, hub=hub)

@@ -42,15 +42,8 @@ def test_qos_planning(capsys):
 def test_codes_playground(capsys):
     run_example("codes_playground.py")
     out = capsys.readouterr().out
-    assert "Reed-Solomon" in out
-    assert "LT (improved)" in out
-
-
-def test_trace_replay(capsys):
-    run_example("trace_replay.py")
-    out = capsys.readouterr().out
-    assert "fcfs" in out and "sstf" in out
-    assert "Replay under different disk schedulers" in out
+    for code in ("replication x4", "parity (RAID-5)", "Reed-Solomon", "LT (improved)"):
+        assert code in out
 
 
 def test_failure_tolerance(capsys):

@@ -30,7 +30,7 @@ from repro.accesscore.events import event_read
 from repro.accesscore.result import AccessConfig
 from repro.accesscore.routing import MB
 from repro.cluster.server import Cluster
-from repro.core.pipeline import PolicyScheme, scheme_class
+from repro.core.pipeline import PolicyScheme, run_access, scheme_class
 from repro.core.policy.compose import COMPOSITIONS, SchemeSpec
 from repro.core.policy.dispatch import AdaptiveDispatch
 from repro.experiments.config import DISKS_PER_FILER
@@ -127,9 +127,7 @@ class _RecordingCompletion:
 
 def run_round_trip(name, spec_override=None, trial=0, seed=11):
     cls = _class_for(name, spec_override)
-    cfg = CFG
-    if cls.spec.redundancy_override is not None:
-        cfg = dataclasses.replace(cfg, redundancy=cls.spec.redundancy_override)
+    cfg = run_access(cls, CFG)
     cluster = Cluster(n_disks=16, rtt_s=0.001)
     hub = RngHub(seed)
     scheme = cls(cluster, cfg, hub=hub)
@@ -185,9 +183,7 @@ def test_byte_ledger_reconciles(name):
 def read_link_bytes(name, engine, warm, seed=3):
     """One read's result and the bytes its filer links counted."""
     cls = scheme_class(name)
-    cfg = CFG
-    if cls.spec.redundancy_override is not None:
-        cfg = dataclasses.replace(cfg, redundancy=cls.spec.redundancy_override)
+    cfg = run_access(cls, CFG)
     cluster = Cluster(
         n_disks=16, rtt_s=0.001, fs_cache_bytes=512 * MB if warm else 0,
         cache_line_bytes=cfg.block_bytes,

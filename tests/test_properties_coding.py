@@ -16,9 +16,7 @@ from hypothesis import strategies as st
 
 from repro.coding.lt import ImprovedLTCode
 from repro.coding.peeling import PeelingDecoder
-from repro.coding.raptor import RaptorCode
 from repro.coding.reed_solomon import ReedSolomonCode
-from repro.coding.tornado import TornadoCode
 
 BLOCK_LEN = 16  # payload bytes per block: small keeps examples fast
 
@@ -80,58 +78,6 @@ class TestReedSolomonProperties:
             code.decode(ids, coded[ids])
 
 
-# ------------------------------------------------------------------ Tornado
-
-
-class TestTornadoProperties:
-    @settings(max_examples=20, deadline=None)
-    @given(
-        st.integers(min_value=4, max_value=48),
-        st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    def test_no_erasures_round_trip(self, k, seed):
-        rng = np.random.default_rng(seed)
-        code = TornadoCode(k, rng=rng)
-        data = random_data(rng, k)
-        coded = code.encode(data)
-        decoded = code.decode_erasures(np.ones(code.n, dtype=bool), coded)
-        assert decoded is not None
-        assert np.array_equal(decoded[: code.k], data)
-
-    @settings(max_examples=20, deadline=None)
-    @given(
-        st.integers(min_value=4, max_value=48),
-        st.data(),
-    )
-    def test_never_wrong_when_it_claims_success(self, k, data_strategy):
-        """Erase a random subset; a non-None decode must equal the input."""
-        seed = data_strategy.draw(st.integers(min_value=0, max_value=2**32 - 1))
-        rng = np.random.default_rng(seed)
-        code = TornadoCode(k, rng=rng)
-        data = random_data(rng, k)
-        coded = code.encode(data)
-        n_erase = data_strategy.draw(st.integers(min_value=0, max_value=code.n - k))
-        present = np.ones(code.n, dtype=bool)
-        present[rng.permutation(code.n)[:n_erase]] = False
-        decoded = code.decode_erasures(present, coded)
-        if decoded is not None:
-            assert np.array_equal(decoded[: code.k], data)
-
-    @settings(max_examples=20, deadline=None)
-    @given(
-        st.integers(min_value=4, max_value=48),
-        st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    def test_information_theoretic_floor(self, k, seed):
-        """Fewer than k surviving blocks can never reconstruct k originals."""
-        rng = np.random.default_rng(seed)
-        code = TornadoCode(k, rng=rng)
-        coded = code.encode(random_data(rng, k))
-        present = np.zeros(code.n, dtype=bool)
-        present[rng.permutation(code.n)[: k - 1]] = True
-        assert code.decode_erasures(present, coded) is None
-
-
 # ------------------------------------------------------------------ LT + peeling
 
 
@@ -171,40 +117,3 @@ class TestLTPeelingProperties:
         for cid in rng.permutation(2 * k)[: k - 1]:
             decoder.add(int(cid), coded[cid])
         assert not decoder.is_complete
-
-
-# ------------------------------------------------------------------ Raptor
-
-
-class TestRaptorProperties:
-    @settings(max_examples=15, deadline=None)
-    @given(
-        st.integers(min_value=4, max_value=40),
-        st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    def test_never_wrong_when_it_claims_success(self, k, seed):
-        rng = np.random.default_rng(seed)
-        code = RaptorCode(k)
-        n = int(np.ceil(1.5 * code.m)) + 8
-        graph = code.build_graph(n, rng)
-        data = random_data(rng, k)
-        coded = code.encode(data, graph)
-        order = rng.permutation(n)
-        decoded = code.decode(graph, order, coded[order], BLOCK_LEN)
-        if decoded is not None:
-            assert np.array_equal(decoded, data)
-
-    @settings(max_examples=15, deadline=None)
-    @given(
-        st.integers(min_value=4, max_value=40),
-        st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    def test_fewer_than_k_blocks_fail_cleanly(self, k, seed):
-        rng = np.random.default_rng(seed)
-        code = RaptorCode(k)
-        n = 2 * code.m
-        graph = code.build_graph(n, rng)
-        data = random_data(rng, k)
-        coded = code.encode(data, graph)
-        order = rng.permutation(n)[: k - 1]
-        assert code.decode(graph, order, coded[order], BLOCK_LEN) is None

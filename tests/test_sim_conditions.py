@@ -18,12 +18,12 @@ def test_any_of_with_failed_event_propagates():
         except RuntimeError as exc:
             result.append(str(exc))
 
-    def trigger(env):
+    def fire(env):
         yield env.timeout(1)
         bad.fail(RuntimeError("nope"))
 
     env.process(waiter(env))
-    env.process(trigger(env))
+    env.process(fire(env))
     env.run()
     assert result == ["nope"]
 
@@ -55,13 +55,13 @@ def test_defused_failure_does_not_crash_run():
     env = Environment()
     ev = env.event()
 
-    def trigger(env):
+    def fire(env):
         yield env.timeout(1)
         exc = RuntimeError("handled elsewhere")
         ev.fail(exc)
         ev.defuse()
 
-    env.process(trigger(env))
+    env.process(fire(env))
     env.run()  # must not raise
 
 

@@ -131,12 +131,12 @@ def test_event_succeed_wakes_waiter():
         val = yield ev
         seen.append((env.now, val))
 
-    def trigger(env):
+    def fire(env):
         yield env.timeout(7)
         ev.succeed("payload")
 
     env.process(waiter(env))
-    env.process(trigger(env))
+    env.process(fire(env))
     env.run()
     assert seen == [(7.0, "payload")]
 
@@ -160,12 +160,12 @@ def test_event_fail_propagates_into_process():
         except ValueError as exc:
             caught.append(str(exc))
 
-    def trigger(env):
+    def fire(env):
         yield env.timeout(1)
         ev.fail(ValueError("boom"))
 
     env.process(waiter(env))
-    env.process(trigger(env))
+    env.process(fire(env))
     env.run()
     assert caught == ["boom"]
 

@@ -1,101 +1,7 @@
-"""Tests for resources and stores."""
+"""Tests for the FIFO store the event engine's client inboxes use."""
 
-import pytest
-
-from repro.sim import Environment, PriorityResource, Resource, Store
-
-
-def test_resource_serialises_access():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    log = []
-
-    def user(env, tag, hold):
-        with res.request() as req:
-            yield req
-            log.append((tag, env.now, "in"))
-            yield env.timeout(hold)
-            log.append((tag, env.now, "out"))
-
-    env.process(user(env, "a", 2))
-    env.process(user(env, "b", 1))
-    env.run()
-    assert log == [
-        ("a", 0.0, "in"),
-        ("a", 2.0, "out"),
-        ("b", 2.0, "in"),
-        ("b", 3.0, "out"),
-    ]
-
-
-def test_resource_capacity_two_admits_pair():
-    env = Environment()
-    res = Resource(env, capacity=2)
-    entered = []
-
-    def user(env, tag):
-        with res.request() as req:
-            yield req
-            entered.append((tag, env.now))
-            yield env.timeout(1)
-
-    for tag in "abc":
-        env.process(user(env, tag))
-    env.run()
-    assert entered == [("a", 0.0), ("b", 0.0), ("c", 1.0)]
-
-
-def test_resource_invalid_capacity():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Resource(env, capacity=0)
-
-
-def test_queued_request_can_be_cancelled():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    got = []
-
-    def holder(env):
-        with res.request() as req:
-            yield req
-            yield env.timeout(10)
-
-    def impatient(env):
-        req = res.request()
-        yield env.timeout(1)
-        req.cancel()  # withdraw before being granted
-        got.append("gave up")
-
-    env.process(holder(env))
-    env.process(impatient(env))
-    env.run()
-    assert got == ["gave up"]
-    assert res.count == 0
-
-
-def test_priority_resource_orders_waiters():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def holder(env):
-        with res.request(priority=0) as req:
-            yield req
-            yield env.timeout(5)
-
-    def waiter(env, tag, prio, delay):
-        yield env.timeout(delay)
-        with res.request(priority=prio) as req:
-            yield req
-            order.append(tag)
-            yield env.timeout(1)
-
-    env.process(holder(env))
-    env.process(waiter(env, "low", 5, 1))
-    env.process(waiter(env, "high", 1, 2))
-    env.run()
-    assert order == ["high", "low"]
+from repro.obs import Tracer
+from repro.sim import Environment, Store
 
 
 def test_store_fifo():
@@ -119,52 +25,36 @@ def test_store_fifo():
     assert got == [(1.0, 0), (2.0, 1), (3.0, 2)]
 
 
-def test_store_capacity_blocks_put():
-    env = Environment()
-    store = Store(env, capacity=1)
-    log = []
-
-    def producer(env):
-        yield store.put("a")
-        log.append(("a in", env.now))
-        yield store.put("b")
-        log.append(("b in", env.now))
-
-    def consumer(env):
-        yield env.timeout(4)
-        item = yield store.get()
-        log.append((f"got {item}", env.now))
-
-    env.process(producer(env))
-    env.process(consumer(env))
+def test_put_without_getter_dispatches_no_event():
+    """A put nobody waits on only buffers the item: no event reaches the
+    kernel, so the run dispatches nothing at all."""
+    tracer = Tracer()
+    env = Environment(tracer=tracer)
+    store = Store(env)
+    puts = [store.put(i) for i in range(3)]
     env.run()
-    assert ("a in", 0.0) in log
-    assert ("b in", 4.0) in log
+    assert tracer.counters.get("sim.events_dispatched", 0) == 0
+    assert puts == [None, None, None]
+    assert store.items == [0, 1, 2]
 
 
-def test_store_filter_items_removes_cancelled():
+def test_waiting_getters_are_served_fifo_at_the_put_instant():
     env = Environment()
     store = Store(env)
-    for i in range(5):
-        store.put(i)
-    removed = store.filter_items(lambda x: x % 2 == 0)
-    assert removed == [1, 3]
-    assert store.items == [0, 2, 4]
+    got = []
 
+    def consumer(tag):
+        item = yield store.get()
+        got.append((tag, item, env.now))
 
-def test_store_cancel_get():
-    env = Environment()
-    store = Store(env)
-    ev = store.get()
-    store.cancel_get(ev)
-    store.put("x")
-    # The cancelled getter must not consume the item.
-    assert store.items == ["x"]
+    def producer():
+        yield env.timeout(2.0)
+        for item in "xyz":
+            store.put(item)
 
-
-def test_store_len():
-    env = Environment()
-    store = Store(env)
-    assert len(store) == 0
-    store.put(1)
-    assert len(store) == 1
+    for tag in "abc":
+        env.process(consumer(tag), name=tag)
+    env.process(producer())
+    env.run()
+    assert got == [("a", "x", 2.0), ("b", "y", 2.0), ("c", "z", 2.0)]
+    assert store.items == []
