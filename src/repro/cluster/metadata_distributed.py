@@ -20,6 +20,7 @@ from repro.cluster.metadata import (
     FileRecord,
     MetadataServer,
 )
+from repro.sim.rng import _fnv32, fnv32_many
 
 
 class DistributedMetadataServer:
@@ -64,21 +65,17 @@ class DistributedMetadataServer:
         return self.node_latency_s
 
     def _node_of(self, name: str) -> int:
-        h = 2166136261
-        for ch in name.encode():
-            h = ((h ^ ch) * 16777619) & 0xFFFFFFFF
-        return h % self.n_nodes
+        return _fnv32(name.encode()) % self.n_nodes
 
-    def _primary(self, name: str) -> MetadataServer:
-        return self._nodes[self._node_of(name)]
+    def _partitions(self, names) -> list[int]:
+        """:meth:`_node_of` of every name, in one :func:`fnv32_many` pass."""
+        return (fnv32_many([name.encode() for name in names]) % self.n_nodes).tolist()
 
-    def _peers(self, name: str) -> list[MetadataServer]:
-        if self.sync_replicas == 0:
-            return []
-        base = self._node_of(name)
+    def _group(self, part: int) -> list[MetadataServer]:
+        """Partition ``part``'s node, then its ``sync_replicas`` peers."""
         return [
-            self._nodes[(base + i) % self.n_nodes]
-            for i in range(1, self.sync_replicas + 1)
+            self._nodes[(part + i) % self.n_nodes]
+            for i in range(self.sync_replicas + 1)
         ]
 
     def _mutation_latency(self) -> float:
@@ -89,40 +86,56 @@ class DistributedMetadataServer:
     # -- MetadataServer-compatible interface ------------------------------------
     def open(self, name: str, mode: str, holder: str = "client"):
         self.accesses += 1
-        record, _ = self._primary(name).open(name, mode, holder)
+        record, _ = self._nodes[self._node_of(name)].open(name, mode, holder)
         return record, self.node_latency_s
 
+    def commit_many(self, records) -> None:
+        """Commit every record to its partition and that partition's peers."""
+        groups = [self._group(part) for part in range(self.n_nodes)]
+        parts = self._partitions([record.name for record in records])
+        for record, part in zip(records, parts):
+            for node in groups[part]:
+                node.commit(record)
+        self.accesses += len(parts)
+        self.sync_messages += len(parts) * self.sync_replicas
+
     def commit(self, record: FileRecord) -> float:
-        self.accesses += 1
-        self._primary(record.name).commit(record)
-        for peer in self._peers(record.name):
-            peer.commit(record)
-            self.sync_messages += 1
+        self.commit_many([record])
         return self._mutation_latency()
 
     def close(self, name: str, holder: str = "client") -> float:
         self.accesses += 1
-        self._primary(name).close(name, holder)
+        self._nodes[self._node_of(name)].close(name, holder)
         return self.node_latency_s
 
+    def lookup_many(self, names) -> list[FileRecord]:
+        """The record of every name, each from its partition."""
+        nodes = self._nodes
+        return [
+            nodes[part].lookup(name)
+            for name, part in zip(names, self._partitions(names))
+        ]
+
     def lookup(self, name: str) -> FileRecord:
-        return self._primary(name).lookup(name)
+        return self.lookup_many([name])[0]
 
     def exists(self, name: str) -> bool:
-        return self._primary(name).exists(name)
+        return self._nodes[self._node_of(name)].exists(name)
 
     def delete(self, name: str) -> float:
         self.accesses += 1
-        self._primary(name).delete(name)
-        for peer in self._peers(name):
+        primary, *peers = self._group(self._node_of(name))
+        primary.delete(name)
+        for peer in peers:
             peer.delete(name)
             self.sync_messages += 1
         return self._mutation_latency()
 
     def update_placement(self, name: str, placement) -> float:
         self.accesses += 1
-        self._primary(name).update_placement(name, placement)
-        for peer in self._peers(name):
+        primary, *peers = self._group(self._node_of(name))
+        primary.update_placement(name, placement)
+        for peer in peers:
             if peer.exists(name):
                 peer.update_placement(name, placement)
             self.sync_messages += 1
@@ -131,10 +144,11 @@ class DistributedMetadataServer:
     # -- failover ---------------------------------------------------------------
     def lookup_with_failover(self, name: str, failed_node: Optional[int] = None) -> FileRecord:
         """Serve a lookup from a sync replica when the primary is down."""
-        primary = self._node_of(name)
-        if failed_node != primary:
-            return self._nodes[primary].lookup(name)
-        for peer in self._peers(name):
+        part = self._node_of(name)
+        primary, *peers = self._group(part)
+        if failed_node != part:
+            return primary.lookup(name)
+        for peer in peers:
             if peer.exists(name):
                 return peer.lookup(name)
         raise KeyError(f"{name}: primary down and no replica holds the record")

@@ -202,11 +202,13 @@ class StorageService:
 
     def _place_catalogue(self) -> None:
         """Ring-place every catalogue file; record it in metadata."""
-        nominal = int(self.plan.workload.size_mean_mb * MB)
-        for fid in range(self.plan.workload.n_files):
-            self.placer.place(
-                f"f{fid}", nominal, self.scheme_name, self.plan.replication_factor
-            )
+        self.catalogue = [f"f{fid}" for fid in range(self.plan.workload.n_files)]
+        self.placer.place(
+            self.catalogue,
+            int(self.plan.workload.size_mean_mb * MB),
+            self.scheme_name,
+            self.plan.replication_factor,
+        )
 
     # -- calibration ----------------------------------------------------------
     def calibrate(self) -> np.ndarray:
@@ -266,8 +268,8 @@ class StorageService:
             [0.0] * plan.slots_per_filer for _ in range(self.cluster.n_filers)
         ]
         replicas = [
-            [slots[f] for f in self.placer.lookup(f"f{fid}")]
-            for fid in range(spec.n_files)
+            [slots[f] for f in filers]
+            for filers in self.placer.lookup(self.catalogue)
         ]
 
         tracker = SloTracker(spec.duration_s, plan.slo_latency_s)

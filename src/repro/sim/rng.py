@@ -55,6 +55,51 @@ def stable_seed(*parts) -> int:
     return _fold_parts(parts, 2166136261)
 
 
+#: FNV-1a's prime and the 32-bit mask, as uint64 scalars for the column fold.
+_FNV_PRIME = np.uint64(16777619)
+_FNV_MASK = np.uint64(0xFFFFFFFF)
+
+
+def fnv32_many(data, h: int = 2166136261) -> np.ndarray:
+    """``[_fnv32(d, h) for d in data]`` as a uint32 array, in one pass.
+
+    The byte strings are the rows of a zero-padded uint8 matrix; the fold
+    runs column by column in uint64 arithmetic masked to 32 bits, and a
+    row's state stops changing past its own length.
+    """
+    lengths = np.fromiter(map(len, data), dtype=np.int64, count=len(data))
+    width = int(lengths.max()) if len(data) else 0
+    matrix = np.zeros((len(data), width), dtype=np.uint8)
+    matrix[np.arange(width) < lengths[:, None]] = np.frombuffer(
+        b"".join(data), dtype=np.uint8
+    )
+    columns = matrix.T.astype(np.uint64)
+    state = np.full(len(data), h, dtype=np.uint64)
+    for col in range(width):
+        folded = (state ^ columns[col]) * _FNV_PRIME & _FNV_MASK
+        state = np.where(lengths > col, folded, state)
+    return state.astype(np.uint32)
+
+
+def stable_seeds(*parts) -> np.ndarray:
+    """``[stable_seed(*parts[:-1], x) for x in parts[-1]]`` as a uint32 array.
+
+    The last part is a column of all ints (each folded as the 8-byte
+    little-endian of its 64-bit mask) or all strs (UTF-8).  The prefix
+    is folded once; the column goes through :func:`fnv32_many`.
+    """
+    *prefix, column = parts
+    if all(isinstance(x, str) for x in column):
+        data = [x.encode() for x in column]
+    elif all(
+        isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in column
+    ):
+        data = [(int(x) & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little") for x in column]
+    else:
+        raise TypeError("a stable_seeds column holds only ints or only strs")
+    return fnv32_many(data, _fnv32(b"\x1f", _fold_parts(prefix, 2166136261)))
+
+
 #: Lane bases for :func:`stable_digest` — four distinct FNV offsets so the
 #: lanes are independent folds of the same part stream.
 _DIGEST_LANES = (2166136261, 0x01000193, 0x9E3779B9, 0xDEADBEEF)

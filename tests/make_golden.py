@@ -16,7 +16,10 @@ Writes:
 * ``golden_repair.json`` — the repair-economy grid under the pinned
   storm seed (:func:`tests.test_repair_golden.build_repair_reference`);
 * ``golden_events.json`` — the event-driven engine's full results across
-  every composition (:func:`tests.test_reference_engine.build_event_reference`).
+  every composition (:func:`tests.test_reference_engine.build_event_reference`);
+* ``golden_serve.json`` — serving reports across replication factors,
+  ring sizes and metadata partitionings
+  (:func:`tests.test_serve_service.build_serve_reference`).
 """
 
 import json
@@ -27,6 +30,7 @@ from tests.test_golden_schemes import build_scheme_reference
 from tests.test_obs_tracer import build_reference_tracer
 from tests.test_reference_engine import build_event_reference
 from tests.test_repair_golden import build_repair_reference
+from tests.test_serve_service import build_serve_reference
 
 if __name__ == "__main__":
     data = pathlib.Path(__file__).parent / "data"
@@ -52,4 +56,8 @@ if __name__ == "__main__":
 
     path = data / "golden_events.json"
     path.write_text(json.dumps(build_event_reference(), indent=1) + "\n")
+    print(f"wrote {path}")
+
+    path = data / "golden_serve.json"
+    path.write_text(json.dumps(build_serve_reference(), indent=1) + "\n")
     print(f"wrote {path}")

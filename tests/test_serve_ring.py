@@ -9,14 +9,24 @@ The three guarantees serving placement rests on, in test form:
 * the replica set of any key is always ``count`` *distinct* physical
   nodes, primary first.
 
-All hashes come from ``stable_seed`` so every assertion here is exact
-and process-independent — no flaky statistical tolerances needed.
+All hashes come from ``stable_seeds`` so every assertion here is exact
+and process-independent — no flaky statistical tolerances needed.  The
+array-built ring is also checked, point for point and lookup for lookup,
+against the original insert-and-walk ring kept in ``tests/_ring_ref.py``.
 """
 
 from __future__ import annotations
 
-import pytest
+from contextlib import ExitStack
+from unittest import mock
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.serve.ring as ring_module
+import tests._ring_ref as ring_ref
 from repro.cluster.metadata_distributed import DistributedMetadataServer
 from repro.serve.ring import FilePlacer, HashRing
 
@@ -139,9 +149,9 @@ def test_placer_records_and_serves_lookups():
     ring = HashRing(range(8), vnodes=32)
     meta = DistributedMetadataServer(n_nodes=2)
     placer = FilePlacer(ring, meta)
-    filers = placer.place("fileA", 4 << 20, "robustore", replication_factor=3)
+    [filers] = placer.place(["fileA"], 4 << 20, "robustore", replication_factor=3)
     assert filers == ring.nodes_for("fileA", 3)
-    assert placer.lookup("fileA") == list(filers)
+    assert placer.lookup(["fileA"]) == [list(filers)]
     rec = meta.lookup("fileA")
     assert rec.scheme == "robustore" and rec.size_bytes == 4 << 20
 
@@ -149,4 +159,94 @@ def test_placer_records_and_serves_lookups():
 def test_placer_empty_ring_raises():
     placer = FilePlacer(HashRing(), DistributedMetadataServer(n_nodes=1))
     with pytest.raises(ValueError):
-        placer.place("f", 1, "raid0", replication_factor=2)
+        placer.place(["f"], 1, "raid0", replication_factor=2)
+
+
+def test_placer_batch_equals_per_name_placement():
+    ring = HashRing(range(8), vnodes=32)
+    meta = DistributedMetadataServer(n_nodes=3, sync_replicas=1)
+    placer = FilePlacer(ring, meta)
+    names = [f"f{i}" for i in range(300)]
+    placed = placer.place(names, 1 << 20, "raid0", replication_factor=3)
+    assert placed == [ring.nodes_for(name, 3) for name in names]
+    assert placer.lookup(names) == placed
+    assert (meta.accesses, meta.sync_messages) == (300, 300)
+
+
+def test_placer_lists_are_never_shared():
+    ring = HashRing(range(4), vnodes=16)
+    meta = DistributedMetadataServer(n_nodes=2)
+    placer = FilePlacer(ring, meta)
+    names = [f"f{i}" for i in range(200)]
+    placed = placer.place(names, 1, "raid0", replication_factor=2)
+    recorded = [r.extra["filers"] for r in meta.lookup_many(names)]
+    returned = placed + placer.lookup(names)
+    assert len({id(filers) for filers in recorded + returned}) == 3 * len(names)
+    # What a caller gets back is a copy: mutating it reaches neither the
+    # metadata nor the ring.
+    for filers in returned:
+        filers.append(-1)
+    assert placer.lookup(names) == ring.nodes_for_many(names, 2)
+    # Each record's list is its own, never a row of the ring's table.
+    for filers in recorded:
+        filers.append(-2)
+    assert all(-2 not in filers for filers in ring.nodes_for_many(names, 2))
+
+
+def test_placer_empty_batches():
+    meta = DistributedMetadataServer(n_nodes=2)
+    placer = FilePlacer(HashRing(range(4), vnodes=8), meta)
+    assert placer.place([], 1, "raid0", replication_factor=2) == []
+    assert placer.lookup([]) == []
+    assert (meta.accesses, meta.sync_messages) == (0, 0)
+    assert HashRing().nodes_for_many(["a", "b"], 2) == [[], []]
+    assert HashRing(range(4)).nodes_for_many([], 2) == []
+
+
+# ---------------------------------------------------------------------------
+# differential: the array-built ring against the insert-and-walk oracle
+
+
+@st.composite
+def ring_scripts(draw):
+    """A node pool with distinct ``str`` forms, an initial node set drawn
+    from it, a sequence of add/remove operations and a ring size."""
+    pool = draw(st.lists(
+        st.one_of(st.integers(-(2**65), 2**65), st.text(max_size=4)),
+        min_size=1, max_size=10, unique_by=str,
+    ))
+    initial = draw(st.lists(st.sampled_from(pool), max_size=len(pool)))
+    ops = draw(st.lists(st.tuples(st.booleans(), st.sampled_from(pool)), max_size=8))
+    return initial, ops, draw(st.integers(1, 64))
+
+
+def same_layout(ring: HashRing, ref: ring_ref.HashRing) -> bool:
+    return ring._points.tolist() == ref._points and ring._owners == ref._owners
+
+
+@pytest.mark.parametrize("collide", [False, True], ids=["mix32", "4bit"])
+@settings(max_examples=60, deadline=None)
+@given(script=ring_scripts(), int_keys=st.booleans(), data=st.data())
+def test_ring_matches_reference(collide, script, int_keys, data):
+    initial, ops, vnodes = script
+    keys = list(range(-250, 250)) if int_keys else [f"k{i}" for i in range(500)]
+    with ExitStack() as stack:
+        if collide:
+            # Keep 4 bits of every hash: points collide all the time, so the
+            # (point, str(owner)) tie-break decides most of the layout.
+            mix, mix_ref = ring_module._mix32, ring_ref._mix32
+            stack.enter_context(mock.patch.object(
+                ring_module, "_mix32", lambda h: mix(h) & np.uint32(0xF)))
+            stack.enter_context(mock.patch.object(
+                ring_ref, "_mix32", lambda h: mix_ref(h) & 0xF))
+        ring = HashRing(initial, vnodes=vnodes)
+        ref = ring_ref.HashRing(initial, vnodes=vnodes)
+        assert same_layout(ring, ref)
+        for add, node in ops:
+            for r in (ring, ref):
+                (r.add_node if add else r.remove_node)(node)
+            assert same_layout(ring, ref)
+        count = data.draw(st.integers(0, len(ref) + 2), label="count")
+        expected = [ref.nodes_for(k, count) for k in keys]
+        assert [ring.nodes_for(k, count) for k in keys] == expected
+        assert ring.nodes_for_many(keys, count) == expected

@@ -5,13 +5,16 @@ codec is lossless, two executions of the same payload are byte-identical,
 overload produces graceful rejections (not unbounded queueing), and a
 ``ServeJob`` rides the executor's cache and worker pool exactly like a
 trial job.  The columnar replay equals a per-request reference loop, and
-the tracker's batched ``record`` equals its per-request calls.
+the tracker's batched ``record`` equals its per-request calls.  A golden
+file pins full reports across replication factors, ring sizes and
+metadata partitionings that the serving benchmark never reaches.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -140,7 +143,7 @@ def reference_run(plan: ServePlan, scheme: str) -> ServeReport:
     for i in range(len(batch)):
         t = float(batch.arrival_s[i])
         size = int(batch.size_bytes[i])
-        filers = svc.placer.lookup(f"f{int(batch.file_id[i])}")
+        filers = svc.placer.lookup([f"f{int(batch.file_id[i])}"])[0]
         best, best_start = None, float("inf")
         for f in filers:
             start = max(t, slots[f][0])
@@ -172,6 +175,47 @@ def test_columnar_replay_equals_reference(seed, overload):
     assert reports == [reference_run(plan, s) for s in ("raid0", "robustore")]
     if overload:
         assert any(r.rejected for r in reports) and any(r.failovers for r in reports)
+
+
+# ---------------------------------------------------------------------------
+# golden: placement shapes the serving benchmark never reaches
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_serve.json"
+
+
+def build_serve_reference() -> list:
+    """Exactly the cells the golden file was generated from.
+
+    Replication factors 1, 3 and 5 on 2 filers (where the ring caps them
+    at 2) and on 16, crossed with two (vnodes, metadata partitions, seed)
+    shapes, on the default 4,096-file catalogue.  The 60 s window loads
+    the filers enough that rejections and failovers occur, so each
+    report depends on every file's replica set.
+    """
+    workload = WorkloadSpec(n_clients=2000, duration_s=60.0)
+    cells = []
+    for rf in (1, 3, 5):
+        for pool, disks_per_filer in ((16, 8), (64, 4)):
+            for vnodes, partitions, seed in ((8, 1, 0), (128, 4, 1)):
+                plan = ServePlan(
+                    workload=workload, pool=pool,
+                    disks_per_filer=disks_per_filer, replication_factor=rf,
+                    vnodes=vnodes, meta_partitions=partitions,
+                    calibration_trials=2, calibration_mb=8, seed=seed,
+                )
+                for scheme in ("raid0", "robustore"):
+                    cells.append({
+                        "plan": encode_serve_plan(plan, scheme),
+                        "report": StorageService(plan, scheme).run().to_jsonable(),
+                    })
+    return cells
+
+
+def test_serve_golden_matches():
+    assert GOLDEN.exists(), (
+        "golden file missing; run PYTHONPATH=src python -m tests.make_golden"
+    )
+    assert build_serve_reference() == json.loads(GOLDEN.read_text())
 
 
 def test_calibration_sample_is_finite_and_scheme_specific():
