@@ -24,8 +24,8 @@ Subpackages
     Event tracing: spans/counters on the simulated clock, Chrome trace
     export, aggregated trace reports.
 ``repro.lint``
-    Simulator-aware static analysis (rules SIM001-SIM007 and
-    SIM010-SIM012) enforcing the determinism conventions; the runtime
+    Simulator-aware static analysis (rules SIM001-SIM007, SIM011 and
+    SIM012) enforcing the determinism conventions; the runtime
     complement is the DES causality sanitizer in ``repro.sim``
     (``REPRO_SANITIZE=1``).
 """

@@ -36,7 +36,7 @@ from typing import Iterable, Optional
 #: Version salt folded into every run key.  Bump whenever a rule's
 #: behaviour or the report format changes, so stale entries can never
 #: replay findings computed under older semantics.
-LINT_SALT = "lint-v4"
+LINT_SALT = "lint-v5"
 
 #: Default cache location (under the ``repro.exec`` cache root so one
 #: ``rm -rf .repro-cache`` clears every content-addressed artefact).
@@ -92,9 +92,9 @@ def run_key(rule_ids: Iterable[str], entries: Iterable[tuple[str, str, bool]]) -
 
     ``entries`` are ``(path, content_digest, is_linted)`` triples for the
     *whole analysis corpus* — linted files plus any files pulled in for
-    whole-program analysis — so a change to a transitive callee invalidates
-    cached interprocedural findings even when that file is not itself
-    being linted.
+    whole-program analysis — so an edit to the ``STREAMS`` registry or to
+    an importer invalidates cached whole-program findings even when that
+    file is not itself being linted.
     """
     parts: list = [LINT_SALT, ",".join(sorted(rule_ids))]
     for path, digest, linted in sorted(entries):

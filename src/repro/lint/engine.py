@@ -9,9 +9,9 @@ Two kinds of rules:
 
 * **file rules** (the default) see one :class:`FileContext` at a time;
 * **project rules** (``project=True``) see the whole-program
-  :class:`repro.lint.project.ProjectContext` — import graph, symbol
-  table, call graph — and yield ``(path, node_or_line, message)``
-  triples anywhere in the corpus.
+  :class:`repro.lint.project.ProjectContext` — the corpus and its
+  symbol tables — and yield ``(path, node_or_line, message)`` triples
+  anywhere in the corpus.
 
 Scoping is declarative: ``rule(..., repro_only=True)`` limits a rule to
 files under ``src/repro``; ``packages=("core", "disk")`` limits it to
@@ -476,7 +476,7 @@ def run_lint(
         from repro.lint.project import ProjectContext
 
         t0 = time.perf_counter()
-        project = ProjectContext(contexts, linted=linted_resolved)
+        project = ProjectContext(contexts)
         build_s = time.perf_counter() - t0
         for rule_obj in project_rules:
             t0 = time.perf_counter()

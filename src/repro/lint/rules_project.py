@@ -1,18 +1,9 @@
-"""Whole-program rules (SIM010-SIM012).
+"""Whole-program rules (SIM011-SIM012).
 
-These are the interprocedural complement to SIM001-SIM007: they run once
-per lint run over a :class:`repro.lint.project.ProjectContext` instead
-of per file, so they see through module boundaries.
+They run once per lint run over a
+:class:`repro.lint.project.ProjectContext` instead of per file, so they
+see across module boundaries:
 
-* **SIM010** — transitive nondeterminism taint.  A function in a
-  sim-critical package (``core``/``disk``/``cluster``/``sim``/``exec``/
-  ``serve``) that reaches a wall-clock, entropy or global-RNG source
-  through *any* call chain is flagged with the full chain printed, even
-  when every individual file passes SIM001/SIM002.  The
-  exec/serve payload-hash caches are only sound under exactly this
-  property.  Direct in-body sinks (chain length zero) are left to the
-  per-file rules, which already point at the offending line — SIM010
-  reports only taint that crosses at least one call edge.
 * **SIM011** — RngHub stream discipline.  Every ``hub.stream(...)`` /
   ``hub.fresh(...)`` / ``hub.fresh_batch(...)`` call site in the
   ``repro`` package must use a string-literal stream name declared in the
@@ -31,48 +22,7 @@ import ast
 from typing import Iterator
 
 from repro.lint.engine import Severity, rule
-from repro.lint.project import SIM_CRITICAL_PACKAGES, ProjectContext, _attr_chain
-from repro.lint.taint import short_name
-
-# ---------------------------------------------------------------------------
-# SIM010 — transitive nondeterminism taint
-
-
-@rule(
-    "SIM010",
-    Severity.ERROR,
-    "sim-critical code must not reach wall-clock/entropy/global-RNG "
-    "through any call chain",
-    packages=SIM_CRITICAL_PACKAGES,
-    project=True,
-)
-def check_transitive_nondeterminism(project: ProjectContext) -> Iterator:
-    taint = project.taint()
-    for fn, kind in sorted(taint.taints):
-        info = project.functions.get(fn)
-        if info is None:
-            continue
-        mod = project.modules.get(info.module)
-        if mod is None or mod.top_package not in SIM_CRITICAL_PACKAGES:
-            continue
-        t = taint.taints[(fn, kind)]
-        if t.depth == 0:
-            # A sink inside the function's own body is the per-file
-            # rules' jurisdiction (SIM001/SIM002 point at
-            # the offending line); SIM010 owns taint that crosses a call
-            # edge, which is exactly what per-file rules cannot see.
-            continue
-        chain = " -> ".join(short_name(q) for q in taint.chain(fn, kind))
-        sink = t.sink
-        where = "" if sink.path == info.path else f" [{sink.path}:{sink.line}]"
-        yield (
-            info.path,
-            t.via,
-            f"{short_name(fn)} reaches {kind} source {sink.desc} via "
-            f"{chain} -> {sink.desc}{where}; every transitive callee of "
-            "sim-critical code must be deterministic — thread "
-            "Environment.now / an RngHub stream through instead",
-        )
+from repro.lint.project import ProjectContext, _attr_chain
 
 
 # ---------------------------------------------------------------------------

@@ -4,47 +4,27 @@ These rules encode the kernel's contracts:
 
 * all time comes from ``Environment.now`` (simulated seconds) and all
   entropy from the seed — wall-clock reads, PIDs, random UUIDs and
-  unseeded generators make runs irreproducible (SIM001);
+  ``secrets`` make runs irreproducible (SIM001);
 * all randomness flows through an :class:`repro.sim.rng.RngHub` stream or
-  an injected ``np.random.Generator`` — global RNG state couples
-  components and breaks seed isolation (SIM002);
+  an injected ``np.random.Generator`` — global RNG state, unseeded
+  generators and ``hash()``-derived seeds break seed isolation (SIM002);
 * simulated times are floats accumulated through an event heap, so exact
   ``==``/``!=`` on them is a latent heisenbug (SIM003);
 * every tracer record call on a hot path must sit behind the
   ``tracer.enabled`` guard so the default ``NullTracer`` costs nothing
   (SIM004, the PR-1 zero-cost contract).
+
+SIM001 and SIM002 share one sink vocabulary, :func:`classify_sink`, and
+split its families between them (:data:`SINK_RULES`): every banned call
+is reported by exactly one rule.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import Iterator, Optional
 
 from repro.lint.engine import FileContext, Severity, rule
-
-# ---------------------------------------------------------------------------
-# import tracking helpers
-
-
-def _module_aliases(tree: ast.AST, module: str) -> set[str]:
-    """Local names bound to ``module`` via ``import module [as alias]``."""
-    aliases: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == module or alias.name.startswith(module + "."):
-                    aliases.add((alias.asname or alias.name).split(".")[0])
-    return aliases
-
-
-def _from_imports(tree: ast.AST, module: str) -> dict[str, str]:
-    """``{local_name: original_name}`` for ``from module import ...``."""
-    names: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == module:
-            for alias in node.names:
-                names[alias.asname or alias.name] = alias.name
-    return names
 
 
 def _trailing_name(node: ast.AST) -> str | None:
@@ -57,57 +37,46 @@ def _trailing_name(node: ast.AST) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# SIM001 — no wall-clock or OS-entropy source inside the simulator
+# the sink vocabulary of SIM001 and SIM002
 
-_TIME_CLOCK_FNS = {
-    "time",
-    "time_ns",
-    "monotonic",
-    "monotonic_ns",
-    "localtime",
-    "gmtime",
-    "ctime",
+WALL_CLOCK = "wall-clock"
+ENTROPY = "entropy"
+GLOBAL_RNG = "global-RNG"
+UNSEEDED_RNG = "unseeded-RNG"
+HASH_SEED = "hash-seed"
+
+#: Wall-clock reads.  ``time.perf_counter`` is deliberately absent: it
+#: measures the host (encode throughput, job timing), never the timeline.
+_WALL_CLOCK_FNS = {
+    "time": {
+        "time",
+        "time_ns",
+        "monotonic",
+        "monotonic_ns",
+        "localtime",
+        "gmtime",
+        "ctime",
+    },
+    "datetime": {"now", "utcnow", "today"},
 }
-_DATETIME_CLOCK_FNS = {"now", "utcnow", "today"}
 
-@rule(
-    "SIM001",
-    Severity.ERROR,
-    "no wall-clock or OS-entropy source inside src/repro — use "
-    "Environment.now and RngHub streams",
-    repro_only=True,
-)
-def check_wall_clock(ctx: FileContext) -> Iterator:
-    # Deferred: the taint module builds its sink vocabulary from this one.
-    from repro.lint.taint import (
-        KIND_ENTROPY,
-        KIND_WALL_CLOCK,
-        _ModuleTables,
-        classify_sink,
-    )
+#: Per-process or per-boot values; every ``secrets`` call is one too.
+#: ``uuid3``/``uuid5`` are content hashes and therefore deterministic.
+_ENTROPY_FNS = {
+    "os": {"getpid", "getppid", "urandom", "times"},
+    "uuid": {"uuid1", "uuid4"},
+    "random": {"SystemRandom"},
+}
 
-    hints = {
-        KIND_WALL_CLOCK: "use Environment.now (simulated seconds) instead",
-        KIND_ENTROPY: "results, job payloads and cache keys must reproduce "
-        "from the seed alone — draw from an RngHub stream instead",
-    }
-    tables = _ModuleTables(ctx.tree)
-    for node in ctx.walk((ast.Call,)):
-        kind, desc = classify_sink(node, tables) or (None, None)
-        if kind in hints:
-            yield node, f"{kind} source {desc} in simulator code; {hints[kind]}"
-
-
-# ---------------------------------------------------------------------------
-# SIM002 — no global RNG state
-
-#: ``random.Random(seed)`` / ``random.SystemRandom`` construct private
-#: instances, which is fine; everything else on the module mutates the
-#: shared global generator.
-_STDLIB_RNG_ALLOWED = {"Random", "SystemRandom", "getstate"}
+#: Generators that seed themselves from OS entropy when given no seed.
+_UNSEEDED_CTORS = {
+    "random": {"Random"},
+    "numpy.random": {"default_rng", "RandomState", "SeedSequence"},
+}
 
 #: Legacy ``np.random.*`` module-level functions that read or mutate the
-#: process-global RandomState.
+#: process-global RandomState.  On the stdlib ``random`` module every
+#: function but ``getstate`` does.
 _NP_GLOBAL_FNS = {
     "seed", "get_state", "set_state", "random", "random_sample", "ranf",
     "sample", "rand", "randn", "randint", "random_integers", "bytes",
@@ -120,17 +89,6 @@ _NP_GLOBAL_FNS = {
     "rayleigh", "wald", "power", "gumbel", "logistic", "logseries",
     "multinomial", "multivariate_normal", "dirichlet",
 }  # fmt: skip
-
-
-def _is_np_random(node: ast.AST, np_aliases: set[str]) -> bool:
-    """True for ``np.random`` / ``numpy.random`` attribute chains."""
-    return (
-        isinstance(node, ast.Attribute)
-        and node.attr == "random"
-        and isinstance(node.value, ast.Name)
-        and node.value.id in np_aliases
-    )
-
 
 #: Constructors whose argument is a seed; deriving that seed from builtin
 #: ``hash()`` is nondeterministic (strings are salted by PYTHONHASHSEED).
@@ -149,14 +107,161 @@ _SEEDED_CTORS = {
 }
 
 
-def _hash_calls(node: ast.AST):
-    for sub in ast.walk(node):
-        if (
-            isinstance(sub, ast.Call)
-            and isinstance(sub.func, ast.Name)
-            and sub.func.id == "hash"
-        ):
-            yield sub
+class ImportTables:
+    """What a file's local names are bound to, from one pass over its imports.
+
+    Imports anywhere in the file count (function-local lazy imports
+    included).  Relative imports name corpus modules, never the stdlib or
+    numpy, so they are skipped.
+    """
+
+    def __init__(self, tree: ast.AST) -> None:
+        #: local name -> module, from ``import m`` / ``import m.sub as x``
+        self.modules: dict[str, str] = {}
+        #: local name -> (module, original name), from ``from m import f``
+        self.names: dict[str, tuple[str, str]] = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.asname:
+                        self.modules[alias.asname] = alias.name
+                    else:
+                        head = alias.name.split(".")[0]
+                        self.modules[head] = head
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                for alias in node.names:
+                    self.names[alias.asname or alias.name] = (node.module, alias.name)
+        self.numpy = {"np"} | {k for k, m in self.modules.items() if m == "numpy"}
+        self.datetime = {"datetime", "date"}
+        self.datetime |= {k for k, m in self.modules.items() if m == "datetime"}
+        self.datetime |= {
+            k
+            for k, src in self.names.items()
+            if src in (("datetime", "datetime"), ("datetime", "date"))
+        }
+
+
+def _callee(
+    func: ast.AST, tables: ImportTables
+) -> tuple[Optional[str], Optional[str]]:
+    """``(module, name)`` a call's target resolves to through the imports.
+
+    ``module`` is None for a target not reached through an import (a
+    local, a method of some object); ``name`` is None for a target that
+    is no name or attribute at all.
+    """
+    if isinstance(func, ast.Name):
+        return tables.names.get(func.id, (None, func.id))
+    if not isinstance(func, ast.Attribute):
+        return None, None
+    base = func.value
+    if isinstance(base, ast.Name) and base.id in tables.modules:
+        return tables.modules[base.id], func.attr
+    if _trailing_name(base) in tables.datetime:
+        return "datetime", func.attr
+    if (
+        isinstance(base, ast.Attribute)
+        and base.attr == "random"
+        and isinstance(base.value, ast.Name)
+        and base.value.id in tables.numpy
+    ):
+        return "numpy.random", func.attr
+    return None, func.attr
+
+
+def _hash_seeded(node: ast.Call) -> bool:
+    """True if any argument of ``node`` contains a builtin ``hash()`` call."""
+    return any(
+        isinstance(sub, ast.Call)
+        and isinstance(sub.func, ast.Name)
+        and sub.func.id == "hash"
+        for arg in [*node.args, *(kw.value for kw in node.keywords)]
+        for sub in ast.walk(arg)
+    )
+
+
+def classify_sink(node: ast.Call, tables: ImportTables) -> Optional[str]:
+    """The sink family of ``node``, or None for a deterministic call.
+
+    The lint's one sink vocabulary: :data:`SINK_RULES` names the rule
+    that reports each family.  Seeded constructors are exempt unless
+    the seed comes from builtin ``hash()``.
+    """
+    module, name = _callee(node.func, tables)
+    if name in _WALL_CLOCK_FNS.get(module, ()):
+        return WALL_CLOCK
+    if module == "secrets" or name in _ENTROPY_FNS.get(module, ()):
+        return ENTROPY
+    if name in _UNSEEDED_CTORS.get(module, ()):
+        # A seeded constructor is a private generator: only the origin of
+        # its seed can make it a sink (below).
+        if not node.args and not node.keywords:
+            return UNSEEDED_RNG
+    elif (module == "random" and name != "getstate") or (
+        module == "numpy.random" and name in _NP_GLOBAL_FNS
+    ):
+        return GLOBAL_RNG
+    if name in _SEEDED_CTORS and _hash_seeded(node):
+        return HASH_SEED
+    return None
+
+
+_RNG_HINT = (
+    "route randomness through an RngHub stream or an injected np.random.Generator"
+)
+
+#: Sink family -> (the one rule that reports it, message template).
+SINK_RULES = {
+    WALL_CLOCK: (
+        "SIM001",
+        "wall-clock source {}() in simulator code; use Environment.now "
+        "(simulated seconds) instead",
+    ),
+    ENTROPY: (
+        "SIM001",
+        "entropy source {}() in simulator code; results, job payloads and "
+        "cache keys must reproduce from the seed alone — draw from an "
+        "RngHub stream instead",
+    ),
+    GLOBAL_RNG: ("SIM002", "global RNG call {}(); " + _RNG_HINT),
+    UNSEEDED_RNG: (
+        "SIM002",
+        "{}() without a seed draws its seed from OS entropy; " + _RNG_HINT,
+    ),
+    HASH_SEED: (
+        "SIM002",
+        "seed for {}(...) derived from builtin hash(); string hashes are "
+        "salted per process by PYTHONHASHSEED — use "
+        "repro.sim.rng.stable_seed or an RngHub stream",
+    ),
+}
+
+
+def _sink_findings(ctx: FileContext, rule_id: str) -> Iterator:
+    tables = ImportTables(ctx.tree)
+    for node in ctx.walk((ast.Call,)):
+        owner, message = SINK_RULES.get(classify_sink(node, tables), (None, ""))
+        if owner == rule_id:
+            yield node, message.format(ast.unparse(node.func))
+
+
+# ---------------------------------------------------------------------------
+# SIM001 — no wall-clock or OS-entropy source inside the simulator
+
+
+@rule(
+    "SIM001",
+    Severity.ERROR,
+    "no wall-clock or OS-entropy source inside src/repro — use "
+    "Environment.now and RngHub streams",
+    repro_only=True,
+)
+def check_wall_clock(ctx: FileContext) -> Iterator:
+    return _sink_findings(ctx, "SIM001")
+
+
+# ---------------------------------------------------------------------------
+# SIM002 — no global RNG state, unseeded generator or hash()-derived seed
 
 
 @rule(
@@ -165,67 +270,7 @@ def _hash_calls(node: ast.AST):
     "no global RNG — draw from an RngHub stream or an injected Generator",
 )
 def check_global_rng(ctx: FileContext) -> Iterator:
-    np_aliases = _module_aliases(ctx.tree, "numpy") | {"np"}
-    random_aliases = _module_aliases(ctx.tree, "random")
-    stdlib_names = {
-        local
-        for local, orig in _from_imports(ctx.tree, "random").items()
-        if orig not in _STDLIB_RNG_ALLOWED
-    }
-    npr_names = _from_imports(ctx.tree, "numpy.random")
-    hint = "route randomness through an RngHub stream or an injected np.random.Generator"
-    for node in ctx.walk((ast.Call,)):
-        func = node.func
-        if isinstance(func, ast.Attribute):
-            base = func.value
-            if (
-                isinstance(base, ast.Name)
-                and base.id in random_aliases
-                and func.attr not in _STDLIB_RNG_ALLOWED
-            ):
-                yield node, f"global RNG call random.{func.attr}(); {hint}"
-            elif _is_np_random(base, np_aliases):
-                if func.attr in _NP_GLOBAL_FNS:
-                    yield node, f"global RNG call np.random.{func.attr}(); {hint}"
-                elif func.attr in ("default_rng", "RandomState") and not (
-                    node.args or node.keywords
-                ):
-                    yield node, (
-                        f"np.random.{func.attr}() without a seed is "
-                        f"nondeterministic; {hint}"
-                    )
-            ctor = func.attr
-            if ctor in _SEEDED_CTORS:
-                for arg in [*node.args, *(kw.value for kw in node.keywords)]:
-                    for h in _hash_calls(arg):
-                        yield h, (
-                            f"seed for {ctor}(...) derived from builtin hash(); "
-                            "string hashes are salted per process by "
-                            "PYTHONHASHSEED — use repro.sim.rng.stable_seed "
-                            "or an RngHub stream"
-                        )
-        elif isinstance(func, ast.Name):
-            if func.id in _SEEDED_CTORS or npr_names.get(func.id) in _SEEDED_CTORS:
-                for arg in [*node.args, *(kw.value for kw in node.keywords)]:
-                    for h in _hash_calls(arg):
-                        yield h, (
-                            f"seed for {func.id}(...) derived from builtin "
-                            "hash(); string hashes are salted per process by "
-                            "PYTHONHASHSEED — use repro.sim.rng.stable_seed "
-                            "or an RngHub stream"
-                        )
-            if func.id in stdlib_names:
-                yield node, f"global RNG call {func.id}() (from random); {hint}"
-            elif npr_names.get(func.id) in _NP_GLOBAL_FNS:
-                yield node, (
-                    f"global RNG call {func.id}() (from numpy.random); {hint}"
-                )
-            elif npr_names.get(func.id) in ("default_rng", "RandomState") and not (
-                node.args or node.keywords
-            ):
-                yield node, (
-                    f"{func.id}() without a seed is nondeterministic; {hint}"
-                )
+    return _sink_findings(ctx, "SIM002")
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +329,10 @@ _TRACER_RECORD_METHODS = {
     "account_bytes",
 }
 
-_HOT_PACKAGES = ("core", "disk", "cluster")
+#: The per-access data path: both engines, their shared access core, the
+#: DES kernel and fault injection.  ``exec`` is left out: its one
+#: unguarded span is emitted only on a traced run.
+_HOT_PACKAGES = ("core", "accesscore", "disk", "cluster", "sim", "faults")
 
 
 def _is_tracer_ref(node: ast.AST) -> bool:
@@ -330,7 +378,7 @@ def _has_early_return_guard(func: ast.AST, call: ast.Call) -> bool:
 @rule(
     "SIM004",
     Severity.ERROR,
-    "tracer record calls in core/, disk/, cluster/ must be guarded by tracer.enabled",
+    "tracer record calls on hot paths must be guarded by tracer.enabled",
     packages=_HOT_PACKAGES,
 )
 def check_tracer_guard(ctx: FileContext) -> Iterator:

@@ -68,14 +68,32 @@ def test_sim001_clean_and_out_of_scope():
 
 
 #: One fixture per wall-clock / OS-entropy sink family of
-#: ``repro.lint.taint.classify_sink``.
+#: ``repro.lint.rules_sim.classify_sink``: SIM001 owns these.
 SINK_FAMILIES = {
     "time": "import time\nt = time.time()\n",
     "pid": "import os\np = os.getpid()\n",
     "uuid": "import uuid\nu = uuid.uuid4()\n",
     "secrets": "import secrets\nt = secrets.token_hex()\n",
     "system-random": "import random\nr = random.SystemRandom()\n",
-    "unseeded-rng": "import numpy as np\nr = np.random.default_rng()\n",
+}
+
+#: One fixture per RNG sink family of ``classify_sink``: SIM002 owns these,
+#: in every file.
+RNG_FAMILIES = {
+    "np-global": "import numpy as np\nx = np.random.rand(4)\n",
+    "stdlib-global": "import random\nx = random.randint(0, 9)\n",
+    "from-import-global": "from random import shuffle\nshuffle(deck)\n",
+    "default-rng": "import numpy as np\nr = np.random.default_rng()\n",
+    "random-state": "import numpy as np\nr = np.random.RandomState()\n",
+    "seed-sequence": "import numpy as np\ns = np.random.SeedSequence()\n",
+    "stdlib-random": "import random\nr = random.Random()\n",
+    "hash-seed": "import numpy as np\nr = np.random.default_rng(hash(key))\n",
+}
+
+#: Where the RNG families are linted: four packages and outside ``src/repro``.
+RNG_PATHS = {
+    **{pkg: f"src/repro/{pkg}/fixture.py" for pkg in ("core", "exec", "serve", "obs")},
+    "outside": OUTSIDE,
 }
 
 
@@ -83,9 +101,39 @@ SINK_FAMILIES = {
 @pytest.mark.parametrize("family", sorted(SINK_FAMILIES))
 def test_sim001_flags_every_sink_family_in_every_package(family, package):
     path = f"src/repro/{package}/fixture.py"
-    assert "SIM001" in rules_of(SINK_FAMILIES[family], path)
+    assert rules_of(SINK_FAMILIES[family], path) == ["SIM001"]
     assert "SIM001" not in rules_of(SINK_FAMILIES[family], OUTSIDE)
     assert rules_of("import time\nt = time.perf_counter()\n", path) == []
+
+
+@pytest.mark.parametrize("where", sorted(RNG_PATHS))
+@pytest.mark.parametrize("family", sorted(RNG_FAMILIES))
+def test_sim002_alone_flags_every_rng_family_everywhere(family, where):
+    assert rules_of(RNG_FAMILIES[family], RNG_PATHS[where]) == ["SIM002"]
+
+
+def test_every_sink_family_yields_one_finding_per_line():
+    # Wall clock, entropy, global RNG, an unseeded generator and a hash()
+    # seed; the global seed() call with a hash() seed is still one finding.
+    lines = [
+        "import datetime, numpy as np, os, random, secrets, time, uuid",
+        "from numpy.random import default_rng",
+        "a = time.time()",
+        "b = datetime.datetime.now()",
+        "c = os.getpid()",
+        "d = uuid.uuid4()",
+        "e = secrets.token_hex()",
+        "f = random.SystemRandom()",
+        "g = np.random.rand(4)",
+        "h = random.shuffle(deck)",
+        "i = default_rng()",
+        "j = np.random.seed(hash(key))",
+        "k = random.Random(abs(hash(key)))",
+    ]
+    findings = lint_source("\n".join(lines) + "\n", HOT)
+    assert [f.line for f in findings] == list(range(3, len(lines) + 1))
+    owners = [f.rule for f in findings]
+    assert owners == ["SIM001"] * 6 + ["SIM002"] * 5
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +149,10 @@ def test_sim002_flags_global_numpy_and_stdlib():
 def test_sim002_flags_unseeded_default_rng():
     src = "import numpy as np\nr = np.random.default_rng()\n"
     assert rules_of(src, OUTSIDE) == ["SIM002"]
-    # Inside src/repro the OS-entropy seed is SIM001's concern as well.
-    assert sorted(rules_of(src)) == ["SIM001", "SIM002"]
+    # An unseeded generator is SIM002's alone, inside src/repro too.
+    findings = lint_source(src, HOT)
+    assert [f.rule for f in findings] == ["SIM002"]
+    assert "without a seed" in findings[0].message
 
 
 def test_sim002_flags_hash_derived_seed():
@@ -167,6 +217,13 @@ def test_sim004_accepts_both_guard_idioms():
 def test_sim004_scope_is_hot_packages_only():
     src = "def f(tracer):\n    tracer.count('hits')\n"
     assert rules_of(src, "src/repro/obs/fixture.py") == []
+
+
+@pytest.mark.parametrize("package", ["accesscore", "sim", "faults"])
+def test_sim004_covers_the_access_core_kernel_and_faults(package):
+    path = f"src/repro/{package}/fixture.py"
+    src = "def f(tracer):\n    tracer.count('hits')\n"
+    assert rules_of(src, path) == ["SIM004"]
 
 
 # ---------------------------------------------------------------------------
@@ -315,14 +372,15 @@ def test_sim008_allows_perf_counter_and_deterministic_uuids():
 
 
 def test_sim009_flags_unseeded_rng_constructors():
+    # Unseeded constructors are SIM002's: reported once, with the reason.
     src = "import numpy as np\nr = np.random.default_rng()\n"
     findings = lint_source(src, SERVE)
-    assert sorted(f.rule for f in findings) == ["SIM001", "SIM002"]
-    assert any("entropy" in f.message for f in findings)
+    assert [f.rule for f in findings] == ["SIM002"]
+    assert "OS entropy" in findings[0].message
     src2 = "import random\nr = random.Random()\n"
-    assert rules_of(src2, SERVE) == ["SIM001"]
+    assert rules_of(src2, SERVE) == ["SIM002"]
     src3 = "from numpy.random import default_rng\nr = default_rng()\n"
-    assert "SIM001" in rules_of(src3, SERVE)
+    assert rules_of(src3, SERVE) == ["SIM002"]
 
 
 def test_sim009_flags_global_state_rng():

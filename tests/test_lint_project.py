@@ -1,10 +1,10 @@
-"""Tests for the whole-program lint layer (SIM010-SIM012) and the cache.
+"""Tests for the whole-program lint layer (SIM011-SIM012) and the cache.
 
 Fixture trees are built under ``tmp_path`` with a real ``repro`` package
 root, so module naming, corpus expansion and cross-module resolution run
 exactly as they do on the shipped tree.  Ends with self-checks that the
-shipped tree passes the interprocedural rules and that the findings
-cache replays byte-identically.
+shipped tree passes the whole-program rules; the cache tests check that
+the findings cache replays byte-identically.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ def _write_tree(root: Path, files: dict[str, str]) -> Path:
     return root
 
 
-#: Minimal sim-critical package with wall-clock laundered through a
-#: two-hop call chain in a *different* (non-critical) package.
+#: Wall clock laundered through a two-hop call chain in another package.
 LAUNDERED = {
     "src/repro/__init__.py": "",
     "src/repro/core/__init__.py": "",
@@ -57,142 +56,40 @@ LAUNDERED = {
 
 
 # ---------------------------------------------------------------------------
-# SIM010 — transitive nondeterminism taint
+# a sink is reported where it lives
 
 
-def test_sim010_flags_two_hop_laundering_with_full_chain(tmp_path):
+def test_laundered_sink_is_reported_where_it_lives(tmp_path):
     _write_tree(tmp_path, LAUNDERED)
-    # Lint only core/ — corpus expansion must pull util/ in by itself.
-    findings = lint_paths([tmp_path / "src" / "repro" / "core"], ["SIM010"])
-    (finding,) = findings
-    assert finding.rule == "SIM010"
-    assert finding.severity is Severity.ERROR
-    assert finding.path.endswith("core/mod.py")
-    assert "mod.record_event -> helpers.stamp -> helpers._now" in finding.message
-    assert "time.time()" in finding.message
-    # The sink lives in another file: its location is printed too.
-    assert "helpers.py:5" in finding.message
+    # The full-tree lint reports the wall-clock read at the sink itself.
+    findings = lint_paths([tmp_path / "src"])
+    assert [(f.rule, Path(f.path).name, f.line) for f in findings] == [
+        ("SIM001", "helpers.py", 5)
+    ]
+    # A sub-package lint sees no sink that lives outside it: the caller in
+    # core/ is clean, and the whole-program rules add nothing.
+    assert lint_paths([tmp_path / "src" / "repro" / "core"]) == []
 
 
-def test_sim010_findings_stay_inside_the_linted_set(tmp_path):
-    _write_tree(tmp_path, LAUNDERED)
-    # util/ is pulled into the corpus but was not asked about: no findings
-    # may be reported against it, and none for its own functions (they are
-    # not in a sim-critical package anyway).
-    findings = lint_paths([tmp_path / "src" / "repro" / "core"], ["SIM010"])
-    assert all("util" not in f.path for f in findings)
-
-
-def test_sim010_clean_when_helper_uses_perf_counter(tmp_path):
-    files = dict(LAUNDERED)
-    files["src/repro/util/helpers.py"] = (
-        "import time\n"
-        "\n"
-        "\n"
-        "def _now():\n"
-        "    return time.perf_counter()\n"
-        "\n"
-        "\n"
-        "def stamp():\n"
-        "    return _now()\n"
-    )
-    _write_tree(tmp_path, files)
-    assert lint_paths([tmp_path / "src" / "repro" / "core"], ["SIM010"]) == []
-
-
-def test_sim010_pragma_at_sink_stops_the_taint(tmp_path):
-    files = dict(LAUNDERED)
-    files["src/repro/util/helpers.py"] = (
-        "import time\n"
-        "\n"
-        "\n"
-        "def _now():\n"
-        "    return time.time()  # lint: disable=SIM001 -- boot banner only\n"
-        "\n"
-        "\n"
-        "def stamp():\n"
-        "    return _now()\n"
-    )
-    _write_tree(tmp_path, files)
-    assert lint_paths([tmp_path / "src" / "repro" / "core"], ["SIM010"]) == []
-
-
-def test_sim010_leaves_direct_sinks_to_the_per_file_rules(tmp_path):
+def test_project_findings_stay_inside_the_linted_set(tmp_path):
     _write_tree(
         tmp_path,
         {
             "src/repro/__init__.py": "",
-            "src/repro/core/__init__.py": "",
-            "src/repro/core/mod.py": (
-                "import time\n\n\ndef f():\n    return time.time()\n"
-            ),
+            "src/repro/pkg/__init__.py": "",
+            "src/repro/pkg/dead.py": "def f():\n    return 1\n\n\n__all__ = ['f']\n",
+            "src/repro/pkg/live.py": "def g():\n    return 2\n\n\n__all__ = ['g']\n",
         },
     )
-    target = [tmp_path / "src" / "repro" / "core"]
-    assert lint_paths(target, ["SIM010"]) == []
-    assert [f.rule for f in lint_paths(target, ["SIM001", "SIM010"])] == ["SIM001"]
-
-
-def test_sim010_entropy_kind_and_method_chains(tmp_path):
-    _write_tree(
-        tmp_path,
-        {
-            "src/repro/__init__.py": "",
-            "src/repro/serve/__init__.py": "",
-            "src/repro/serve/cell.py": (
-                "import uuid\n"
-                "\n"
-                "\n"
-                "class Cell:\n"
-                "    def _tag(self):\n"
-                "        return uuid.uuid4()\n"
-                "\n"
-                "    def run(self):\n"
-                "        return self._tag()\n"
-            ),
-        },
-    )
-    findings = lint_paths([tmp_path / "src" / "repro" / "serve"], ["SIM010"])
-    (finding,) = findings
-    assert "cell.Cell.run" in finding.message
-    assert "entropy" in finding.message
-    assert "uuid.uuid4()" in finding.message
-
-
-def test_sim010_covers_accesscore(tmp_path):
-    """The shared access core is sim-critical: laundered wall clock trips."""
-    _write_tree(
-        tmp_path,
-        {
-            "src/repro/__init__.py": "",
-            "src/repro/accesscore/__init__.py": "",
-            "src/repro/util/__init__.py": "",
-            "src/repro/util/helpers.py": (
-                "import time\n"
-                "\n"
-                "\n"
-                "def _now():\n"
-                "    return time.time()\n"
-                "\n"
-                "\n"
-                "def stamp():\n"
-                "    return _now()\n"
-            ),
-            "src/repro/accesscore/events.py": (
-                "from repro.util.helpers import stamp\n"
-                "\n"
-                "\n"
-                "def event_read():\n"
-                "    return stamp()\n"
-            ),
-        },
-    )
-    findings = lint_paths(
-        [tmp_path / "src" / "repro" / "accesscore"], ["SIM010"]
-    )
-    (finding,) = findings
-    assert finding.path.endswith("accesscore/events.py")
-    assert "events.event_read -> helpers.stamp -> helpers._now" in finding.message
+    pkg = tmp_path / "src" / "repro" / "pkg"
+    # dead.py is pulled into the corpus but was not asked about: its dead
+    # export may not be reported against it.
+    findings = lint_paths([pkg / "live.py"], ["SIM012"])
+    assert [Path(f.path).name for f in findings] == ["live.py"]
+    assert {Path(f.path).name for f in lint_paths([pkg], ["SIM012"])} == {
+        "dead.py",
+        "live.py",
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +312,7 @@ def test_list_rules_shows_scope_and_whole_program(tmp_path):
     assert main(["--list-rules"], out=out) == 0
     listing = out.getvalue()
     assert "SIM007" in listing and "repro/core/policy" in listing
-    assert "SIM010" in listing and "whole-program" in listing
+    assert "SIM011" in listing and "whole-program" in listing
 
 
 def test_cli_json_v2_envelope_and_rule_timings(tmp_path):
@@ -441,9 +338,10 @@ def test_cli_json_v2_envelope_and_rule_timings(tmp_path):
 def test_cache_warm_run_hits_and_replays_identically(tmp_path):
     _write_tree(tmp_path, LAUNDERED)
     cache_dir = tmp_path / "cache"
-    target = [tmp_path / "src" / "repro" / "core"]
+    target = [tmp_path / "src"]
     cold = run_lint(target, cache_dir=cache_dir)
     warm = run_lint(target, cache_dir=cache_dir)
+    assert [f.rule for f in cold.findings] == ["SIM001"]
     assert cold.cache_hit is False
     assert warm.cache_hit is True
     assert [f.to_dict() for f in warm.findings] == [
@@ -453,42 +351,42 @@ def test_cache_warm_run_hits_and_replays_identically(tmp_path):
     assert warm.files_checked == cold.files_checked
 
 
+#: A call site naming a stream that ``RNG_FIXTURE`` does not register.
+TYPO_STREAM = "def draw(hub, disk_id):\n    return hub.stream('dsk', disk_id)\n"
+
+
 def test_cache_invalidated_by_unlinted_corpus_file_change(tmp_path):
-    _write_tree(tmp_path, LAUNDERED)
+    _sim011_tree(tmp_path, TYPO_STREAM)
     cache_dir = tmp_path / "cache"
     target = [tmp_path / "src" / "repro" / "core"]
     cold = run_lint(target, cache_dir=cache_dir)
-    assert [f.rule for f in cold.findings if f.rule == "SIM010"]
-    # Fix the helper (a file we never linted directly): the cached
-    # interprocedural findings must be invalidated, not replayed.
-    helper = tmp_path / "src" / "repro" / "util" / "helpers.py"
-    helper.write_text(
-        "import time\n\n\ndef _now():\n    return time.perf_counter()\n"
-        "\n\ndef stamp():\n    return _now()\n"
-    )
+    assert [f.rule for f in cold.findings] == ["SIM011"]
+    # Register the stream in sim/rng.py (a file we never linted directly):
+    # the cached whole-program findings must be invalidated, not replayed.
+    registry = tmp_path / "src" / "repro" / "sim" / "rng.py"
+    registry.write_text(RNG_FIXTURE.replace("'disk': 2", "'disk': 2, 'dsk': 2"))
     fixed = run_lint(target, cache_dir=cache_dir)
     assert fixed.cache_hit is False
-    assert [f for f in fixed.findings if f.rule == "SIM010"] == []
+    assert fixed.findings == []
 
 
 def test_cache_keyed_by_rule_selection(tmp_path):
-    _write_tree(tmp_path, LAUNDERED)
+    _sim011_tree(tmp_path, TYPO_STREAM)
     cache_dir = tmp_path / "cache"
     target = [tmp_path / "src" / "repro" / "core"]
-    run_lint(target, ["SIM010"], cache_dir=cache_dir)
+    first = run_lint(target, ["SIM011"], cache_dir=cache_dir)
+    assert [f.rule for f in first.findings] == ["SIM011"]
     other = run_lint(target, ["SIM005"], cache_dir=cache_dir)
     assert other.cache_hit is False
     assert other.findings == []
 
 
 # ---------------------------------------------------------------------------
-# the shipped tree passes the interprocedural rules
+# the shipped tree passes the whole-program rules
 
 
-def test_repo_self_check_sim010_sim011_clean():
-    findings = lint_paths(
-        [REPO_ROOT / "src", REPO_ROOT / "tests"], ["SIM010", "SIM011"]
-    )
+def test_repo_self_check_sim011_clean():
+    findings = lint_paths([REPO_ROOT / "src", REPO_ROOT / "tests"], ["SIM011"])
     assert findings == [], "\n".join(f.render() for f in findings)
 
 
