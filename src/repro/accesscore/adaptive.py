@@ -281,8 +281,7 @@ class AdaptiveRead:
             else:
                 frac_total = float(len(ids))
             run.batch_start = t_start
-            reqs = run.svc.requests_per_block(self.block_bytes)
-            run.completions = run.svc.completions(services, t_start, reqs_per_item=reqs)
+            run.completions = run.svc.completions(services, t_start)
             ready = float(run.completions[-1])
             # What the client *observes*: wall time per block including
             # background dilation — the honest basis for steal decisions.

@@ -74,7 +74,7 @@ class EventDrive:
     service time is sampled from the disk's (blocking factor, p_seq, zone)
     state — identical inputs to the closed-form engine, so the two engines
     are statistically comparable.  Requests from different clients and the
-    background stream share the queue under the ``fair`` discipline.
+    background stream share the drive's fair-share queue.
     Statically failed disks (the environment's fail-stop draw) start in
     the failed state, so submissions resolve to ``inf`` like the closed
     form's warped completions.
@@ -95,9 +95,7 @@ class EventDrive:
         # The block-service sampler substitutes for the drive's
         # sector-level timing so both engines draw from one distribution;
         # the drive needs no rng of its own.
-        self.drive = DiskDrive(
-            env, svc.mechanics, scheduler="fair", service_time_fn=self._service_time
-        )
+        self.drive = DiskDrive(env, svc.mechanics, service_time_fn=self._service_time)
         state = cluster.disk_state(disk_id)
         if state.failed:
             self.drive.failed = True

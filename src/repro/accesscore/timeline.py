@@ -318,11 +318,10 @@ def read_epilogue(
     net, disk_blocks, hits = finalize_read(
         streams, scheme.cluster, t_cancel, cfg.block_bytes, record.name
     )
-    if spec.traced:
-        trace_read_access(
-            scheme.tracer, scheme.name, trial, streams, t_open, t_done, consumed,
-            cfg.block_bytes, cfg.data_bytes,
-        )
+    trace_read_access(
+        scheme.tracer, scheme.name, trial, streams, t_open, t_done, consumed,
+        cfg.block_bytes, cfg.data_bytes,
+    )
     completion.trace(scheme.tracer, tracker, t_fill, t_done, consumed)
     extra = dict(plan.extra)
     extra.update(completion.extras(scheme, tracker, t_fill, t_done))

@@ -31,7 +31,7 @@ from repro.core.policy.base import (
     ReadPlan,
     WritePolicy,
 )
-from repro.core.policy.compose import COMPOSITIONS, SchemeSpec, composition
+from repro.core.policy.compose import COMPOSITIONS, SchemeSpec
 
 __all__ = [
     "COMPOSITIONS",
@@ -43,5 +43,4 @@ __all__ = [
     "ReadPlan",
     "SchemeSpec",
     "WritePolicy",
-    "composition",
 ]

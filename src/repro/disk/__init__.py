@@ -3,22 +3,23 @@
 The drive model captures the behaviours the dissertation's experiments
 depend on: zoned geometry with cylinder-dependent transfer rates, a seek
 curve, rotational latency, per-request controller overhead, track switches,
-an on-drive segment cache, pluggable request scheduling with cancellation,
-and competitive background workloads.
+a fair-share request queue with cancellation, and competitive background
+workloads.
 
 Two complementary interfaces:
 
-* :class:`repro.disk.drive.DiskDrive` — an event-driven drive entity with a
-  request queue, used for calibration (Table 6-1) and component tests.
 * :class:`repro.disk.service.BlockService` — a vectorised per-access block
-  service model derived from the same mechanics, used by the storage-scheme
-  simulations (validated against the event-driven drive).
+  service model, used by the storage-scheme simulations and by the
+  Table 6-1 calibration (:mod:`repro.disk.calibration`).
+* :class:`repro.disk.drive.DiskDrive` — an event-driven drive entity with a
+  request queue.  The event engine (:mod:`repro.accesscore.events`) times
+  its requests with the block-service sampler; its sector-level timing is
+  the reference the block-service model is cross-validated against.
 """
 
 from repro.disk.drive import DiskDrive, DiskRequest
 from repro.disk.geometry import DiskGeometry, Zone, default_geometry
 from repro.disk.mechanics import DiskMechanics, DriveSpec
-from repro.disk.scheduler import ElevatorQueue, FCFSQueue, SSTFQueue
 from repro.disk.service import BackgroundLoad, BlockService
 from repro.disk.workload import InDiskLayout, draw_layout
 
@@ -30,10 +31,7 @@ __all__ = [
     "DiskMechanics",
     "DiskRequest",
     "DriveSpec",
-    "ElevatorQueue",
-    "FCFSQueue",
     "InDiskLayout",
-    "SSTFQueue",
     "Zone",
     "default_geometry",
     "draw_layout",

@@ -1,34 +1,30 @@
 """Event-driven disk drive entity (the simulator's "virtual disk").
 
-A :class:`DiskDrive` owns a request queue with a pluggable scheduling
-discipline, a segment cache, head state (current cylinder / last LBA), and a
-service process that charges controller overhead, seek, rotational latency,
-track switches and media transfer per request.  Cancellation removes pending
+A :class:`DiskDrive` owns a fair-share request queue (foreground and
+background requests alternate), head state (current cylinder / last LBA),
+and a service process that times each request either with a caller's
+``service_time_fn`` or at sector level, charging controller overhead, seek,
+rotational latency and media transfer.  Cancellation removes pending
 requests from the queue (§5.3.3).  A background-workload process can inject
 competitive requests into the same queue (§6.2.2).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 from typing import Any, Callable, Optional
 
 import numpy as np
 
-from repro.disk.cache import SegmentCache
 from repro.disk.geometry import SECTOR_BYTES
 from repro.disk.mechanics import DiskMechanics
-from repro.disk.scheduler import RequestQueue, make_queue
+from repro.disk.scheduler import FairShareQueue
 from repro.disk.workload import BackgroundWorkload
 from repro.sim import Environment, Event
 
-_req_ids = count()
 _drive_ids = count()
 _INF = float("inf")
-
-#: Interface (bus) transfer rate for cache hits, bytes/s.
-BUS_RATE_BPS = 100e6
 
 
 @dataclass
@@ -55,8 +51,6 @@ class DiskRequest:
     tag: Any = None
     is_background: bool = False
     done: Optional[Event] = None
-    req_id: int = field(default_factory=lambda: next(_req_ids))
-    cylinder: int = 0  # filled by the drive on submit (schedulers use it)
 
     @property
     def bytes(self) -> int:
@@ -73,12 +67,8 @@ class DiskDrive:
     mechanics:
         Mechanical model (shared geometry).
     rng:
-        Random stream for seek distances / rotational phases.  Optional
-        when ``service_time_fn`` times every request.
-    scheduler:
-        Queue discipline name: ``fcfs``, ``sstf``, ``elevator`` or ``fair``.
-    cache:
-        Optional segment cache (pass ``None`` to disable).
+        Random stream for rotational phases.  Optional when
+        ``service_time_fn`` times every request.
     service_time_fn:
         Optional replacement of the sector-level timing, called with each
         request as its service begins.
@@ -89,8 +79,6 @@ class DiskDrive:
         env: Environment,
         mechanics: DiskMechanics,
         rng: np.random.Generator | None = None,
-        scheduler: str = "fcfs",
-        cache: SegmentCache | None = None,
         service_time_fn: Optional[Callable[["DiskRequest"], float]] = None,
     ) -> None:
         if rng is None and service_time_fn is None:
@@ -98,8 +86,7 @@ class DiskDrive:
         self.env = env
         self.mechanics = mechanics
         self.rng = rng
-        self.queue: RequestQueue = make_queue(scheduler)
-        self.cache = cache
+        self.queue = FairShareQueue()
         #: Optional override of the sector-level timing — e.g. the
         #: reference engine substitutes the calibrated block-service model
         #: so both engines draw from one distribution.
@@ -136,7 +123,6 @@ class DiskDrive:
             if request.done is not None:
                 request.done.succeed(_INF)
             return request
-        request.cylinder = self.mechanics.geometry.cylinder_of_lba(request.lba)
         self.queue.push(request)
         if self.tracer.enabled:
             self.tracer.counter(
@@ -260,7 +246,7 @@ class DiskDrive:
                 self._wakeup = env.event()
                 yield self._wakeup
                 self._wakeup = None
-            req = self.queue.pop(self.current_cylinder)
+            req = self.queue.pop()
             self.busy = True
             t_start = env.now
             service = self._service_time(req) * self.slow_factor
@@ -317,17 +303,9 @@ class DiskDrive:
         spec = mech.spec
         t = spec.controller_overhead_s
 
-        if self.cache is not None and self.cache.lookup(req.lba, req.sectors):
-            # Cache hit: interface-speed transfer, no mechanical work.
-            if self.tracer.enabled:
-                self.tracer.count("drive.cache_hits")
-            return t + req.bytes / BUS_RATE_BPS
-        if self.cache is not None and self.tracer.enabled:
-            self.tracer.count("drive.cache_misses")
-
         sequential = self._last_end_lba is not None and req.lba == self._last_end_lba
         if not sequential:
-            dist = abs(req.cylinder - self.current_cylinder)
+            dist = abs(mech.geometry.cylinder_of_lba(req.lba) - self.current_cylinder)
             t += float(mech.seek_time(dist))
             t += float(mech.sample_rotational_latency(self.rng, 1)[0])
         spt = mech.geometry.spt_of_lba(req.lba)
@@ -335,6 +313,4 @@ class DiskDrive:
 
         self.current_cylinder = mech.geometry.cylinder_of_lba(req.lba + req.sectors - 1)
         self._last_end_lba = req.lba + req.sectors
-        if self.cache is not None:
-            self.cache.fill(req.lba, req.sectors)
         return t

@@ -188,10 +188,6 @@ class BlockService:
         return params
 
     # -- queue completion times --------------------------------------------------
-    def requests_per_block(self, block_bytes: int) -> int:
-        """Physical requests per data block at this disk's blocking factor."""
-        return self._block_params(block_bytes)[1]
-
     #: Minimum service share the drive's scheduler guarantees the
     #: foreground stream: an over-saturating background queue backs up
     #: instead of starving other streams.  Calibrated so a 6 ms-interval
@@ -199,9 +195,7 @@ class BlockService:
     #: sequential foreground ~2 MB/s, matching Fig 6-5.
     MIN_FOREGROUND_SHARE = 0.05
 
-    def completions(
-        self, services: np.ndarray, start: float, reqs_per_item: int = 1
-    ) -> np.ndarray:
+    def completions(self, services: np.ndarray, start: float) -> np.ndarray:
         """Completion time of each queued block, background interleaved.
 
         ``services`` is the nominal per-block service vector (queue order);
@@ -271,11 +265,7 @@ class BlockService:
         self, n_blocks: int, block_bytes: int, start: float
     ) -> np.ndarray:
         """Sample services and return queue completion times in one call."""
-        return self.completions(
-            self.block_service_times(n_blocks, block_bytes),
-            start,
-            reqs_per_item=self.requests_per_block(block_bytes),
-        )
+        return self.completions(self.block_service_times(n_blocks, block_bytes), start)
 
 
 def settled(new: np.ndarray, old: np.ndarray) -> bool:

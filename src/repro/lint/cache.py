@@ -33,11 +33,6 @@ import os
 from pathlib import Path
 from typing import Iterable, Optional
 
-#: Version salt folded into every run key.  Bump whenever a rule's
-#: behaviour or the report format changes, so stale entries can never
-#: replay findings computed under older semantics.
-LINT_SALT = "lint-v5"
-
 #: Default cache location (under the ``repro.exec`` cache root so one
 #: ``rm -rf .repro-cache`` clears every content-addressed artefact).
 DEFAULT_CACHE_SUBDIR = "lint"
@@ -80,6 +75,27 @@ _DIGEST_LANES = (2166136261, 0x01000193, 0x9E3779B9, 0xDEADBEEF)
 def stable_digest(*parts) -> str:
     """128-bit hex digest of ``parts``; depends only on the values."""
     return "".join(f"{_fold_parts(parts, base):08x}" for base in _DIGEST_LANES)
+
+
+def source_salt() -> str:
+    """Digest of the lint package's source.
+
+    Folds the sorted relative path and the sha256 of every ``.py`` file
+    in this package through :func:`stable_digest` (the
+    ``repro.exec.job.source_salt`` idiom), so an edit to any rule, to the
+    engine or to the report format changes it.
+    """
+    root = Path(__file__).resolve().parent
+    parts: list[str] = []
+    for rel in sorted(p.relative_to(root).as_posix() for p in root.glob("*.py")):
+        parts += [rel, hashlib.sha256((root / rel).read_bytes()).hexdigest()]
+    return stable_digest(*parts)
+
+
+#: Salt folded into every run key and stored in every entry: the lint
+#: package's source digest, computed once at import, so entries written
+#: under other rules can never replay their findings.
+LINT_SALT = source_salt()
 
 
 def content_digest(source: str) -> str:

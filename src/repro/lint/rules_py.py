@@ -58,17 +58,20 @@ def check_mutable_defaults(ctx: FileContext) -> Iterator:
 # SIM006 — process generators must not swallow Interrupt
 
 
-def _yields_in(func: ast.AST) -> bool:
-    """True if ``func``'s own body (not nested defs) contains a yield."""
+def _own_nodes(func: ast.AST) -> Iterator[ast.AST]:
+    """The nodes of ``func``'s own body, skipping nested function bodies."""
     stack = list(ast.iter_child_nodes(func))
     while stack:
         node = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             continue
-        if isinstance(node, (ast.Yield, ast.YieldFrom)):
-            return True
+        yield node
         stack.extend(ast.iter_child_nodes(node))
-    return False
+
+
+def _yields_in(func: ast.AST) -> bool:
+    """True if ``func``'s own body (not nested defs) contains a yield."""
+    return any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in _own_nodes(func))
 
 
 def _catches_interrupt(handler: ast.ExceptHandler) -> bool:
@@ -111,7 +114,7 @@ def check_interrupt_swallow(ctx: FileContext) -> Iterator:
     for func in ctx.walk((ast.FunctionDef, ast.AsyncFunctionDef)):
         if not _yields_in(func):
             continue
-        for node in ast.walk(func):
+        for node in _own_nodes(func):
             if not isinstance(node, ast.ExceptHandler):
                 continue
             if _catches_interrupt(node) and not _handler_handles(node):

@@ -1,12 +1,14 @@
 """Reference disk drive: the request path before the scalar rewrite.
 
 This module preserves the per-request path :class:`repro.disk.drive.DiskDrive`
-had before it was cut down to Python-int arithmetic and the kernel events
-the model needs:
+had before it was cut down to Python-int arithmetic, the kernel events
+the model needs and a two-FIFO queue:
 
 * zone lookups are numpy ``searchsorted`` formulas over int64 tables
   (:class:`NumpyZoneMap`, the vectorised ``DiskGeometry`` lookups as they
   were);
+* the fair-share queue is one list scanned for the first request of the
+  class whose turn it is (:class:`ListFairShareQueue`, kept as it was);
 * every submitted request gets a ``done`` event, background requests too;
 * each service races its timeout against an abort event through
   ``env.any_of``, and ``fail`` succeeds the abort event.
@@ -20,11 +22,13 @@ nothing.  Do not use this in production paths.
 
 from __future__ import annotations
 
+from typing import Any, Callable
+
 import numpy as np
 
-from repro.disk.drive import BUS_RATE_BPS, DiskDrive
+from repro.disk.drive import DiskDrive
 
-__all__ = ["NumpyZoneMap", "ReferenceDrive"]
+__all__ = ["ListFairShareQueue", "NumpyZoneMap", "ReferenceDrive"]
 
 
 class NumpyZoneMap:
@@ -63,6 +67,76 @@ class NumpyZoneMap:
         return self._zone_spts[self.zone_index_of_lba(lba)]
 
 
+class ListRequestQueue:
+    """Base class: a mutable queue of pending disk requests."""
+
+    def __init__(self) -> None:
+        self._items: list[Any] = []
+        #: Deepest the queue has ever been (observability: queue-depth
+        #: accounting survives even without a live tracer attached).
+        self.max_depth = 0
+        #: Total requests removed by :meth:`cancel` over the queue's life.
+        self.cancelled_total = 0
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __bool__(self) -> bool:
+        return bool(self._items)
+
+    def push(self, request: Any) -> None:
+        self._items.append(request)
+        if len(self._items) > self.max_depth:
+            self.max_depth = len(self._items)
+
+    def pop(self, head_cylinder: int = 0) -> Any:
+        """Remove and return the next request to serve."""
+        raise NotImplementedError
+
+    def cancel(self, predicate: Callable[[Any], bool]) -> list[Any]:
+        """Remove and return all queued requests matching ``predicate``.
+
+        One pass, calling ``predicate`` once per queued request; the
+        removed and the kept requests each stay in queue order.
+        """
+        hit: list[Any] = []
+        kept: list[Any] = []
+        for r in self._items:
+            (hit if predicate(r) else kept).append(r)
+        self._items = kept
+        self.cancelled_total += len(hit)
+        return hit
+
+    def peek_all(self) -> list[Any]:
+        return list(self._items)
+
+
+class ListFairShareQueue(ListRequestQueue):
+    """Round-robin between foreground and background request classes.
+
+    A client that queues a large burst of foreground block requests must
+    not starve the competitive background stream (nor vice versa): the
+    drive alternates service between the two classes whenever both have
+    pending work, matching the interleaving the dissertation's experiments
+    assume (§6.2.2, §6.3.2).
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._turn_background = False
+
+    def pop(self, head_cylinder: int = 0) -> Any:
+        if not self._items:
+            raise IndexError("pop from empty queue")
+        want_bg = self._turn_background
+        for preferred in (want_bg, not want_bg):
+            for i, r in enumerate(self._items):
+                if bool(getattr(r, "is_background", False)) == preferred:
+                    self._turn_background = not preferred
+                    return self._items.pop(i)
+        raise AssertionError("unreachable")
+
+
 class ReferenceDrive(DiskDrive):
     """:class:`DiskDrive` with the request path it had before the rewrite."""
 
@@ -70,6 +144,7 @@ class ReferenceDrive(DiskDrive):
         self._abort = None
         self.zone_map = NumpyZoneMap(mechanics.geometry)
         super().__init__(env, mechanics, *args, **kwargs)
+        self.queue = ListFairShareQueue()
 
     def submit(self, request):
         if request.done is None:
@@ -77,7 +152,6 @@ class ReferenceDrive(DiskDrive):
         if self.failed:
             request.done.succeed(float("inf"))
             return request
-        request.cylinder = int(self.zone_map.cylinder_of_lba(request.lba))
         self.queue.push(request)
         if self._wakeup is not None and not self._wakeup.triggered:
             self._wakeup.succeed(None)
@@ -101,7 +175,7 @@ class ReferenceDrive(DiskDrive):
                 self._wakeup = env.event()
                 yield self._wakeup
                 self._wakeup = None
-            req = self.queue.pop(self.current_cylinder)
+            req = self.queue.pop()
             self.busy = True
             t_start = env.now
             service = self._service_time(req) * self.slow_factor
@@ -129,11 +203,10 @@ class ReferenceDrive(DiskDrive):
             return self.service_time_fn(req)
         mech = self.mechanics
         t = mech.spec.controller_overhead_s
-        if self.cache is not None and self.cache.lookup(req.lba, req.sectors):
-            return t + req.bytes / BUS_RATE_BPS
         sequential = self._last_end_lba is not None and req.lba == self._last_end_lba
         if not sequential:
-            dist = abs(req.cylinder - self.current_cylinder)
+            cylinder = int(self.zone_map.cylinder_of_lba(req.lba))
+            dist = abs(cylinder - self.current_cylinder)
             t += float(mech.seek_time(dist))
             t += float(mech.sample_rotational_latency(self.rng, 1)[0])
         spt = int(self.zone_map.spt_of_lba(req.lba))
@@ -142,6 +215,4 @@ class ReferenceDrive(DiskDrive):
             self.zone_map.cylinder_of_lba(req.lba + req.sectors - 1)
         )
         self._last_end_lba = req.lba + req.sectors
-        if self.cache is not None:
-            self.cache.fill(req.lba, req.sectors)
         return t

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.disk.cache import SegmentCache
 from repro.disk.drive import DiskDrive, DiskRequest
 from repro.disk.mechanics import DiskMechanics
 from repro.disk.workload import (
@@ -131,17 +130,6 @@ class TestDrive:
         cancelled = [r for r in drop if r.done.value is None]
         assert len(cancelled) == n
 
-    def test_cache_hit_is_fast(self):
-        env = Environment()
-        drive = make_drive(env, cache=SegmentCache())
-        r1 = drive.read(1000, 64)
-        env.run(until=r1.done)
-        t_miss = env.now
-        r2 = drive.read(1000, 64)
-        env.run(until=r2.done)
-        t_hit = env.now - t_miss
-        assert t_hit < t_miss / 3
-
     def test_background_consumes_disk_time(self):
         env = Environment()
         drive = make_drive(env)
@@ -155,12 +143,3 @@ class TestDrive:
         env = Environment()
         drive = make_drive(env)
         assert drive.utilization() == 0.0
-
-    def test_sstf_scheduler_reorders(self):
-        env = Environment()
-        drive = make_drive(env, scheduler="sstf")
-        far = drive.read(40_000_000, 64)
-        near = drive.read(100_000, 64)
-        # Push a long first request so both are queued when it finishes.
-        env.run()
-        assert near.done.value is not None and far.done.value is not None

@@ -76,7 +76,7 @@ class TestCompletions:
         """A fair drive caps background at one request per foreground
         request, so even an over-saturating stream only dilates (§6.3.2)."""
         svc = make_service(seed=6, bg=BackgroundLoad(interval_s=0.004))
-        c = svc.completions(np.array([0.01, 0.01]), 0.0, reqs_per_item=4)
+        c = svc.completions(np.array([0.01, 0.01]), 0.0)
         assert np.all(np.isfinite(c))
         assert c[-1] > 0.02 * 1.5  # heavily dilated nonetheless
 
@@ -144,7 +144,7 @@ class TestCrossValidation:
         from repro.disk.workload import BackgroundWorkload
 
         env = Environment()
-        drive = DiskDrive(env, mech, np.random.default_rng(20), scheduler="fair")
+        drive = DiskDrive(env, mech, np.random.default_rng(20))
         drive.attach_background(BackgroundWorkload(interval, np.random.default_rng(21)))
         wl = SyntheticWorkload(layout, 0, 10_000_000, np.random.default_rng(22))
         reqs = [drive.read(p.lba, p.sectors) for p in wl.requests(8 * MB // 512)]

@@ -1,16 +1,18 @@
 """Differential oracle: the drive's request path against its reference.
 
 ``tests/_drive_ref.py`` keeps the request path :class:`DiskDrive` had
-before the scalar rewrite: numpy zone lookups, a ``done`` event for every
-request and an ``AnyOf`` race between each service and a fail-stop.  The
-rewrite gives background requests no ``done`` event and wakes the service
-loop with one plain event, fired by the service timeout or, one hop after
-``fail``, by the abort.  Both paths must dispatch the events results
-depend on in the same order, so hypothesis drives identical seeded
-scripts through both drives and every observable must match: each
-foreground request's ``done`` value, the service order (request and start
-time), ``served_requests``, ``served_bytes``, ``busy_time`` and
-``queue.cancelled_total``.
+before the scalar rewrite: numpy zone lookups, a fair-share queue that
+scans one list for the first request of the class whose turn it is, a
+``done`` event for every request and an ``AnyOf`` race between each
+service and a fail-stop.  The rewrite keeps one FIFO per class, gives
+background requests no ``done`` event and wakes the service loop with one
+plain event, fired by the service timeout or, one hop after ``fail``, by
+the abort.  Both paths must serve the same request at every step and
+dispatch the events results depend on in the same order, so hypothesis
+drives identical seeded scripts through both drives and every observable
+must match: each foreground request's ``done`` value, the service order
+(request and start time), ``served_requests``, ``served_bytes``,
+``busy_time`` and ``queue.cancelled_total``.
 
 Script steps fall on a coarse time grid, with "same instant" and
 "one zero-delay hop later" as explicit waits, so fail, recover, submit
@@ -24,7 +26,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.disk.cache import SegmentCache
 from repro.disk.drive import DiskDrive, DiskRequest
 from repro.disk.geometry import DiskGeometry, Zone
 from repro.disk.mechanics import DiskMechanics
@@ -57,8 +58,7 @@ def quantized_service(seed: int):
     return lambda req: 0.0625 * int(rng.integers(1, 5))
 
 
-def run(drive_cls, script, *, scheduler, seed, service_fn=None, background=None,
-        cache=False):
+def run(drive_cls, script, *, seed, service_fn=None, background=None):
     """Run ``script`` on a fresh ``drive_cls``; return every observable.
 
     ``service_fn(seed)``, when given, builds the drive's
@@ -68,13 +68,11 @@ def run(drive_cls, script, *, scheduler, seed, service_fn=None, background=None,
     env = Environment()
     if service_fn is not None:
         drive = drive_cls(
-            env, DiskMechanics(geometry=GEOMETRY), scheduler=scheduler,
-            service_time_fn=service_fn(seed),
+            env, DiskMechanics(geometry=GEOMETRY), service_time_fn=service_fn(seed)
         )
     else:
         drive = drive_cls(
-            env, DiskMechanics(geometry=GEOMETRY), np.random.default_rng(seed),
-            scheduler=scheduler, cache=SegmentCache() if cache else None,
+            env, DiskMechanics(geometry=GEOMETRY), np.random.default_rng(seed)
         )
     if background is not None:
         drive.attach_background(BackgroundWorkload(
@@ -84,8 +82,8 @@ def run(drive_cls, script, *, scheduler, seed, service_fn=None, background=None,
     served = []
     pop = drive.queue.pop
 
-    def recording_pop(head_cylinder=0):
-        req = pop(head_cylinder)
+    def recording_pop():
+        req = pop()
         served.append((req.tag, req.lba, req.sectors, env.now))
         return req
 
@@ -140,16 +138,14 @@ def assert_same(script, **kw):
 @given(script=SCRIPTS, seed=st.integers(0, 2**16),
        background=st.sampled_from([None, 0.0625, 0.25]))
 def test_fair_queue_with_service_fn_and_background(script, seed, background):
-    assert_same(script, scheduler="fair", seed=seed, service_fn=quantized_service,
-                background=background)
+    assert_same(script, seed=seed, service_fn=quantized_service, background=background)
 
 
 @settings(deadline=None, max_examples=100)
 @given(script=SCRIPTS, seed=st.integers(0, 2**16),
-       scheduler=st.sampled_from(["fcfs", "sstf", "elevator"]), cache=st.booleans(),
        background=st.sampled_from([None, 0.125]))
-def test_sector_level_drives(script, seed, scheduler, cache, background):
-    assert_same(script, scheduler=scheduler, seed=seed, cache=cache, background=background)
+def test_sector_level_drives(script, seed, background):
+    assert_same(script, seed=seed, background=background)
 
 
 def test_same_instant_fail_recover_submit():
@@ -170,16 +166,14 @@ def test_same_instant_fail_recover_submit():
         ("now", ("fg", 64, 8)),
         ("hop", ("bg", 128, 8)),
     ]
-    got = assert_same(script, scheduler="fair", seed=0,
-                      service_fn=lambda seed: lambda r: services[r.tag[0]])
+    got = assert_same(script, seed=0, service_fn=lambda seed: lambda r: services[r.tag[0]])
     assert got["done"] == [(("fg", 0), float("inf")), (("fg", 3), 1.0)]
     assert got["busy_time"] == 1.0
 
 
 def test_background_requests_get_no_done_event():
     env = Environment()
-    drive = DiskDrive(env, DiskMechanics(), scheduler="fair",
-                      service_time_fn=lambda r: 0.01)
+    drive = DiskDrive(env, DiskMechanics(), service_time_fn=lambda r: 0.01)
     bg = drive.submit(DiskRequest(lba=0, sectors=8, is_background=True))
     fg = drive.submit(DiskRequest(lba=0, sectors=8))
     env.run()

@@ -284,6 +284,35 @@ def test_sim006_allows_handling_or_reraise():
     assert rules_of(non_generator, OUTSIDE) == []
 
 
+def test_sim006_ignores_a_plain_helper_nested_in_a_generator():
+    """The helper is no process; the generator around it swallows nothing."""
+    src = (
+        "def proc(env):\n"
+        "    def helper():\n"
+        "        try:\n"
+        "            run(env)\n"
+        "        except Interrupt:\n"
+        "            pass\n"
+        "    yield env.timeout(5)\n"
+    )
+    assert rules_of(src, OUTSIDE) == []
+
+
+def test_sim006_reports_a_nested_generator_once():
+    src = (
+        "def outer(env):\n"
+        "    def inner(env):\n"
+        "        try:\n"
+        "            yield env.timeout(5)\n"
+        "        except Interrupt:\n"
+        "            pass\n"
+        "    yield env.process(inner(env))\n"
+    )
+    findings = lint_source(src, OUTSIDE)
+    assert [(f.rule, f.line) for f in findings] == [("SIM006", 5)]
+    assert "inner()" in findings[0].message
+
+
 # ---------------------------------------------------------------------------
 # SIM007 — policy statelessness
 

@@ -11,6 +11,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 from repro.lint import Severity, lint_paths, run_lint
@@ -379,6 +383,29 @@ def test_cache_keyed_by_rule_selection(tmp_path):
     other = run_lint(target, ["SIM005"], cache_dir=cache_dir)
     assert other.cache_hit is False
     assert other.findings == []
+
+
+def test_cache_missed_after_a_rule_edit(tmp_path):
+    """Editing a rule's source invalidates every cached report, even for a
+    corpus outside ``repro.lint``: the stale message is never replayed."""
+    shutil.copytree(REPO_ROOT / "src" / "repro", tmp_path / "src" / "repro")
+    (tmp_path / "fixture.py").write_text("def f(a=[]):\n    return a\n")
+    argv = [sys.executable, "-m", "repro.lint", "fixture.py", "--select", "SIM005",
+            "--cache-dir", "cache"]
+    env = {**os.environ, "PYTHONPATH": str(tmp_path / "src")}
+
+    def lint():
+        return subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
+
+    first = lint()
+    assert "lint cache: miss" in first.stderr and "mutable default" in first.stdout
+    rules = tmp_path / "src" / "repro" / "lint" / "rules_py.py"
+    rules.write_text(rules.read_text().replace(
+        'f"mutable default argument in', 'f"shared default argument in'
+    ))
+    second = lint()
+    assert "lint cache: miss" in second.stderr
+    assert "shared default argument in f()" in second.stdout
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from repro.accesscore.routing import MB
 from repro.cluster.server import Cluster
 from repro.core.pipeline import PolicyScheme, run_access, scheme_class
 from repro.core.policy.compose import COMPOSITIONS, SchemeSpec
-from repro.core.policy.dispatch import AdaptiveDispatch
 from repro.experiments.config import DISKS_PER_FILER
 from repro.experiments.harness import TrialPlan, _run_trial, run_scheme
 from repro.obs import TraceReport, Tracer
@@ -56,7 +55,6 @@ EXTRA_SPECS = {
         _layers("raid0").completion,
         _layers("raid0").reaction,
         _layers("raid0").write,
-        traced=False,
         redundancy_override=0.0,
     ),
     "rotated+abort": SchemeSpec(
@@ -66,7 +64,6 @@ EXTRA_SPECS = {
         _layers("rraid-s").completion,
         _layers("raid0").reaction,
         _layers("rraid-s").write,
-        traced=False,
     ),
 }
 
@@ -172,12 +169,8 @@ def test_byte_ledger_reconciles(name):
     assert report.network_bytes == result.network_bytes
     assert report.consumed_bytes + report.cancelled_bytes == report.network_bytes
     assert report.cancelled_bytes >= 0
-    spec = COMPOSITIONS[name]
-    if spec.traced or isinstance(spec.dispatch, AdaptiveDispatch):
-        # Untraced speculative compositions skip the scheme-level data
-        # accounting (the generic read trace), by design.
-        assert report.data_bytes == result.data_bytes == CFG.data_bytes
-        assert report.io_overhead == result.io_overhead
+    assert report.data_bytes == result.data_bytes == CFG.data_bytes
+    assert report.io_overhead == result.io_overhead
 
 
 def read_link_bytes(name, engine, warm, seed=3):

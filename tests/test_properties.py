@@ -119,7 +119,7 @@ def test_completions_monotone_and_delayed_by_background(layout, interval, seed):
         mech, layout, 870, np.random.default_rng(seed + 1),
         background=BackgroundLoad(interval_s=interval),
     )
-    c1 = loaded.completions(services, 1.0, reqs_per_item=4)
+    c1 = loaded.completions(services, 1.0)
     # Completions are strictly increasing and never earlier than quiet.
     assert np.all(np.diff(c0) > 0)
     assert np.all(np.diff(c1) > 0)
