@@ -12,7 +12,7 @@ Subpackages
 ``repro.net``
     Fixed-RTT network links.
 ``repro.cluster``
-    Filers, filesystem caches, storage servers, metadata, admission control.
+    Filers, filesystem caches, metadata, admission control.
 ``repro.core``
     The four storage schemes (RAID-0, RRAID-S, RRAID-A, RobuSTore) and the
     client-facing file API.

@@ -202,31 +202,18 @@ def consume_sorted_arrivals(tracker, times: np.ndarray, ids: np.ndarray) -> tupl
     return float("inf"), int(times.size)
 
 
-def completion_time(
-    streams: list[DiskStream],
-    tracker,
-    block_bytes: int = 0,
-    client_bandwidth_bps: float = float("inf"),
-) -> tuple[float, int]:
-    """Feed arrivals to ``tracker``; return (finish time, blocks consumed).
-
-    Returns ``(inf, consumed)`` if the access can never complete with the
-    queued blocks (insufficient redundancy reached the disks).
-    """
-    t, consumed, _ = completion_with_order(
-        streams, tracker, block_bytes, client_bandwidth_bps
-    )
-    return t, consumed
-
-
 def completion_with_order(
     streams: list[DiskStream],
     tracker,
     block_bytes: int = 0,
     client_bandwidth_bps: float = float("inf"),
 ) -> tuple[float, int, list[int]]:
-    """Like :func:`completion_time` but also returns the consumed block ids
-    in arrival order (the data-path API replays real decoding with them).
+    """Feed arrivals to ``tracker``; return (finish time, blocks consumed,
+    consumed block ids in arrival order).
+
+    The finish time is ``inf`` if the access can never complete with the
+    queued blocks (insufficient redundancy reached the disks).  The data-path
+    API replays real decoding with the consumed ids.
 
     Trackers exposing ``observe(t, block_id)`` (the
     :class:`repro.accesscore.trackers.TrackerBase` hook) are fed the arrival

@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from itertools import count
 from typing import Optional
 
-from repro.obs.tracer import NULL_TRACER
-
 _flow_ids = count()
 
 
@@ -38,23 +36,14 @@ class AdmissionController:
     def __init__(self) -> None:
         self.admitted: dict[int, Flow] = {}
         self.refused = 0
-        #: Rebound by the cluster when a tracer is installed.
-        self.tracer = NULL_TRACER
 
     @property
     def active_flows(self) -> int:
         return len(self.admitted)
 
-    def _note(self, admitted: bool) -> None:
-        if self.tracer.enabled:
-            self.tracer.count(
-                "admission.admitted" if admitted else "admission.refused"
-            )
-
     def request(self, flow: Flow) -> bool:
         """Try to admit ``flow``; True on success."""
         self.admitted[flow.flow_id] = flow
-        self._note(True)
         return True
 
     def release(self, flow: Flow) -> None:
@@ -78,10 +67,8 @@ class CapacityAdmission(AdmissionController):
     def request(self, flow: Flow) -> bool:
         if len(self.admitted) >= self.capacity:
             self.refused += 1
-            self._note(False)
             return False
         self.admitted[flow.flow_id] = flow
-        self._note(True)
         return True
 
 
@@ -100,17 +87,14 @@ class PriorityAdmission(CapacityAdmission):
     def request(self, flow: Flow) -> bool:
         if len(self.admitted) < self.capacity:
             self.admitted[flow.flow_id] = flow
-            self._note(True)
             return True
         victim = max(self.admitted.values(), key=lambda f: f.priority)
         if flow.priority < victim.priority:
             del self.admitted[victim.flow_id]
             self.preempted.append(victim.flow_id)
             self.admitted[flow.flow_id] = flow
-            self._note(True)
             return True
         self.refused += 1
-        self._note(False)
         return False
 
 

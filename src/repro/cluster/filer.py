@@ -105,13 +105,3 @@ class Filer:
         first = self._age_counter + 1
         self._age_counter += int(nbytes // self.cache.line_bytes)
         self.cache.insert_fresh("__aging__", range(first, self._age_counter + 1))
-
-    # -- latency helpers ----------------------------------------------------------
-    def request_arrival_delay(self) -> float:
-        """Client -> filer one-way latency for a request message."""
-        return self.link.one_way_s
-
-    def response_delay(self, nbytes: int) -> float:
-        """Filer -> client one-way latency + serialization for a payload."""
-        self.link.account(nbytes)
-        return self.link.one_way_s + self.link.transfer_time(nbytes)

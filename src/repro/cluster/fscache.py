@@ -109,26 +109,6 @@ class SetAssociativeCache:
                 del s[:drop]
             s.extend(aged[:k])
 
-    # -- whole-range helpers -----------------------------------------------------
-    def lookup_range(self, stream, offset: int, nbytes: int) -> float:
-        """Fraction of the byte range present (counts one probe per line)."""
-        lines = self._lines_of(offset, nbytes)
-        if not lines:
-            return 0.0
-        hit = sum(self.lookup_line((stream, ln)) for ln in lines)
-        return hit / len(lines)
-
-    def insert_range(self, stream, offset: int, nbytes: int) -> None:
-        for ln in self._lines_of(offset, nbytes):
-            self.insert_line((stream, ln))
-
-    def _lines_of(self, offset: int, nbytes: int) -> range:
-        if nbytes <= 0:
-            return range(0)
-        first = offset // self.line_bytes
-        last = (offset + nbytes - 1) // self.line_bytes
-        return range(first, last + 1)
-
     # -- stats -----------------------------------------------------------------
     @property
     def hit_rate(self) -> float:

@@ -63,7 +63,7 @@ class FileLockedError(RuntimeError):
 class MetadataServer:
     """A (logically centralised) metadata server.
 
-    Tracks file records, storage-server registration info and file locks.
+    Tracks file records and file locks.
     Every operation returns the constant access latency so callers can
     charge simulated time.
     """
@@ -74,27 +74,8 @@ class MetadataServer:
         self.latency_s = latency_s
         self._files: dict[str, FileRecord] = {}
         self._locks: dict[str, tuple[str, str]] = {}  # name -> (mode, holder)
-        self._servers: dict[int, dict] = {}
         self.accesses = 0
         self.tracer = tracer if tracer is not None else NULL_TRACER
-
-    # -- storage-server registry ------------------------------------------------
-    def register_server(self, server_id: int, info: dict | None = None) -> float:
-        """Record a storage server's static information (capacity, peak)."""
-        self.accesses += 1
-        self._servers[server_id] = dict(info or {})
-        return self.latency_s
-
-    def update_server_load(self, server_id: int, load: float) -> None:
-        """Record dynamic load information (from accesses/periodic queries)."""
-        self._servers.setdefault(server_id, {})["load"] = load
-
-    def server_info(self, server_id: int) -> dict:
-        return dict(self._servers.get(server_id, {}))
-
-    @property
-    def known_servers(self) -> list[int]:
-        return sorted(self._servers)
 
     # -- file operations ----------------------------------------------------------
     def open(self, name: str, mode: str, holder: str = "client") -> tuple[Optional[FileRecord], float]:
@@ -144,15 +125,6 @@ class MetadataServer:
 
     def lookup(self, name: str) -> FileRecord:
         return self._files[name]
-
-    def exists(self, name: str) -> bool:
-        return name in self._files
-
-    def delete(self, name: str) -> float:
-        self.accesses += 1
-        self._files.pop(name, None)
-        self._locks.pop(name, None)
-        return self.latency_s
 
     def update_placement(self, name: str, placement: list[list[int]]) -> float:
         """Record new block placement after an update access (§4.3.4)."""

@@ -7,13 +7,13 @@ management costs for synchronization, load balancing, and so on").  This
 module implements the distributed variant: file records hash-partition
 across metadata nodes; reads hit one partition, mutations additionally pay
 a synchronisation cost to replicate the change to ``sync_replicas`` peer
-nodes.  The interface matches :class:`repro.cluster.metadata.MetadataServer`
-so the schemes can run on either.
+nodes.  ``commit``, ``lookup`` and ``latency_s`` match
+:class:`repro.cluster.metadata.MetadataServer`, so a scheme can run on
+either; the serving facade records and resolves its catalogue through the
+bulk ``commit_many``/``lookup_many``.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from repro.cluster.metadata import (
     METADATA_ACCESS_LATENCY_S,
@@ -84,11 +84,6 @@ class DistributedMetadataServer:
         )
 
     # -- MetadataServer-compatible interface ------------------------------------
-    def open(self, name: str, mode: str, holder: str = "client"):
-        self.accesses += 1
-        record, _ = self._nodes[self._node_of(name)].open(name, mode, holder)
-        return record, self.node_latency_s
-
     def commit_many(self, records) -> None:
         """Commit every record to its partition and that partition's peers."""
         groups = [self._group(part) for part in range(self.n_nodes)]
@@ -103,11 +98,6 @@ class DistributedMetadataServer:
         self.commit_many([record])
         return self._mutation_latency()
 
-    def close(self, name: str, holder: str = "client") -> float:
-        self.accesses += 1
-        self._nodes[self._node_of(name)].close(name, holder)
-        return self.node_latency_s
-
     def lookup_many(self, names) -> list[FileRecord]:
         """The record of every name, each from its partition."""
         nodes = self._nodes
@@ -118,46 +108,3 @@ class DistributedMetadataServer:
 
     def lookup(self, name: str) -> FileRecord:
         return self.lookup_many([name])[0]
-
-    def exists(self, name: str) -> bool:
-        return self._nodes[self._node_of(name)].exists(name)
-
-    def delete(self, name: str) -> float:
-        self.accesses += 1
-        primary, *peers = self._group(self._node_of(name))
-        primary.delete(name)
-        for peer in peers:
-            peer.delete(name)
-            self.sync_messages += 1
-        return self._mutation_latency()
-
-    def update_placement(self, name: str, placement) -> float:
-        self.accesses += 1
-        primary, *peers = self._group(self._node_of(name))
-        primary.update_placement(name, placement)
-        for peer in peers:
-            if peer.exists(name):
-                peer.update_placement(name, placement)
-            self.sync_messages += 1
-        return self._mutation_latency()
-
-    # -- failover ---------------------------------------------------------------
-    def lookup_with_failover(self, name: str, failed_node: Optional[int] = None) -> FileRecord:
-        """Serve a lookup from a sync replica when the primary is down."""
-        part = self._node_of(name)
-        primary, *peers = self._group(part)
-        if failed_node != part:
-            return primary.lookup(name)
-        for peer in peers:
-            if peer.exists(name):
-                return peer.lookup(name)
-        raise KeyError(f"{name}: primary down and no replica holds the record")
-
-    def register_server(self, server_id: int, info: dict | None = None) -> float:
-        self.accesses += 1
-        for node in self._nodes:  # server registry is global knowledge
-            node.register_server(server_id, info)
-        return self._mutation_latency()
-
-    def server_info(self, server_id: int) -> dict:
-        return self._nodes[0].server_info(server_id)

@@ -1,4 +1,4 @@
-"""Storage server: one filer plus its attached disks (§4.2, §6.2.2)."""
+"""The storage cluster: filers, attached disks, per-trial disk state (§6.2.2)."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cluster.admission import AdmissionController
 from repro.cluster.filer import Filer
 from repro.cluster.fscache import SetAssociativeCache
 from repro.disk.mechanics import DiskMechanics
@@ -33,48 +32,24 @@ class DiskState:
     failed: bool = False
 
 
-class StorageServer:
-    """A filer fronting several disks, with optional admission control."""
-
-    def __init__(
-        self,
-        server_id: int,
-        disk_ids: list[int],
-        link: Link,
-        cache: SetAssociativeCache | None = None,
-        admission: AdmissionController | None = None,
-        tracer=None,
-    ) -> None:
-        self.server_id = server_id
-        tracer = tracer if tracer is not None else NULL_TRACER
-        self.filer = Filer(server_id, disk_ids, link, cache, tracer=tracer)
-        self.admission = admission or AdmissionController()
-        self.admission.tracer = tracer
-
-    @property
-    def disk_ids(self) -> list[int]:
-        return self.filer.disk_ids
-
-
 class Cluster:
-    """The simulated storage cluster: servers, disks, per-trial disk state.
+    """The simulated storage cluster: filers, disks, per-trial disk state.
 
     Parameters
     ----------
     n_disks:
         Total disks in the pool (128 in the baseline).
     disks_per_filer:
-        Disks per storage server (8 in the baseline).
+        Disks per filer (8 in the baseline).
     rtt_s:
-        Client <-> server round-trip latency.
+        Client <-> filer round-trip latency.
     fs_cache_bytes:
         Per-filer filesystem cache size; 0 disables caching.
     mechanics:
         Shared drive mechanics.
     tracer:
-        Optional :class:`repro.obs.Tracer` shared by every filer and
-        admission controller; the access machinery reads it off the
-        cluster (``cluster.tracer``).
+        Optional :class:`repro.obs.Tracer` shared by every filer; the
+        access machinery reads it off the cluster (``cluster.tracer``).
     """
 
     def __init__(
@@ -93,7 +68,7 @@ class Cluster:
         self.disks_per_filer = disks_per_filer
         self.mechanics = mechanics or DiskMechanics()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.servers: list[StorageServer] = []
+        self.filers: list[Filer] = []
         n_filers = -(-n_disks // disks_per_filer)
         for f in range(n_filers):
             ids = list(range(f * disks_per_filer, min((f + 1) * disks_per_filer, n_disks)))
@@ -102,22 +77,17 @@ class Cluster:
                 if fs_cache_bytes > 0
                 else None
             )
-            self.servers.append(
-                StorageServer(f, ids, Link(rtt_s=rtt_s), cache, tracer=self.tracer)
-            )
+            self.filers.append(Filer(f, ids, Link(rtt_s=rtt_s), cache, tracer=self.tracer))
         self._disk_states: dict[int, DiskState] = {}
         #: Active :class:`repro.faults.inject.FaultInjector`, or ``None``.
         self.faults = None
 
     @property
     def n_filers(self) -> int:
-        return len(self.servers)
-
-    def server_of_disk(self, disk_id: int) -> StorageServer:
-        return self.servers[disk_id // self.disks_per_filer]
+        return len(self.filers)
 
     def filer_of_disk(self, disk_id: int) -> Filer:
-        return self.server_of_disk(disk_id).filer
+        return self.filers[disk_id // self.disks_per_filer]
 
     # -- per-trial state --------------------------------------------------------
     def redraw_disk_states(
@@ -248,20 +218,20 @@ class Cluster:
         from repro.disk.geometry import SECTOR_BYTES
         from repro.disk.workload import BACKGROUND_SECTORS
 
-        for server in self.servers:
+        for filer in self.filers:
             volume = 0.0
-            for d in server.disk_ids:
+            for d in filer.disk_ids:
                 st = self._disk_states.get(d)
                 if st is not None and st.background is not None:
                     rate = BACKGROUND_SECTORS * SECTOR_BYTES / st.background.interval_s
                     volume += rate * window_s
-            server.filer.age_cache(int(volume))
+            filer.age_cache(int(volume))
 
     # -- accounting -----------------------------------------------------------
     @property
     def total_network_bytes(self) -> int:
-        return sum(s.filer.link.bytes_sent for s in self.servers)
+        return sum(f.link.bytes_sent for f in self.filers)
 
     def reset_network_counters(self) -> None:
-        for s in self.servers:
-            s.filer.link.bytes_sent = 0
+        for f in self.filers:
+            f.link.bytes_sent = 0

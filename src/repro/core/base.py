@@ -10,7 +10,6 @@ from repro.accesscore.result import AccessConfig, AccessResult
 from repro.accesscore.routing import open_latency_s
 from repro.cluster.metadata import FileRecord, MetadataServer
 from repro.cluster.server import Cluster
-from repro.core.scheduler import AccessScheduler
 from repro.sim.rng import RngHub
 
 
@@ -20,7 +19,7 @@ class SchemeBase:
     Parameters
     ----------
     cluster:
-        The storage cluster (servers, disks, caches, links).
+        The storage cluster (filers, disks, caches, links).
     config:
         Access parameters (data size, block size, #disks, redundancy).
     hub:
@@ -37,9 +36,8 @@ class SchemeBase:
         config: AccessConfig,
         hub: RngHub | None = None,
         metadata: MetadataServer | None = None,
-        selector: AccessScheduler | None = None,
     ) -> None:
-        if config.n_disks > cluster.n_disks:
+        if not 1 <= config.n_disks <= cluster.n_disks:
             raise ValueError(
                 f"access wants {config.n_disks} disks, pool has {cluster.n_disks}"
             )
@@ -47,7 +45,6 @@ class SchemeBase:
         self.config = config
         self.hub = hub or RngHub(0)
         self.metadata = metadata or MetadataServer(tracer=cluster.tracer)
-        self.selector = selector or AccessScheduler(cluster.n_disks)
 
     @property
     def tracer(self):
@@ -56,9 +53,13 @@ class SchemeBase:
 
     # -- deterministic random streams ------------------------------------------
     def select_disks(self, trial: int) -> np.ndarray:
-        """Pick this access's disks (random subset, random order)."""
+        """Pick this access's disks: a random subset in random order.
+
+        §6.2.2: each access "randomly selects a certain number of disks and
+        randomly permutes the disks into a random order".
+        """
         rng = self.hub.fresh("select", self.name, trial)
-        return self.selector.select(self.config.n_disks, rng)
+        return rng.choice(self.cluster.n_disks, size=self.config.n_disks, replace=False)
 
     def service_rng_factory(
         self, trial: int, phase: str, disk_ids: Iterable[int]

@@ -5,7 +5,6 @@
   disk ``(i + r) mod H``, stored grouped by replica then block.
 * ``coded_balanced`` — RobuSTore balanced write: N coded blocks dealt
   round-robin across the disks.
-* ``unbalanced`` — the per-disk counts a speculative write produced.
 
 Placements are lists (one per disk, aligned with the access's disk list) of
 block ids in the disk's stored order — the order a speculative read streams
@@ -13,8 +12,6 @@ them back in.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 Placement = list[list[int]]
 
@@ -73,37 +70,3 @@ def coded_balanced(n_coded: int, n_disks: int) -> Placement:
     for j in range(n_coded):
         placement[j % n_disks].append(j)
     return placement
-
-
-def unbalanced(counts: list[int], n_coded: int | None = None) -> Placement:
-    """Assign coded-block ids to disks given per-disk written counts.
-
-    Used to replay a speculative write's (unbalanced) outcome for a later
-    read: ids are dealt round-robin over disks that still have room, so
-    each disk holds distinct ids and ids are globally unique.
-    """
-    total = sum(counts)
-    if n_coded is not None and n_coded != total:
-        raise ValueError(f"counts sum to {total}, expected {n_coded}")
-    placement: Placement = [[] for _ in counts]
-    remaining = list(counts)
-    next_id = 0
-    while any(remaining):
-        for d, room in enumerate(remaining):
-            if room > 0:
-                placement[d].append(next_id)
-                next_id += 1
-                remaining[d] -= 1
-    return placement
-
-
-def placement_counts(placement: Placement) -> np.ndarray:
-    """Blocks per disk."""
-    return np.array([len(p) for p in placement], dtype=np.int64)
-
-
-def imbalance(placement: Placement) -> float:
-    """max/mean per-disk block count (1.0 = perfectly balanced)."""
-    counts = placement_counts(placement)
-    mean = counts.mean()
-    return float(counts.max() / mean) if mean > 0 else 1.0

@@ -180,7 +180,6 @@ class DegradedParityRead(PassiveReaction):
         degraded = bool(failed_positions)
         failed_pos = next(iter(failed_positions), None)
         placement = [[] for _ in record.disk_ids]
-        recoverable = True
         for idx, blocks in enumerate(record.placement):
             if idx == failed_pos:
                 continue
@@ -191,14 +190,8 @@ class DegradedParityRead(PassiveReaction):
                 or degraded
                 and self._stripe_lost_data(stripes[b - PARITY_BASE], failed_pos)
             ]
-        if degraded:
-            for stripe in stripes:
-                if self._stripe_lost_data(stripe, failed_pos) and stripe[
-                    "parity_disk"
-                ] == failed_pos:
-                    recoverable = False  # lost both a data block and parity? impossible
-        if not recoverable:  # pragma: no cover - single failure never hits this
-            return AccessResult(float("inf"), cfg.data_bytes, 0, 0, 0)
+        # One failure never costs a stripe both a data block and its parity:
+        # ParityStripePlacement.layout deals data around the parity disk.
         return ReadPlan(
             record.disk_ids,
             placement,

@@ -94,7 +94,6 @@ class DiskDrive:
         self.current_cylinder = 0
         self._last_end_lba: Optional[int] = None
         self._wakeup: Optional[Event] = None
-        self.busy = False
         self.served_requests = 0
         self.served_bytes = 0
         self.busy_time = 0.0
@@ -156,10 +155,6 @@ class DiskDrive:
                 args={"removed": len(removed)},
             )
         return len(removed)
-
-    def utilization(self) -> float:
-        """Fraction of elapsed time spent serving requests."""
-        return self.busy_time / self.env.now if self.env.now > 0 else 0.0
 
     # -- fault injection -------------------------------------------------------
     def fail(self) -> None:
@@ -247,7 +242,6 @@ class DiskDrive:
                 yield self._wakeup
                 self._wakeup = None
             req = self.queue.pop()
-            self.busy = True
             t_start = env.now
             service = self._service_time(req) * self.slow_factor
             # Race the service against a fail-stop: the timeout and
@@ -259,7 +253,6 @@ class DiskDrive:
             timeout.callbacks.append(wake.succeed_once)
             yield wake
             self._wake = None
-            self.busy = False
             if not timeout.processed:
                 # fail()'s hop woke the loop before the service finished.
                 self.busy_time += env.now - t_start

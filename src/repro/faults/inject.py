@@ -12,9 +12,9 @@ topology and hangs the resulting :class:`FaultInjector` off
 * the access machinery (:mod:`repro.accesscore.routing`) routes request and
   response instants through the per-filer
   :class:`repro.faults.timeline.LinkTimeline`;
-* schemes consult :meth:`down_at` / :meth:`first_recovery_after` /
-  :meth:`permanently_failed` to re-speculate and to decide when lost
-  redundancy warrants a :func:`repro.core.repair.maybe_repair` pass;
+* schemes consult :meth:`down_at` / :meth:`permanently_failed` to
+  re-speculate and to decide when lost redundancy warrants a
+  :func:`repro.core.repair.maybe_repair` pass;
 * :meth:`schedule_on` registers the plan as real events on a DES
   :class:`repro.sim.core.Environment`, flipping event-driven
   :class:`repro.disk.drive.DiskDrive` entities mid-service and emitting
@@ -55,16 +55,6 @@ class FaultInjector:
         self._disk_tl, self._link_tl = compile_plan(
             plan, cluster.disks_per_filer, cluster.n_disks
         )
-        # Times at which capacity comes back anywhere: disk recoveries,
-        # fail windows ending, filer restarts.  Schemes use these to decide
-        # when re-speculation can possibly help.
-        recoveries: list[float] = []
-        for ev in plan:
-            if ev.kind == DISK_RECOVER:
-                recoveries.append(ev.t)
-            elif ev.kind in (DISK_FAIL, FILER_CRASH) and ev.duration is not None:
-                recoveries.append(ev.t + ev.duration)
-        self._recovery_times = sorted(recoveries)
 
     # -- timeline access -------------------------------------------------------
     def timeline(self, disk_id: int) -> Optional[DiskTimeline]:
@@ -88,13 +78,6 @@ class FaultInjector:
         """Does the disk's profile end in an outage with no recovery?"""
         tl = self.timeline(disk_id)
         return tl is not None and tl.down_forever
-
-    def first_recovery_after(self, t: float) -> Optional[float]:
-        """Earliest instant after ``t`` at which any capacity returns."""
-        for rt in self._recovery_times:
-            if rt > t:
-                return rt
-        return None
 
     @property
     def has_faults(self) -> bool:

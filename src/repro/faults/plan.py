@@ -221,12 +221,6 @@ class FaultPlan:
     def is_empty(self) -> bool:
         return not self._events
 
-    def events_for_disk(self, disk_id: int) -> list[FaultEvent]:
-        return [e for e in self._events if e.disk == disk_id]
-
-    def events_for_filer(self, filer_id: int) -> list[FaultEvent]:
-        return [e for e in self._events if e.filer == filer_id]
-
     def describe(self) -> list[dict]:
         """The canonical scenario spec (JSON-able; round-trips exactly)."""
         return [e.describe() for e in self._events]

@@ -31,75 +31,6 @@ class MetricSummary:
     #: folded into an ``io_overhead=nan``.
     failed_trials: int = 0
 
-    @property
-    def latency_cv(self) -> float:
-        """Coefficient of variation: std / mean latency."""
-        return self.latency_std_s / self.latency_mean_s if self.latency_mean_s else 0.0
-
-    def row(self) -> dict:
-        out = {
-            "trials": self.n_trials,
-            "failed": self.failed_trials,
-            "bw_mbps": round(self.bandwidth_mbps, 2),
-            "bw_std_mbps": round(self.bandwidth_std_mbps, 2),
-            "lat_s": round(self.latency_mean_s, 3),
-            "lat_std_s": round(self.latency_std_s, 3),
-            "lat_cv": round(self.latency_cv, 3),
-            "io_overhead": round(self.io_overhead, 3),
-        }
-        if self.reception_overhead is not None:
-            out["reception_overhead"] = round(self.reception_overhead, 3)
-        return out
-
-    def to_jsonable(self) -> dict:
-        """Lossless JSON form (field-for-field; floats survive exactly)."""
-        from dataclasses import fields
-
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "MetricSummary":
-        """Rebuild a summary from :meth:`to_jsonable` output."""
-        from dataclasses import fields
-
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown MetricSummary fields: {sorted(unknown)}")
-        return cls(**data)
-
-
-# ---------------------------------------------------------------------------
-# percentile helpers (exact and histogram-bucketed)
-
-#: The serving tail percentiles reported throughout :mod:`repro.serve`.
-TAIL_PERCENTILES = (50.0, 99.0, 99.9)
-
-
-def percentile_exact(values, q: float) -> float:
-    """The ``q``-th percentile (0..100) by linear interpolation.
-
-    Matches ``numpy.percentile``'s default (``linear``) method, computed
-    directly on a sorted copy so the definition is explicit rather than
-    delegated: with ``n`` sorted samples, rank ``r = q/100 * (n-1)`` and
-    the result interpolates between ``floor(r)`` and ``ceil(r)``.
-    """
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"percentile must be in [0, 100], got {q}")
-    arr = np.sort(np.asarray(values, dtype=float))
-    if arr.size == 0:
-        raise ValueError("percentile of an empty sample")
-    rank = q / 100.0 * (arr.size - 1)
-    lo = int(np.floor(rank))
-    hi = int(np.ceil(rank))
-    frac = rank - lo
-    return float(arr[lo] * (1.0 - frac) + arr[hi] * frac)
-
-
-def percentiles_exact(values, qs=TAIL_PERCENTILES) -> dict[float, float]:
-    """``{q: percentile_exact(values, q)}`` for every ``q`` in ``qs``."""
-    return {float(q): percentile_exact(values, q) for q in qs}
-
 
 class FixedBinHistogram:
     """Streaming percentile estimation in O(bins) memory.
@@ -169,25 +100,6 @@ class FixedBinHistogram:
     @property
     def p999(self) -> float:
         return self.percentile(99.9)
-
-    def to_jsonable(self) -> dict:
-        """Lossless JSON form (bin parameters + non-zero counts, sparse)."""
-        nz = np.nonzero(self.counts)[0]
-        return {
-            "lo": self.lo,
-            "hi": self.hi,
-            "bins": self.bins,
-            "n": int(self.n),
-            "counts": {int(i): int(self.counts[i]) for i in nz},
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "FixedBinHistogram":
-        hist = cls(lo=data["lo"], hi=data["hi"], bins=data["bins"])
-        for i, c in data["counts"].items():
-            hist.counts[int(i)] = int(c)
-        hist.n = int(data["n"])
-        return hist
 
 
 def summarize(results: list[AccessResult]) -> MetricSummary:

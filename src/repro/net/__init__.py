@@ -1,5 +1,5 @@
 """Network model: fixed-RTT links with plentiful bandwidth (§6.2.2)."""
 
-from repro.net.link import Link, NetworkModel
+from repro.net.link import Link
 
-__all__ = ["Link", "NetworkModel"]
+__all__ = ["Link"]

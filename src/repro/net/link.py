@@ -4,8 +4,8 @@ RobuSTore targets dedicated lambda networks where bandwidth is plentiful
 (§6.2.2 "Virtual Filer"): the network is modelled as a link with a fixed
 round-trip latency applied **per data request** (so adaptive schemes like
 RRAID-A pay multiple RTTs per access), plus a byte counter for the I/O
-overhead metric.  An optional client-side rate cap models the client NIC
-when needed.
+overhead metric.  A client NIC cap is an access parameter
+(``AccessConfig.client_bandwidth_bps``), not a link property.
 """
 
 from __future__ import annotations
@@ -15,74 +15,25 @@ from dataclasses import dataclass, field
 
 @dataclass
 class Link:
-    """A client <-> storage-server link.
+    """A client <-> filer link.
 
     Attributes
     ----------
     rtt_s:
         Round-trip latency in seconds.
-    bandwidth_bps:
-        Link data rate; ``inf`` models the dissertation's plentiful-lambda
-        assumption.
     """
 
     rtt_s: float = 0.001
-    bandwidth_bps: float = float("inf")
     bytes_sent: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         if self.rtt_s < 0:
             raise ValueError("rtt must be non-negative")
-        if self.bandwidth_bps <= 0:
-            raise ValueError("bandwidth must be positive")
 
     @property
     def one_way_s(self) -> float:
         return self.rtt_s / 2.0
 
-    def transfer_time(self, nbytes: int) -> float:
-        """Serialization delay of a payload (0 under plentiful bandwidth)."""
-        if self.bandwidth_bps == float("inf"):
-            return 0.0
-        return nbytes / self.bandwidth_bps
-
     def account(self, nbytes: int) -> None:
         """Record payload bytes crossing the link (I/O-overhead metric)."""
         self.bytes_sent += int(nbytes)
-
-
-class NetworkModel:
-    """The set of links from one client to every storage server.
-
-    Parameters
-    ----------
-    n_servers:
-        Number of storage servers (filers).
-    rtt_s:
-        Either a single RTT applied to all links or a per-server list.
-    """
-
-    def __init__(self, n_servers: int, rtt_s: float | list[float] = 0.001) -> None:
-        if n_servers < 1:
-            raise ValueError("need at least one server")
-        if isinstance(rtt_s, (int, float)):
-            rtts = [float(rtt_s)] * n_servers
-        else:
-            rtts = [float(r) for r in rtt_s]
-            if len(rtts) != n_servers:
-                raise ValueError("one RTT per server required")
-        self.links = [Link(rtt_s=r) for r in rtts]
-
-    def __len__(self) -> int:
-        return len(self.links)
-
-    def link(self, server_id: int) -> Link:
-        return self.links[server_id]
-
-    @property
-    def total_bytes_sent(self) -> int:
-        return sum(link.bytes_sent for link in self.links)
-
-    def reset_counters(self) -> None:
-        for link in self.links:
-            link.bytes_sent = 0

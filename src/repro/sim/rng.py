@@ -360,13 +360,3 @@ class RngHub:
 
     def _derive(self, key: tuple) -> np.random.SeedSequence:
         return np.random.SeedSequence(self._words(key))
-
-    def spawn(self, *key) -> "RngHub":
-        """Return a child hub whose streams are independent of this hub's.
-
-        Derivation folds ``key`` into a fresh seed, so
-        ``hub.spawn("worker", 3)`` is stable across runs and disjoint from
-        both the parent's streams and other spawned hubs'.
-        """
-        seed_rng = np.random.Generator(np.random.PCG64(self._derive(("hub",) + key)))
-        return RngHub(int(seed_rng.integers(2**31)))

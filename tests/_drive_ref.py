@@ -176,7 +176,6 @@ class ReferenceDrive(DiskDrive):
                 yield self._wakeup
                 self._wakeup = None
             req = self.queue.pop()
-            self.busy = True
             t_start = env.now
             service = self._service_time(req) * self.slow_factor
             done = env.timeout(service)
@@ -186,7 +185,6 @@ class ReferenceDrive(DiskDrive):
             # value immediately); only `processed` says it actually fired.
             aborted = self._abort.triggered and not done.processed
             self._abort = None
-            self.busy = False
             if aborted:
                 self.busy_time += env.now - t_start
                 if req.done is not None and not req.done.triggered:

@@ -46,21 +46,6 @@ def test_insert_existing_refreshes():
     assert not c.contains_line("b")
 
 
-def test_lookup_range_fraction():
-    c = make_cache()
-    c.insert_range("f", 0, 8192)  # lines 0,1
-    assert c.lookup_range("f", 0, 16384) == pytest.approx(0.5)
-    assert c.lookup_range("f", 0, 0) == 0.0
-
-
-def test_range_line_alignment():
-    c = make_cache()
-    c.insert_range("f", 100, 1)  # single byte -> line 0
-    assert c.contains_line(("f", 0))
-    c.insert_range("f", 4095, 2)  # straddles lines 0 and 1
-    assert c.contains_line(("f", 1))
-
-
 def test_hit_rate_and_reset():
     c = make_cache()
     c.insert_line(1)

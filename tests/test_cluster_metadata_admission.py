@@ -53,19 +53,6 @@ class TestMetadata:
         with pytest.raises(ValueError):
             md.open("f", "rw")
 
-    def test_server_registry(self):
-        md = MetadataServer()
-        md.register_server(3, {"capacity": 100})
-        md.update_server_load(3, 0.7)
-        assert md.server_info(3)["load"] == 0.7
-        assert md.known_servers == [3]
-
-    def test_delete(self):
-        md = MetadataServer()
-        md.commit(FileRecord("f", 1, "raid0"))
-        md.delete("f")
-        assert not md.exists("f")
-
     def test_access_counter_and_latency(self):
         md = MetadataServer(latency_s=0.007)
         md.open("f", "w")

@@ -1,4 +1,4 @@
-"""Tests for the cluster, storage server and filer layers."""
+"""Tests for the cluster and filer layers."""
 
 import numpy as np
 import pytest
@@ -10,15 +10,17 @@ from repro.disk.workload import InDiskLayout
 def test_cluster_topology():
     c = Cluster(n_disks=128, disks_per_filer=8)
     assert c.n_filers == 16
-    assert c.server_of_disk(0).server_id == 0
-    assert c.server_of_disk(127).server_id == 15
+    assert c.filer_of_disk(0).filer_id == 0
+    assert c.filer_of_disk(127).filer_id == 15
     assert c.filer_of_disk(9).disk_ids == list(range(8, 16))
+    assert [f.filer_id for f in c.filers] == list(range(16))
 
 
 def test_cluster_ragged_last_filer():
     c = Cluster(n_disks=10, disks_per_filer=8)
     assert c.n_filers == 2
-    assert c.servers[1].disk_ids == [8, 9]
+    assert c.filers[1].disk_ids == [8, 9]
+    assert c.filer_of_disk(9) is c.filers[1]
 
 
 def test_cluster_validation():
@@ -92,11 +94,3 @@ def test_filer_record_read_counts_disk_bytes():
     assert filer.disk_bytes_read == 2 << 20
     filer.record_read("f", [0], 1 << 20)  # now cached: no disk bytes
     assert filer.disk_bytes_read == 2 << 20
-
-
-def test_filer_latency_helpers():
-    c = Cluster(n_disks=8, rtt_s=0.01)
-    filer = c.filer_of_disk(0)
-    assert filer.request_arrival_delay() == pytest.approx(0.005)
-    assert filer.response_delay(1000) == pytest.approx(0.005)
-    assert filer.link.bytes_sent == 1000

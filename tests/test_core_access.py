@@ -6,7 +6,7 @@ import pytest
 from repro.accesscore.result import AccessConfig, AccessResult
 from repro.accesscore.routing import MB, decode_tail_s
 from repro.accesscore.timeline import (
-    completion_time,
+    completion_with_order,
     finalize_read,
     merged_arrival_order,
     serve_read_queues,
@@ -99,15 +99,16 @@ class TestServeReadQueues:
         c = make_cluster()
         placement = [[0], [1]]
         streams = serve_read_queues(c, [0, 1], placement, MB, 0.0, rng_for_factory())
-        t, consumed = completion_time(streams, AllBlocksTracker(2))
+        t, consumed, order = completion_with_order(streams, AllBlocksTracker(2))
         assert np.isfinite(t)
         assert consumed == 2
+        assert sorted(order) == [0, 1]
 
     def test_completion_impossible_returns_inf(self):
         c = make_cluster()
         placement = [[0]]
         streams = serve_read_queues(c, [0], placement, MB, 0.0, rng_for_factory())
-        t, consumed = completion_time(streams, AllBlocksTracker(2))
+        t, consumed, _ = completion_with_order(streams, AllBlocksTracker(2))
         assert t == float("inf")
         assert consumed == 1
 

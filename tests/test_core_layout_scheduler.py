@@ -1,10 +1,12 @@
-"""Tests for layout planning and the access scheduler."""
+"""Tests for layout planning and disk selection."""
 
-import numpy as np
 import pytest
 
+from repro.accesscore.result import AccessConfig
+from repro.cluster.server import Cluster
 from repro.core import layout as L
-from repro.core.scheduler import AccessScheduler
+from repro.core.base import SchemeBase
+from repro.sim.rng import RngHub
 
 
 class TestLayouts:
@@ -14,7 +16,7 @@ class TestLayouts:
 
     def test_striped_uneven(self):
         p = L.striped(5, 4)
-        assert L.placement_counts(p).tolist() == [2, 1, 1, 1]
+        assert [len(d) for d in p] == [2, 1, 1, 1]
 
     def test_rotated_replicas_figure_6_1d(self):
         """The 8-block, 2-replica, 4-disk example of Fig 6-1d."""
@@ -35,22 +37,8 @@ class TestLayouts:
 
     def test_coded_balanced(self):
         p = L.coded_balanced(10, 4)
-        assert L.placement_counts(p).tolist() == [3, 3, 2, 2]
+        assert [len(d) for d in p] == [3, 3, 2, 2]
         assert sorted(b for disk in p for b in disk) == list(range(10))
-
-    def test_unbalanced_assignment(self):
-        p = L.unbalanced([3, 0, 1])
-        assert L.placement_counts(p).tolist() == [3, 0, 1]
-        flat = sorted(b for disk in p for b in disk)
-        assert flat == list(range(4))
-
-    def test_unbalanced_total_check(self):
-        with pytest.raises(ValueError):
-            L.unbalanced([1, 2], n_coded=4)
-
-    def test_imbalance_metric(self):
-        assert L.imbalance([[0], [1]]) == 1.0
-        assert L.imbalance([[0, 1, 2], [3]]) == pytest.approx(1.5)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -61,54 +49,35 @@ class TestLayouts:
             L.coded_balanced(4, 0)
 
 
+def selecting(n_disks, pool=128, seed=0):
+    """A scheme that picks ``n_disks`` of a ``pool``-disk cluster."""
+    return SchemeBase(Cluster(n_disks=pool), AccessConfig(n_disks=n_disks), RngHub(seed))
+
+
 class TestScheduler:
+    """Disk selection: ``SchemeBase.select_disks`` (§6.2.2)."""
+
+    def test_selection_is_the_select_stream_draw(self):
+        scheme = selecting(64, seed=3)
+        for trial in range(4):
+            rng = RngHub(3).fresh("select", scheme.name, trial)
+            expected = rng.choice(128, 64, replace=False)
+            assert scheme.select_disks(trial).tolist() == expected.tolist()
+
     def test_random_selection_distinct_and_in_range(self):
-        s = AccessScheduler(128)
-        rng = np.random.default_rng(0)
-        sel = s.select(64, rng)
+        sel = selecting(64).select_disks(0)
         assert len(set(sel.tolist())) == 64
         assert sel.min() >= 0 and sel.max() < 128
 
     def test_selection_validation(self):
-        s = AccessScheduler(16)
-        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            s.select(17, rng)
+            selecting(17, pool=16)
         with pytest.raises(ValueError):
-            s.select(0, rng)
-        with pytest.raises(ValueError):
-            AccessScheduler(0)
-        with pytest.raises(ValueError):
-            AccessScheduler(4, strategy="weird")
+            selecting(0, pool=16)
 
     def test_random_selection_varies(self):
-        s = AccessScheduler(128)
-        rng = np.random.default_rng(1)
-        a = s.select(8, rng).tolist()
-        b = s.select(8, rng).tolist()
-        assert a != b
-
-    def test_lightly_loaded_avoids_busy_disks(self):
-        s = AccessScheduler(8, strategy="lightly-loaded")
-        s.note_assignment([0, 1, 2, 3], [100, 100, 100, 100])
-        rng = np.random.default_rng(2)
-        sel = set(s.select(4, rng).tolist())
-        assert sel == {4, 5, 6, 7}
-
-    def test_load_decrements_on_completion(self):
-        s = AccessScheduler(4, strategy="lightly-loaded")
-        s.note_assignment([0], [10])
-        s.note_completion([0], [10])
-        rng = np.random.default_rng(3)
-        # With all loads equal again, selection is unconstrained.
-        assert len(s.select(4, rng)) == 4
-
-    def test_disks_to_saturate_rule(self):
-        s = AccessScheduler(128)
-        # 10 Gbps client (1.2 GB/s) over 20 MB/s disks -> ~64 disks (§5.3.1).
-        assert s.disks_to_saturate(1.2e9, 20e6) == 60
-        with pytest.raises(ValueError):
-            s.disks_to_saturate(1e9, 0)
+        scheme = selecting(8)
+        assert scheme.select_disks(0).tolist() != scheme.select_disks(1).tolist()
 
 
 class TestFractionalReplication:

@@ -137,9 +137,4 @@ class TestDrive:
         drive.attach_background(BackgroundWorkload(0.01, rng))
         env.run(until=2.0)
         assert drive.served_requests > 100
-        assert 0.2 < drive.utilization() <= 1.0
-
-    def test_utilization_zero_before_start(self):
-        env = Environment()
-        drive = make_drive(env)
-        assert drive.utilization() == 0.0
+        assert 0.2 < drive.busy_time / env.now <= 1.0

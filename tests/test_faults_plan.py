@@ -123,12 +123,6 @@ class TestFaultPlan:
         plan = FaultPlan.empty()
         assert plan.is_empty and len(plan) == 0 and plan.describe() == []
 
-    def test_per_target_queries(self):
-        plan = FaultPlan.from_scenario(SCENARIO)
-        assert {e.kind for e in plan.events_for_disk(3)} == {DISK_FAIL, DISK_RECOVER}
-        assert plan.events_for_disk(5) == []
-        assert [e.kind for e in plan.events_for_filer(0)] == [FILER_CRASH]
-
 
 # ------------------------------------------------------------------ disk timeline
 

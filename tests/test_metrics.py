@@ -59,17 +59,6 @@ def test_summarize_empty_raises():
         summarize([])
 
 
-def test_latency_cv():
-    s = summarize([result(1.0), result(3.0)])
-    assert s.latency_cv == pytest.approx(0.5)
-
-
-def test_row_rendering():
-    row = summarize([result(2.0, rec=0.5)]).row()
-    assert row["trials"] == 1
-    assert row["reception_overhead"] == 0.5
-
-
 def test_format_series_alignment():
     text = format_series("T", "x", [1, 2], {"a": [1.0, 2.0], "b": [3.0, float("nan")]})
     assert "T" in text
@@ -104,35 +93,7 @@ def test_format_bars_all_zero():
 
 
 # ---------------------------------------------------------------------------
-# percentiles: exact helpers vs numpy, histogram approximation
-
-
-class TestPercentileExact:
-    def test_matches_numpy_linear_interpolation(self):
-        rng = np.random.default_rng(42)
-        values = rng.lognormal(0.0, 1.5, size=2000)
-        from repro.metrics.stats import percentile_exact, percentiles_exact
-
-        for q in (0.0, 10.0, 50.0, 90.0, 99.0, 99.9, 100.0):
-            assert percentile_exact(values, q) == pytest.approx(
-                float(np.percentile(values, q))
-            )
-            assert percentile_exact(values, q) == pytest.approx(
-                float(np.quantile(values, q / 100.0))
-            )
-        ps = percentiles_exact(values)
-        assert set(ps) == {50.0, 99.0, 99.9}
-        assert ps[50.0] == pytest.approx(float(np.median(values)))
-
-    def test_small_inputs_and_errors(self):
-        from repro.metrics.stats import percentile_exact
-
-        assert percentile_exact([3.0], 99.0) == 3.0
-        assert percentile_exact([1.0, 2.0], 50.0) == pytest.approx(1.5)
-        with pytest.raises(ValueError):
-            percentile_exact([], 50.0)
-        with pytest.raises(ValueError):
-            percentile_exact([1.0], 101.0)
+# percentiles: histogram approximation vs numpy
 
 
 class TestFixedBinHistogram:
@@ -174,12 +135,3 @@ class TestFixedBinHistogram:
             h.add(float("nan"))
         with pytest.raises(ValueError):
             h.add_many([1.0, float("inf")])
-
-    def test_jsonable_round_trip_sparse(self):
-        from repro.metrics.stats import FixedBinHistogram
-
-        h, _ = self.hist_and_values(n=300)
-        data = h.to_jsonable()
-        back = FixedBinHistogram.from_jsonable(data)
-        assert np.array_equal(back.counts, h.counts)
-        assert back.p50 == h.p50 and back.p99 == h.p99

@@ -2,26 +2,18 @@
 
 import pytest
 
-from repro.net import Link, NetworkModel
+from repro.net import Link
 
 
 def test_link_defaults():
     link = Link()
     assert link.rtt_s == 0.001
     assert link.one_way_s == 0.0005
-    assert link.transfer_time(10**9) == 0.0  # plentiful bandwidth
-
-
-def test_link_finite_bandwidth():
-    link = Link(rtt_s=0.01, bandwidth_bps=1e6)
-    assert link.transfer_time(500_000) == pytest.approx(0.5)
 
 
 def test_link_validation():
     with pytest.raises(ValueError):
         Link(rtt_s=-1)
-    with pytest.raises(ValueError):
-        Link(bandwidth_bps=0)
 
 
 def test_link_accounting():
@@ -29,30 +21,3 @@ def test_link_accounting():
     link.account(100)
     link.account(50)
     assert link.bytes_sent == 150
-
-
-def test_network_model_uniform_rtt():
-    net = NetworkModel(4, rtt_s=0.02)
-    assert len(net) == 4
-    assert all(link.rtt_s == 0.02 for link in net.links)
-
-
-def test_network_model_per_server_rtt():
-    net = NetworkModel(3, rtt_s=[0.001, 0.01, 0.1])
-    assert net.link(2).rtt_s == 0.1
-    with pytest.raises(ValueError):
-        NetworkModel(3, rtt_s=[0.001, 0.01])
-
-
-def test_network_model_totals_and_reset():
-    net = NetworkModel(2)
-    net.link(0).account(10)
-    net.link(1).account(20)
-    assert net.total_bytes_sent == 30
-    net.reset_counters()
-    assert net.total_bytes_sent == 0
-
-
-def test_network_model_needs_servers():
-    with pytest.raises(ValueError):
-        NetworkModel(0)

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.accesscore.trackers import PARITY_BASE
 from repro.coding.lt import ImprovedLTCode
 from repro.coding.peeling import PeelingDecoder, blocks_needed
 from repro.core import layout as L
+from repro.core.policy.placement import ParityStripePlacement
 from repro.disk.mechanics import DiskMechanics
 from repro.disk.service import BackgroundLoad, BlockService
 from repro.disk.workload import BLOCKING_FACTORS, InDiskLayout
@@ -27,8 +29,8 @@ def test_striped_partitions_blocks(k, h):
     p = L.striped(k, h)
     flat = sorted(b for disk in p for b in disk)
     assert flat == list(range(k))
-    counts = L.placement_counts(p)
-    assert counts.max() - counts.min() <= 1
+    counts = [len(disk) for disk in p]
+    assert max(counts) - min(counts) <= 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -65,13 +67,24 @@ def test_fractional_replication_total(k, d, h):
     assert len(set(ids)) == len(ids)  # globally unique ids
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=16))
-def test_unbalanced_assignment_properties(counts):
-    p = L.unbalanced(counts)
-    assert [len(d) for d in p] == counts
-    ids = sorted(b for disk in p for b in disk)
-    assert ids == list(range(sum(counts)))
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=300),
+    st.integers(min_value=2, max_value=64),
+)
+def test_parity_stripes_keep_parity_off_their_data_disks(k, h):
+    """One failed disk never costs a RAID-5 stripe a data block and its parity."""
+    placement, stripes = ParityStripePlacement.layout(k, h)
+    ids = [b for disk in placement for b in disk]
+    assert sorted(b for b in ids if b < PARITY_BASE) == list(range(k))
+    for s, stripe in enumerate(stripes):
+        parity_disk = stripe["parity_disk"]
+        data = {b for b, _ in stripe["data"]}
+        assert all(b in placement[d] for b, d in stripe["data"])
+        assert data.isdisjoint(placement[parity_disk])
+        assert ids.count(PARITY_BASE + s) == 1
+        assert PARITY_BASE + s in placement[parity_disk]
+    assert sum(b >= PARITY_BASE for b in ids) == len(stripes)
 
 
 # ------------------------------------------------------------------ service model
