@@ -13,11 +13,11 @@ import numpy as np
 
 from repro.accesscore.result import AccessConfig
 from repro.accesscore.routing import MB
-from repro.core.api import RobuStoreClient
+from repro.core.api import StorageClient
 
 
 def main() -> None:
-    client = RobuStoreClient(
+    client = StorageClient(
         config=AccessConfig(
             data_bytes=64 * MB,   # adjusted per write below
             block_bytes=1 * MB,

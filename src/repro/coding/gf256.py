@@ -142,15 +142,3 @@ def cauchy_matrix(rows: int, cols: int) -> np.ndarray:
     y = np.arange(rows, rows + cols, dtype=np.uint8)
     denom = np.bitwise_xor(x[:, None], y[None, :])
     return EXP[(255 - LOG[denom]) % 255].astype(np.uint8)
-
-
-def vandermonde_matrix(rows: int, cols: int) -> np.ndarray:
-    """Vandermonde matrix V[i, j] = alpha_i ** j with distinct alpha_i."""
-    if rows > FIELD_SIZE - 1:
-        raise ValueError("too many rows for distinct nonzero evaluation points")
-    out = np.zeros((rows, cols), dtype=np.uint8)
-    for i in range(rows):
-        alpha = i + 1
-        for j in range(cols):
-            out[i, j] = gf_pow(alpha, j)
-    return out

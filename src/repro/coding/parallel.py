@@ -1,45 +1,20 @@
 """Parallel LT coding (§7.3 future work: "design parallel coding
 algorithms ... use a cluster of workstations as a coding agent").
 
-Within one process, LT encode/decode parallelises two ways:
-
-* **by coded block** — each coded block's XOR is independent, so the
-  encoder shards the coded-block range across a thread pool (numpy's
-  ``bitwise_xor`` releases the GIL on large operands, so threads scale on
-  the memory-bandwidth-bound kernel);
-* **by stripe** — a single very large block is XORed in column stripes,
-  each thread owning a byte range (the §5.2.3 "striping for XOR on large
-  memory buffers" optimisation, parallelised).
-
-Decoding stays sequential in graph order (the peeling ripple is a serial
-dependency) but the per-resolution XOR work can use striped parallelism.
+Each coded block's XOR is independent, so the encoder shards the
+coded-block range across a thread pool (numpy's ``bitwise_xor`` releases
+the GIL on large operands, so threads scale on the memory-bandwidth-bound
+kernel).  ``ext_parallel_coding`` measures the throughput this buys.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from repro.coding.lt import LTCode, LTGraph
 from repro.coding.xorblocks import xor_reduce
-
-
-def coding_threads() -> int:
-    """Worker count from the ``REPRO_CODING_THREADS`` environment switch.
-
-    Read dynamically (not at import time) so tests and deployments can
-    flip the switch per call; unset, empty or invalid values mean 1
-    (sequential kernels).  Every threaded kernel in this module and the
-    scheme data paths (:mod:`repro.core.codecs`,
-    :class:`repro.coding.peeling.PeelingDecoder`) is byte-identical to
-    its sequential counterpart, so the switch is purely about wall time.
-    """
-    try:
-        return max(1, int(os.environ.get("REPRO_CODING_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def parallel_encode(
@@ -76,114 +51,6 @@ def parallel_encode(
         for f in futures:
             f.result()  # propagate exceptions
     return out
-
-
-def parallel_encode_ids(
-    data_blocks: np.ndarray,
-    graph: LTGraph,
-    ids,
-    workers: int | None = None,
-) -> dict[int, np.ndarray]:
-    """Encode only the coded blocks in ``ids``; return ``{id: payload}``.
-
-    The stored-id counterpart of :func:`parallel_encode` (schemes store a
-    placement-dependent subset of the graph, not a dense prefix).  Each
-    coded block's XOR is independent, so sharding the id list over
-    ``workers`` threads is byte-identical to sequential
-    :meth:`repro.coding.lt.LTCode.encode_one` calls.  ``workers=None``
-    reads :func:`coding_threads`.
-    """
-    if workers is None:
-        workers = coding_threads()
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    data_blocks = np.asarray(data_blocks, dtype=np.uint8)
-    ids = [int(b) for b in ids]
-    out: dict[int, np.ndarray] = {}
-
-    def encode_range(lo: int, hi: int) -> None:
-        for b in ids[lo:hi]:
-            out[b] = xor_reduce(data_blocks, graph.neighbors[b])
-
-    if workers == 1 or len(ids) < 2 * workers:
-        encode_range(0, len(ids))
-        return out
-    bounds = np.linspace(0, len(ids), workers + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(encode_range, int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        for f in futures:
-            f.result()
-    return out
-
-
-def parallel_group_map(fn, n_groups: int, workers: int | None = None) -> list:
-    """Run ``fn(g)`` for every group ``g`` and return results in group order.
-
-    The grouped-RS data path's sharding primitive: each group's
-    Reed-Solomon word is independent, so evaluating groups on a thread
-    pool is byte-identical to the sequential loop — results land in a
-    pre-sized list indexed by group, never in completion order.
-    ``workers=None`` reads :func:`coding_threads`.
-    """
-    if workers is None:
-        workers = coding_threads()
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    out: list = [None] * n_groups
-
-    def run_range(lo: int, hi: int) -> None:
-        for g in range(lo, hi):
-            out[g] = fn(g)
-
-    if workers == 1 or n_groups < 2:
-        run_range(0, n_groups)
-        return out
-    bounds = np.linspace(0, n_groups, min(workers, n_groups) + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(run_range, int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        for f in futures:
-            f.result()
-    return out
-
-
-def striped_xor_into(
-    dst: np.ndarray, src: np.ndarray, workers: int = 4
-) -> None:
-    """``dst ^= src`` with byte-range stripes across threads.
-
-    Useful for multi-MB blocks; small blocks fall back to the serial
-    kernel (thread dispatch would dominate).
-    """
-    if dst.shape != src.shape:
-        raise ValueError("shape mismatch")
-    n = dst.size
-    if workers <= 1 or n < 1 << 22:
-        np.bitwise_xor(dst, src, out=dst)
-        return
-    bounds = np.linspace(0, n, workers + 1).astype(int)
-    # Align stripe boundaries to 64 bytes for clean cache-line ownership.
-    bounds = (bounds // 64) * 64
-    bounds[-1] = n
-
-    def stripe(lo: int, hi: int) -> None:
-        np.bitwise_xor(dst[lo:hi], src[lo:hi], out=dst[lo:hi])
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(stripe, int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        for f in futures:
-            f.result()
 
 
 def encode_throughput(

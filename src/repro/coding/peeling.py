@@ -62,19 +62,11 @@ class PeelingDecoder:
         # original id -> arrived coded blocks still referencing it.
         self._rev: dict[int, list[int]] = defaultdict(list)
         self._payloads: dict[int, np.ndarray] = {}
-        self._xor_workers = 1
-        if block_len is not None:
-            self._data = np.zeros((self.k, block_len), dtype=np.uint8)
-            # Striped threaded XOR for the lazy per-resolution work
-            # (byte-identical; only worthwhile on multi-MB blocks, which
-            # striped_xor_into gates on internally).  Imported lazily so
-            # the symbolic simulator hot path never touches the pool.
-            from repro.coding.parallel import coding_threads, striped_xor_into
-
-            self._xor_workers = coding_threads()
-            self._striped_xor = striped_xor_into
-        else:
-            self._data = None
+        self._data = (
+            np.zeros((self.k, block_len), dtype=np.uint8)
+            if block_len is not None
+            else None
+        )
 
     # -- state ---------------------------------------------------------
     @property
@@ -179,13 +171,9 @@ class PeelingDecoder:
         if self._data is not None:
             buf = self._data[original_id]
             buf[:] = self._payloads[coded_id]
-            workers = self._xor_workers
             for o in nb:
                 if o != original_id:
-                    if workers > 1:
-                        self._striped_xor(buf, self._data[o], workers)
-                    else:
-                        xor_into(buf, self._data[o])
+                    xor_into(buf, self._data[o])
                     self._xor_ops += 1
         else:
             self._xor_ops += max(0, len(nb) - 1)

@@ -14,9 +14,8 @@ This facade couples two things the rest of the package keeps separate:
 So a successful :meth:`FileHandle.read` proves both data integrity
 (byte-exact round trip through encode -> placement -> partial,
 out-of-order retrieval -> decode) and gives the performance a real client
-would have observed.  Any scheme with a data-path codec works:
-``raid0``, ``rraid-s``, ``rraid-a``, ``raid0+1``, ``robustore`` (default)
-and ``robustore-rs``.
+would have observed.  Any scheme in :data:`repro.core.codecs.CODECS`
+works; ``robustore`` is the default.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from repro.accesscore.routing import MB
 from repro.cluster.metadata import MetadataServer
 from repro.cluster.server import Cluster
 from repro.coding.xorblocks import join_blocks, split_into_blocks
-from repro.core.codecs import codec_for
+from repro.core.codecs import LTCodec, codec_for
 from repro.core.pipeline import scheme_class
 from repro.core.qos import QoSOptions, plan_access
 from repro.sim.rng import RngHub
@@ -101,12 +100,6 @@ class StorageClient:
         )
 
 
-#: Backwards-compatible alias: the original RobuSTore-only entry point.
-def RobuStoreClient(cluster=None, config=None, seed: int = 0) -> StorageClient:
-    """A :class:`StorageClient` fixed to the RobuSTore scheme."""
-    return StorageClient("robustore", cluster=cluster, config=config, seed=seed)
-
-
 class FileHandle:
     """An open file (returned by :meth:`StorageClient.open`)."""
 
@@ -167,14 +160,15 @@ class FileHandle:
     # -- update (§4.3.4) -------------------------------------------------------------
     def update(self, block_index: int, new_block: bytes) -> AccessResult:
         """Replace one original block; rewrite only the coded blocks it
-        touches (RobuSTore only — near-optimal codes localise updates).
+        touches (LT-coded schemes only — near-optimal codes localise
+        updates).
 
         The stored payloads are regenerated for the affected coded blocks,
         so a subsequent :meth:`read` returns the updated bytes.
         """
         if self.mode != "w":
             raise PermissionError("file not opened for writing")
-        if self.client.scheme_name != "robustore":
+        if not isinstance(self.client.codec, LTCodec):
             raise NotImplementedError(
                 "in-place update is implemented for the LT codec only"
             )

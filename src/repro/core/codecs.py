@@ -14,10 +14,10 @@ import numpy as np
 
 from repro.accesscore.result import AccessConfig
 from repro.cluster.metadata import FileRecord
-from repro.coding.parallel import coding_threads, parallel_encode_ids, parallel_group_map
 from repro.coding.peeling import PeelingDecoder
 from repro.coding.reed_solomon import ReedSolomonCode
 from repro.coding.regenerating import product_matrix_code
+from repro.coding.xorblocks import xor_reduce
 
 
 class Codec(Protocol):
@@ -77,19 +77,15 @@ class ReplicaCodec:
 
 
 class LTCodec:
-    """RobuSTore: LT encode against the record's graph, peel to decode.
-
-    Encode shards the stored coded-block ids over
-    ``REPRO_CODING_THREADS`` workers (each block's XOR is independent);
-    decode's per-resolution XOR uses the striped threaded kernel for
-    large blocks.  Both are byte-identical to the sequential kernels.
-    """
+    """RobuSTore: LT encode against the record's graph, peel to decode."""
 
     def encode(self, blocks, record, cfg):
         graph = record.extra["graph"]
-        return parallel_encode_ids(
-            blocks, graph, (b for p in record.placement for b in p)
-        )
+        return {
+            int(b): xor_reduce(blocks, graph.neighbors[b])
+            for p in record.placement
+            for b in p
+        }
 
     def decode(self, arrival_order, payloads, record, cfg):
         graph = record.extra["graph"]
@@ -111,20 +107,13 @@ class RSGroupCodec:
 
     def encode(self, blocks, record, cfg):
         group, coded, code = self._codes(record, cfg)
-        n_groups = record.coding["groups"]
-
-        def encode_group(g: int) -> np.ndarray:
+        out = {}
+        for g in range(record.coding["groups"]):
             seg = blocks[g * group : (g + 1) * group]
             if seg.shape[0] < group:
                 pad = np.zeros((group - seg.shape[0], blocks.shape[1]), np.uint8)
                 seg = np.vstack([seg, pad])
-            return code.encode(seg)
-
-        # Each group's RS word is independent: REPRO_CODING_THREADS shards
-        # the groups, byte-identically to the sequential loop.
-        coded_by_group = parallel_group_map(encode_group, n_groups)
-        out = {}
-        for g, coded_blocks in enumerate(coded_by_group):
+            coded_blocks = code.encode(seg)
             for j in range(coded):
                 out[(g << 20) | j] = coded_blocks[j]
         return {bid: out[bid] for p in record.placement for bid in p}
@@ -141,14 +130,10 @@ class RSGroupCodec:
         if short:
             raise ValueError(f"group {short[0]} never filled")
 
-        def decode_group(g: int) -> np.ndarray:
-            ids = by_group[g]
-            local = [bid & 0xFFFFF for bid in ids]
-            return code.decode(local, np.stack([payloads[b] for b in ids]))
-
-        decoded_by_group = parallel_group_map(decode_group, n_groups)
         out = np.zeros((cfg.k, cfg.block_bytes), dtype=np.uint8)
-        for g, decoded in enumerate(decoded_by_group):
+        for g, ids in by_group.items():
+            local = [bid & 0xFFFFF for bid in ids]
+            decoded = code.decode(local, np.stack([payloads[b] for b in ids]))
             lo = g * group
             hi = min(cfg.k, lo + group)
             out[lo:hi] = decoded[: hi - lo]
@@ -169,20 +154,14 @@ class RegenCodec:
 
     def encode(self, blocks, record, cfg):
         code, c = self._code(record)
-        B, alpha, n_stripes = c["stripe_symbols"], c["alpha"], c["stripes"]
-
-        def encode_stripe(s: int) -> np.ndarray:
+        B, alpha = c["stripe_symbols"], c["alpha"]
+        out = {}
+        for s in range(c["stripes"]):
             seg = blocks[s * B : (s + 1) * B]
             if seg.shape[0] < B:
                 pad = np.zeros((B - seg.shape[0], blocks.shape[1]), np.uint8)
                 seg = np.vstack([seg, pad])
-            return code.encode(seg)  # (n, alpha, L)
-
-        # Stripes are independent: REPRO_CODING_THREADS shards them,
-        # byte-identically to the sequential loop.
-        encoded = parallel_group_map(encode_stripe, n_stripes)
-        out = {}
-        for s, enc in enumerate(encoded):
+            enc = code.encode(seg)  # (n, alpha, L)
             for j in range(c["nodes"]):
                 for a in range(alpha):
                     out[(s << 20) | (j * alpha + a)] = enc[j, a]
@@ -208,8 +187,8 @@ class RegenCodec:
         if short:
             raise ValueError(f"stripe {short[0]} never completed k nodes")
 
-        def decode_stripe(s: int) -> np.ndarray:
-            nodes = chosen[s]
+        out = np.zeros((cfg.k, cfg.block_bytes), dtype=np.uint8)
+        for s, nodes in chosen.items():
             contents = np.stack(
                 [
                     np.stack(
@@ -218,11 +197,7 @@ class RegenCodec:
                     for j in nodes
                 ]
             )
-            return code.decode(nodes, contents)  # (B, L)
-
-        decoded = parallel_group_map(decode_stripe, n_stripes)
-        out = np.zeros((cfg.k, cfg.block_bytes), dtype=np.uint8)
-        for s, dec in enumerate(decoded):
+            dec = code.decode(nodes, contents)  # (B, L)
             lo = s * B
             hi = min(cfg.k, lo + B)
             out[lo:hi] = dec[: hi - lo]

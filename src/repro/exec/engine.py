@@ -143,8 +143,6 @@ class Executor:
         Worker-process count; ``1`` (the default) executes in-process.
     store:
         Result cache; ``None`` disables caching entirely.
-    retries:
-        In-process retries for a job that failed in a worker (default 1).
     progress:
         Paint the live progress/ETA line on ``stderr``.
     """
@@ -153,12 +151,10 @@ class Executor:
         self,
         jobs: int = 1,
         store: Optional[ResultStore] = None,
-        retries: int = 1,
         progress: bool = False,
     ) -> None:
         self.jobs = max(1, int(jobs))
         self.store = store
-        self.retries = max(0, int(retries))
         self.progress = bool(progress)
         self.stats = ExecStats()
 
@@ -306,8 +302,6 @@ class Executor:
                 f" ({type(exc).__name__}: {exc}); retrying in-process",
                 file=sys.stderr,
             )
-            if self.retries <= 0:
-                raise JobFailure(f"job {job.label} (key {key}) failed") from exc
             try:
                 produced[key] = self._run_local(job, key)
             except BaseException as retry_exc:

@@ -20,7 +20,7 @@ from repro.coding.lt import ImprovedLTCode, LTCode
 from repro.coding.peeling import blocks_needed, decodable
 from repro.experiments import config as C
 from repro.experiments.harness import TrialPlan, run_scheme
-from repro.metrics.reporting import format_table
+from repro.metrics.reporting import Table, format_table
 from repro.metrics.stats import summarize
 
 
@@ -66,17 +66,9 @@ def abl_cancel(seed: int = 0, trials: int | None = None) -> CancelAblation:
     )
 
 
-@dataclass
-class ImprovedLTAblation:
-    rows: list
-
-    def text(self) -> str:
-        return format_table("Ablation: original vs improved LT (§5.2.3)", self.rows)
-
-
 def abl_improved_lt(
     k: int = 512, expansion: int = 4, samples: int = 12, seed: int = 0
-) -> ImprovedLTAblation:
+) -> Table:
     """Decodability failures, overhead spread, coverage spread."""
     rows = []
     for label, cls in (("original", LTCode), ("improved", ImprovedLTCode)):
@@ -106,22 +98,10 @@ def abl_improved_lt(
                 "deg_spread": round(float(np.mean(spreads)), 1) if spreads else "—",
             }
         )
-    return ImprovedLTAblation(rows)
+    return Table("Ablation: original vs improved LT (§5.2.3)", rows)
 
 
-@dataclass
-class AdmissionAblation:
-    rows: list
-
-    def text(self) -> str:
-        return format_table(
-            "Ablation: capacity-based admission control (§5.4)", self.rows
-        )
-
-
-def abl_admission(
-    offered_flows=(1, 2, 4, 8, 16, 32), capacity: int = 4
-) -> AdmissionAblation:
+def abl_admission(offered_flows=(1, 2, 4, 8, 16, 32), capacity: int = 4) -> Table:
     """Aggregate throughput of one disk under n concurrent large flows.
 
     Without admission control all flows share (and thrash) the disk; with
@@ -142,20 +122,10 @@ def abl_admission(
                 "agg_thr_capped": round(capped, 3),
             }
         )
-    return AdmissionAblation(rows)
+    return Table("Ablation: capacity-based admission control (§5.4)", rows)
 
 
-@dataclass
-class CodeChoiceAblation:
-    rows: list
-
-    def text(self) -> str:
-        return format_table(
-            "Ablation: LT vs Reed-Solomon inside RobuSTore (§5.2.1)", self.rows
-        )
-
-
-def abl_code_choice(seed: int = 0, trials: int | None = None) -> CodeChoiceAblation:
+def abl_code_choice(seed: int = 0, trials: int | None = None) -> Table:
     """Same speculative machinery, different code: why the paper picks LT.
 
     RS pays a quadratic, non-overlappable decode tail and loses the
@@ -179,4 +149,4 @@ def abl_code_choice(seed: int = 0, trials: int | None = None) -> CodeChoiceAblat
                 "io_ovh": round(summary.io_overhead, 2),
             }
         )
-    return CodeChoiceAblation(rows)
+    return Table("Ablation: LT vs Reed-Solomon inside RobuSTore (§5.2.1)", rows)

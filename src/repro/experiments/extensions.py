@@ -10,8 +10,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.accesscore.result import AccessConfig
@@ -22,23 +20,11 @@ from repro.coding.lt import ImprovedLTCode
 from repro.coding.parallel import encode_throughput
 from repro.core import SCHEMES
 from repro.core.update import update_access, update_amplification
-from repro.metrics.reporting import format_table
+from repro.metrics.reporting import Table
 from repro.sim.rng import RngHub
 
 
-@dataclass
-class UpdateResult:
-    rows: list
-
-    def text(self) -> str:
-        return format_table(
-            "Extension: update-access amplification (§4.3.4)", self.rows
-        )
-
-
-def ext_update(
-    ks=(128, 256, 1024), expansion: int = 4, seed: int = 0
-) -> UpdateResult:
+def ext_update(ks=(128, 256, 1024), expansion: int = 4, seed: int = 0) -> Table:
     """Coded blocks touched per single-block update, across word lengths.
 
     The dissertation's example: K=1024, N=4096 -> ~20 coded blocks, about
@@ -68,22 +54,12 @@ def ext_update(
                 "update_lat_s": round(result.latency_s, 3),
             }
         )
-    return UpdateResult(rows)
-
-
-@dataclass
-class ParallelCodingResult:
-    rows: list
-
-    def text(self) -> str:
-        return format_table(
-            "Extension: parallel LT encoding throughput (§7.3)", self.rows
-        )
+    return Table("Extension: update-access amplification (§4.3.4)", rows)
 
 
 def ext_parallel_coding(
     k: int = 256, block_kb: int = 256, workers=(1, 2, 4), seed: int = 0
-) -> ParallelCodingResult:
+) -> Table:
     """Encode throughput vs thread count (numpy XOR releases the GIL)."""
     rng = np.random.default_rng(seed)
     code = ImprovedLTCode(k, c=1.0, delta=0.5)
@@ -100,23 +76,12 @@ def ext_parallel_coding(
                 "speedup": round(thr / base, 2),
             }
         )
-    return ParallelCodingResult(rows)
-
-
-@dataclass
-class FailureResult:
-    rows: list
-
-    def text(self) -> str:
-        return format_table(
-            "Extension: reads under disk failures (§5.3.1 reliability)",
-            self.rows,
-        )
+    return Table("Extension: parallel LT encoding throughput (§7.3)", rows)
 
 
 def ext_failures(
     failure_counts=(0, 1, 2, 4, 8, 16), data_mb: int = 256, trials: int = 8, seed: int = 0
-) -> FailureResult:
+) -> Table:
     """Read success rate and bandwidth as disks fail outright.
 
     Erasure-coded redundancy reads around erased disks (any sufficient
@@ -147,23 +112,12 @@ def ext_failures(
                     "bw_MBps": round(bw, 1),
                 }
             )
-    return FailureResult(rows)
-
-
-@dataclass
-class QoSAdmissionResult:
-    rows: list
-
-    def text(self) -> str:
-        return format_table(
-            "Extension: QoS-priority admission at capacity-limited servers",
-            self.rows,
-        )
+    return Table("Extension: reads under disk failures (§5.3.1 reliability)", rows)
 
 
 def ext_qos_admission(
     n_servers: int = 4, capacity: int = 2, offered: int = 16, seed: int = 0
-) -> QoSAdmissionResult:
+) -> Table:
     """Flows with mixed priorities negotiate admission across servers.
 
     High-priority (interactive) flows should land on their preferred
@@ -193,21 +147,10 @@ def ext_qos_admission(
     rows.append(
         {"class": "preferred-hits", "offered": "", "admitted": preferred_hits, "refused": ""}
     )
-    return QoSAdmissionResult(rows)
+    return Table("Extension: QoS-priority admission at capacity-limited servers", rows)
 
 
-@dataclass
-class BaselinesResult:
-    rows: list
-
-    def text(self) -> str:
-        return format_table(
-            "Extension: RobuSTore vs the full RAID family (1 access point)",
-            self.rows,
-        )
-
-
-def ext_baselines(data_mb: int = 512, trials: int = 10, seed: int = 0) -> BaselinesResult:
+def ext_baselines(data_mb: int = 512, trials: int = 10, seed: int = 0) -> Table:
     """All six schemes at the baseline point (adds RAID-5, RAID-0+1)."""
     from repro.experiments.harness import TrialPlan, run_scheme
     from repro.metrics.stats import summarize
@@ -227,23 +170,12 @@ def ext_baselines(data_mb: int = 512, trials: int = 10, seed: int = 0) -> Baseli
                 "io_ovh": round(s.io_overhead, 2),
             }
         )
-    return BaselinesResult(rows)
-
-
-@dataclass
-class WanRegimeResult:
-    rows: list
-
-    def text(self) -> str:
-        return format_table(
-            "Extension: slow shared-WAN regime (Collins & Plank, §2.3)",
-            self.rows,
-        )
+    return Table("Extension: RobuSTore vs the full RAID family (1 access point)", rows)
 
 
 def ext_wan_regime(
     nic_mbps: float = 10.0, data_mb: int = 128, trials: int = 6, seed: int = 0
-) -> WanRegimeResult:
+) -> Table:
     """Reproduce the related-work crossover.
 
     Collins & Plank (DSN'05) found Reed-Solomon beats LDPC-family codes in
@@ -277,7 +209,7 @@ def ext_wan_regime(
                     "lat_s": round(s.latency_mean_s, 2),
                 }
             )
-    return WanRegimeResult(rows)
+    return Table("Extension: slow shared-WAN regime (Collins & Plank, §2.3)", rows)
 
 
 # ``ext_repair`` moved to :mod:`repro.experiments.repair_experiment`: the

@@ -20,26 +20,12 @@ and aggregate delivered throughput — for RobuSTore and RAID-0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.accesscore.result import AccessConfig
 from repro.accesscore.routing import MB
-from repro.metrics.reporting import format_table
+from repro.metrics.reporting import Table
 from repro.serve import closed_loop_point
-
-
-@dataclass
-class MultiUserResult:
-    rows: list
-
-    def text(self) -> str:
-        return format_table(
-            "Extension: concurrent clients sharing one disk pool "
-            "(event-driven engine)",
-            self.rows,
-        )
 
 
 def ext_multiuser(
@@ -49,7 +35,7 @@ def ext_multiuser(
     pool: int = 16,
     trials: int = 3,
     seed: int = 0,
-) -> MultiUserResult:
+) -> Table:
     """Per-client and aggregate performance vs concurrent client count."""
     cfg = AccessConfig(
         data_bytes=data_mb * MB, block_bytes=1 * MB, n_disks=n_disks, redundancy=3.0
@@ -72,4 +58,7 @@ def ext_multiuser(
                     "aggregate_MBps": round(per_client_bw * n, 1),
                 }
             )
-    return MultiUserResult(rows)
+    return Table(
+        "Extension: concurrent clients sharing one disk pool (event-driven engine)",
+        rows,
+    )

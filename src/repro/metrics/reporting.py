@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 #: ``(MetricSummary attribute, figure label)`` for every reported metric,
@@ -85,3 +86,14 @@ def format_table(title: str, rows: Sequence[Mapping]) -> str:
     for row in rows:
         lines.append(" | ".join(f"{row.get(k, ''):>12}" for k in keys))
     return "\n".join(lines)
+
+
+@dataclass
+class Table:
+    """A titled list of uniform dict rows: one experiment's whole result."""
+
+    title: str
+    rows: list
+
+    def text(self) -> str:
+        return format_table(self.title, self.rows)

@@ -65,13 +65,6 @@ class Environment:
         process.  Violations raise :class:`SimulationError` naming the
         active process and the timeline position.  ``None`` (default)
         reads the ``REPRO_SANITIZE`` environment variable.
-    calendar:
-        Optional replacement for the built-in heap: any object with
-        ``push(time, priority, event)``, ``pop() -> (time, priority, eid,
-        event)`` (raising ``IndexError`` when empty) and ``peek_time()``.
-        The differential tests inject
-        ``tests/_calendar_ref.ReferenceCalendar`` here to prove the
-        kernel's dispatch order is implementation-independent.
     """
 
     def __init__(
@@ -79,16 +72,10 @@ class Environment:
         initial_time: float = 0.0,
         tracer=None,
         sanitize: Optional[bool] = None,
-        calendar=None,
     ) -> None:
         self._now = float(initial_time)
-        # The kernel's own pending-event heap, or None when an injected
-        # calendar holds the pending events instead.
-        self._heap: Optional[list[tuple[float, int, int, Event]]] = (
-            [] if calendar is None else None
-        )
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._eid = count()
-        self._calendar = calendar
         self._active_proc: Optional[Process] = None
         self.tracer = tracer if tracer is not None else NULL_TRACER
         if sanitize is None:
@@ -170,11 +157,7 @@ class Environment:
             )
         if self._inflight is not None:
             self._sanitize_schedule(event)
-        heap = self._heap
-        if heap is not None:
-            heappush(heap, (self._now + delay, priority, next(self._eid), event))
-        else:
-            self._calendar.push(self._now + delay, priority, event)
+        heappush(self._heap, (self._now + delay, priority, next(self._eid), event))
         if self._inflight is not None:
             self._inflight.add(id(event))
 
@@ -190,13 +173,6 @@ class Environment:
                 f"would dispatch its callbacks twice{self._context()}"
             )
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none remain."""
-        heap = self._heap
-        if heap is None:
-            return self._calendar.peek_time()
-        return heap[0][0] if heap else math.inf
-
     def step(self) -> None:
         """Process the next scheduled event.
 
@@ -205,16 +181,9 @@ class Environment:
         EmptySchedule
             If no events remain.
         """
-        heap = self._heap
-        if heap is not None:
-            if not heap:
-                raise EmptySchedule()
-            t, _, _, event = heappop(heap)
-        else:
-            try:
-                t, _, _, event = self._calendar.pop()
-            except IndexError:
-                raise EmptySchedule() from None
+        if not self._heap:
+            raise EmptySchedule()
+        t, _, _, event = heappop(self._heap)
         if self._inflight is not None:
             self._inflight.discard(id(event))
             if t < self._now:

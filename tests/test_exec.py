@@ -261,11 +261,12 @@ def test_worker_failure_is_retried_in_process(monkeypatch, capsys):
     ]
 
 
-def test_worker_failure_without_retries_raises(monkeypatch):
+def test_worker_and_retry_failure_raises(monkeypatch):
     monkeypatch.setattr(exec_engine, "_worker", _failing_worker)
+    monkeypatch.setattr(exec_engine, "execute_payload", _failing_worker)
     jobs = [Job(small_plan(), s) for s in ("raid0", "robustore")]
-    with pytest.raises(JobFailure, match="failed"):
-        Executor(jobs=2, store=None, retries=0).run_jobs(jobs)
+    with pytest.raises(JobFailure, match="again on in-process retry"):
+        Executor(jobs=2, store=None).run_jobs(jobs)
 
 
 def _exiting_worker(payload_json):

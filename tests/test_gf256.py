@@ -140,8 +140,3 @@ def test_cauchy_every_square_submatrix_invertible():
 def test_cauchy_size_limit():
     with pytest.raises(ValueError):
         gf.cauchy_matrix(200, 100)
-
-
-def test_vandermonde_first_column_ones():
-    V = gf.vandermonde_matrix(5, 3)
-    assert np.array_equal(V[:, 0], np.ones(5, dtype=np.uint8))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.coding.lt import ImprovedLTCode
-from repro.coding.parallel import encode_throughput, parallel_encode, striped_xor_into
+from repro.coding.parallel import encode_throughput, parallel_encode
 from repro.coding.xorblocks import random_blocks
 
 
@@ -39,147 +39,8 @@ def test_small_n_falls_back_to_serial(setup_code):
     assert np.array_equal(out, code.encode(data, graph))
 
 
-def test_striped_xor_matches_serial():
-    rng = np.random.default_rng(1)
-    big = 1 << 23  # above the striping threshold
-    a = rng.integers(0, 256, big, dtype=np.uint8)
-    b = rng.integers(0, 256, big, dtype=np.uint8)
-    expect = a ^ b
-    striped_xor_into(a, b, workers=4)
-    assert np.array_equal(a, expect)
-
-
-def test_striped_xor_small_fallback():
-    a = np.arange(128, dtype=np.uint8)
-    b = np.ones(128, dtype=np.uint8)
-    expect = a ^ b
-    striped_xor_into(a, b, workers=4)
-    assert np.array_equal(a, expect)
-
-
-def test_striped_xor_shape_check():
-    with pytest.raises(ValueError):
-        striped_xor_into(np.zeros(8, np.uint8), np.zeros(16, np.uint8))
-
-
 def test_encode_throughput_positive(setup_code):
     code, graph, _ = setup_code
     rng = np.random.default_rng(2)
     thr = encode_throughput(code, graph, block_len=1024, workers=2, rng=rng)
     assert thr > 0
-
-
-# -- REPRO_CODING_THREADS: the scheme data-path switch -----------------------
-
-
-def test_coding_threads_env_parsing(monkeypatch):
-    from repro.coding.parallel import coding_threads
-
-    monkeypatch.delenv("REPRO_CODING_THREADS", raising=False)
-    assert coding_threads() == 1
-    for raw, expect in [("4", 4), ("1", 1), ("0", 1), ("-3", 1), ("junk", 1), ("", 1)]:
-        monkeypatch.setenv("REPRO_CODING_THREADS", raw)
-        assert coding_threads() == expect, raw
-
-
-def test_parallel_encode_ids_bit_identical(setup_code):
-    from repro.coding.parallel import parallel_encode_ids
-    from repro.coding.xorblocks import xor_reduce
-
-    code, graph, data = setup_code
-    # A placement-like unordered subset with a duplicate id.
-    ids = [5, 90, 2, 41, 7, 110, 3, 64, 27, 99, 0, 5]
-    serial = {b: xor_reduce(data, graph.neighbors[b]) for b in ids}
-    for workers in (1, 2, 8):
-        out = parallel_encode_ids(data, graph, ids, workers=workers)
-        assert set(out) == set(serial)
-        for b, payload in out.items():
-            assert np.array_equal(payload, serial[b]), (workers, b)
-
-
-def test_parallel_group_map_order_and_identity():
-    from repro.coding.parallel import parallel_group_map
-
-    fn = lambda g: np.full(4, g, dtype=np.uint8)
-    serial = [fn(g) for g in range(13)]
-    for workers in (1, 2, 8):
-        out = parallel_group_map(fn, 13, workers=workers)
-        assert len(out) == 13
-        for got, ref in zip(out, serial):
-            assert np.array_equal(got, ref)
-    assert parallel_group_map(fn, 0, workers=4) == []
-
-
-def test_parallel_group_map_propagates_exceptions():
-    from repro.coding.parallel import parallel_group_map
-
-    def boom(g):
-        if g == 3:
-            raise RuntimeError("group 3")
-        return g
-
-    with pytest.raises(RuntimeError, match="group 3"):
-        parallel_group_map(boom, 8, workers=4)
-
-
-@pytest.mark.parametrize("scheme", ["robustore", "robustore-rs"])
-def test_codec_roundtrip_thread_count_invariant(monkeypatch, scheme):
-    """Scheme data paths are byte-identical across 1, 2 and 8 threads."""
-    from repro.core.codecs import codec_for
-    from tests.test_codecs import CFG, blocks, make_record
-
-    codec = codec_for(scheme)
-    record = make_record(scheme)
-    data = blocks()
-    arrival = [bid for p in record.placement for bid in p]
-    reference = None
-    for workers in ("1", "2", "8"):
-        monkeypatch.setenv("REPRO_CODING_THREADS", workers)
-        payloads = codec.encode(data, record, CFG)
-        decoded = codec.decode(arrival, payloads, record, CFG)
-        assert np.array_equal(decoded, data)
-        if reference is None:
-            reference = payloads
-        else:
-            assert set(payloads) == set(reference)
-            for bid, payload in payloads.items():
-                assert np.array_equal(payload, reference[bid]), (workers, bid)
-
-
-def test_data_mode_peeling_thread_count_invariant(monkeypatch, setup_code):
-    """PeelingDecoder's lazy-XOR resolution path under the thread switch."""
-    from repro.coding.peeling import PeelingDecoder
-
-    code, graph, data = setup_code
-    coded = code.encode(data, graph)
-    outputs = []
-    for workers in ("1", "8"):
-        monkeypatch.setenv("REPRO_CODING_THREADS", workers)
-        dec = PeelingDecoder(graph, block_len=data.shape[1])
-        for cid in range(graph.n):
-            dec.add(cid, coded[cid])
-            if dec.is_complete:
-                break
-        outputs.append(dec.get_data())
-        assert np.array_equal(dec.get_data(), data)
-    assert np.array_equal(outputs[0], outputs[1])
-
-
-@pytest.mark.parametrize("scheme", ["robustore", "robustore-rs"])
-def test_scheme_goldens_reproduce_under_threads(monkeypatch, scheme):
-    """Timing-simulation goldens are invariant to REPRO_CODING_THREADS.
-
-    The switch parallelises only the data path (payload bytes); the
-    golden-pinned timing results must not move by a single bit.
-    """
-    import json
-
-    from tests.test_golden_schemes import CFG as GCFG
-    from tests.test_golden_schemes import GOLDEN, TrialPlan, _result_dict, run_scheme
-
-    monkeypatch.setenv("REPRO_CODING_THREADS", "8")
-    golden = json.loads(GOLDEN.read_text())
-    for mode in ("read", "write"):
-        plan = TrialPlan(access=GCFG, mode=mode, pool=8, rtt_s=0.001, seed=7, trials=2)
-        results = [_result_dict(r) for r in run_scheme(plan, scheme)]
-        assert results == golden[scheme][f"{mode}/none"], (scheme, mode)

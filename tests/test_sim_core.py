@@ -268,14 +268,6 @@ def test_empty_all_of_fires_immediately():
     assert p.value == {}
 
 
-def test_peek_reports_next_event_time():
-    env = Environment()
-    env.timeout(9)
-    assert env.peek() == 9.0
-    env2 = Environment()
-    assert env2.peek() == float("inf")
-
-
 def test_run_out_of_events_before_until_event():
     env = Environment()
     ev = env.event()  # never triggered

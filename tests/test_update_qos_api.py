@@ -7,7 +7,8 @@ from repro.accesscore.result import AccessConfig
 from repro.accesscore.routing import MB
 from repro.cluster.server import Cluster
 from repro.core import SCHEMES
-from repro.core.api import RobuStoreClient
+from repro.core.api import StorageClient
+from repro.core.codecs import codec_for
 from repro.core.qos import DiskProfile, QoSOptions, plan_access
 from repro.core.update import affected_blocks, update_access, update_amplification
 from repro.sim.rng import RngHub
@@ -107,7 +108,7 @@ class TestQoS:
 
 class TestApi:
     def test_roundtrip_bytes_exact(self):
-        client = RobuStoreClient(
+        client = StorageClient(
             config=AccessConfig(data_bytes=8 * MB, n_disks=8, redundancy=3.0), seed=1
         )
         data = np.random.default_rng(0).integers(0, 256, 3 * MB + 123, np.uint8).tobytes()
@@ -119,7 +120,7 @@ class TestApi:
         assert res_w.latency_s > 0 and res_r.latency_s > 0
 
     def test_mode_enforced(self):
-        client = RobuStoreClient(seed=2)
+        client = StorageClient(seed=2)
         with client.open("y", "w") as f:
             f.write(b"\x00" * 1024)
         handle = client.open("y", "r")
@@ -130,14 +131,14 @@ class TestApi:
             client.open("zz", "r")
 
     def test_closed_handle_rejects_io(self):
-        client = RobuStoreClient(seed=3)
+        client = StorageClient(seed=3)
         f = client.open("z", "w")
         f.close()
         with pytest.raises(ValueError):
             f.write(b"data")
 
     def test_write_lock_released_on_close(self):
-        client = RobuStoreClient(seed=4)
+        client = StorageClient(seed=4)
         with client.open("w1", "w") as f:
             f.write(b"\x01" * 2048)
         # Reopening after the context manager exits must not raise.
@@ -146,7 +147,7 @@ class TestApi:
         assert out == b"\x01" * 2048
 
     def test_qos_open_adjusts_config(self):
-        client = RobuStoreClient(seed=5)
+        client = StorageClient(seed=5)
         handle = client.open("q", "w", qos=QoSOptions(redundancy_budget=1.5))
         assert handle.cfg.redundancy <= 1.5
         handle.close()
@@ -158,8 +159,6 @@ class TestMultiSchemeApi:
         ["raid0", "rraid-s", "rraid-a", "raid0+1", "robustore", "robustore-rs"],
     )
     def test_roundtrip_every_codec(self, scheme):
-        from repro.core.api import StorageClient
-
         client = StorageClient(
             scheme,
             config=AccessConfig(data_bytes=8 * MB, n_disks=8, redundancy=2.0),
@@ -174,31 +173,26 @@ class TestMultiSchemeApi:
         assert np.isfinite(res.latency_s)
 
     def test_unknown_scheme_rejected(self):
-        from repro.core.api import StorageClient
-
         with pytest.raises(ValueError):
             StorageClient("raid5")  # parity XOR not wired into the file API
 
-    def test_alias_still_works(self):
-        from repro.core.api import RobuStoreClient, StorageClient
-
-        client = RobuStoreClient(seed=1)
-        assert isinstance(client, StorageClient)
+    def test_default_scheme_is_robustore(self):
+        client = StorageClient(seed=1)
         assert client.scheme_name == "robustore"
+        assert client.codec is codec_for("robustore")
 
 
 class TestApiUpdate:
-    def make_client(self):
-        from repro.core.api import StorageClient
-
+    def make_client(self, scheme="robustore"):
         return StorageClient(
-            "robustore",
+            scheme,
             config=AccessConfig(data_bytes=8 * MB, n_disks=8, redundancy=3.0),
             seed=41,
         )
 
-    def test_update_changes_bytes_and_localises_rewrites(self):
-        client = self.make_client()
+    def update_block_one(self, scheme):
+        """Write 4 MB, replace block 1, read back; return (update, bytes, expected)."""
+        client = self.make_client(scheme)
         rng = np.random.default_rng(1)
         data = rng.integers(0, 256, 4 * MB, np.uint8).tobytes()
         handle = client.open("u", "w")
@@ -206,11 +200,20 @@ class TestApiUpdate:
         new_block = bytes([0xAB]) * MB
         res = handle.update(1, new_block)
         handle.close()
-        # Only a small fraction of the coded blocks is rewritten.
-        assert 0 < res.extra["affected_fraction"] < 0.5
         with client.open("u", "r") as f:
             out, _ = f.read()
-        expect = data[:MB] + new_block + data[2 * MB:]
+        return res, out, data[:MB] + new_block + data[2 * MB:]
+
+    def test_update_changes_bytes_and_localises_rewrites(self):
+        res, out, expect = self.update_block_one("robustore")
+        # Only a small fraction of the coded blocks is rewritten.
+        assert 0 < res.extra["affected_fraction"] < 0.5
+        assert out == expect
+
+    def test_update_works_for_every_lt_coded_scheme(self):
+        # lt+adaptive stores the same LTCodec payloads as robustore.
+        res, out, expect = self.update_block_one("lt+adaptive")
+        assert 0 < res.extra["affected_fraction"] < 0.5
         assert out == expect
 
     def test_update_validation(self):
@@ -228,8 +231,6 @@ class TestApiUpdate:
         read_handle.close()
 
     def test_update_unsupported_scheme(self):
-        from repro.core.api import StorageClient
-
         client = StorageClient(
             "raid0", config=AccessConfig(data_bytes=4 * MB, n_disks=4), seed=2
         )
