@@ -1,8 +1,10 @@
 """Event-driven wrapper of the access core: the §6.2.2 simulator, literally.
 
 Every entity — client, filer link, drive, background generator, fault
-pump — is a discrete-event process on the :mod:`repro.sim` kernel,
-exactly as Figure 6-3 draws the simulator.  One access runs on an
+pump — is a discrete-event entity on the :mod:`repro.sim` kernel,
+exactly as Figure 6-3 draws the simulator: the clients, hops and fault
+pump are processes, the drives and their background streams run on
+kernel callbacks.  One access runs on an
 :class:`EventRun`: the kernel, one :class:`EventDrive` per disk, the fault
 pump (wired there, the single DES fault wiring site) and the request,
 response and cancel hops.  A read's client is the DES twin of

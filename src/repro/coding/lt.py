@@ -123,12 +123,6 @@ class LTCode:
             out[j] = xor_reduce(data_blocks, nb)
         return out
 
-    def encode_one(
-        self, data_blocks: np.ndarray, graph: LTGraph, coded_id: int
-    ) -> np.ndarray:
-        """Encode a single coded block (used by updates and rateless writes)."""
-        return xor_reduce(np.asarray(data_blocks, dtype=np.uint8), graph.neighbors[coded_id])
-
 
 class ImprovedLTCode(LTCode):
     """LT code with uniform coverage and guaranteed decodability (§5.2.3).

@@ -28,7 +28,7 @@ from repro.accesscore.result import AccessConfig, AccessResult
 from repro.accesscore.routing import MB
 from repro.cluster.metadata import MetadataServer
 from repro.cluster.server import Cluster
-from repro.coding.xorblocks import join_blocks, split_into_blocks
+from repro.coding.xorblocks import join_blocks, split_into_blocks, xor_reduce
 from repro.core.codecs import LTCodec, codec_for
 from repro.core.pipeline import scheme_class
 from repro.core.qos import QoSOptions, plan_access
@@ -172,7 +172,6 @@ class FileHandle:
             raise NotImplementedError(
                 "in-place update is implemented for the LT codec only"
             )
-        from repro.coding.lt import ImprovedLTCode
         from repro.core.update import update_access
 
         stored = self.client._stores[self.file_name]
@@ -192,11 +191,10 @@ class FileHandle:
 
         # Regenerate only the adjacent coded blocks (§4.3.4).
         graph = record.extra["graph"]
-        code = ImprovedLTCode(cfg.k, c=cfg.lt_c, delta=cfg.lt_delta)
         affected = set(graph.affected_coded_blocks(block_index))
         stored_ids = {b for p in record.placement for b in p}
         for coded_id in affected & stored_ids:
-            stored.payloads[coded_id] = code.encode_one(blocks, graph, coded_id)
+            stored.payloads[coded_id] = xor_reduce(blocks, graph.neighbors[coded_id])
 
         # Simulated timing of the partial rewrite.
         scheme = self.client._scheme(cfg)

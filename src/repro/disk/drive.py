@@ -2,16 +2,24 @@
 
 A :class:`DiskDrive` owns a fair-share request queue (foreground and
 background requests alternate), head state (current cylinder / last LBA),
-and a service process that times each request either with a caller's
+and a service loop that times each request either with a caller's
 ``service_time_fn`` or at sector level, charging controller overhead, seek,
 rotational latency and media transfer.  Cancellation removes pending
-requests from the queue (§5.3.3).  A background-workload process can inject
+requests from the queue (§5.3.3).  A background stream can inject
 competitive requests into the same queue (§6.2.2).
+
+The service loop and the background stream run on kernel callbacks, not
+generator processes.  Two of their hops run in line when the kernel has
+nothing else due at the current instant (:meth:`Environment.due_now`):
+the wake after a service timeout, and an idle drive's wake-up after a
+background arrival.  The event either would have scheduled is then the
+next one popped, so every other pair of events keeps its order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import count
 from typing import Any, Callable, Optional
 
@@ -21,7 +29,8 @@ from repro.disk.geometry import SECTOR_BYTES
 from repro.disk.mechanics import DiskMechanics
 from repro.disk.scheduler import FairShareQueue
 from repro.disk.workload import BackgroundWorkload
-from repro.sim import Environment, Event
+from repro.sim import Environment, Event, Timeout
+from repro.sim.core import NORMAL, URGENT
 
 _drive_ids = count()
 _INF = float("inf")
@@ -93,7 +102,8 @@ class DiskDrive:
         self.service_time_fn = service_time_fn
         self.current_cylinder = 0
         self._last_end_lba: Optional[int] = None
-        self._wakeup: Optional[Event] = None
+        #: True while the service loop waits for a submit to wake it.
+        self._idle = False
         self.served_requests = 0
         self.served_bytes = 0
         self.busy_time = 0.0
@@ -102,11 +112,20 @@ class DiskDrive:
         #: factor > 1 stretches each service begun while it is in effect.
         self.failed = False
         self.slow_factor = 1.0
-        #: The event the service in flight waits on (see :meth:`_run`).
-        self._wake: Optional[Event] = None
+        #: The service in flight: its request, start time and duration.
+        self._req: Optional[DiskRequest] = None
+        self._t_start = 0.0
+        self._duration = 0.0
+        #: The in-flight service's timeout while its race against a
+        #: fail-stop is open (see :meth:`_serve_next`); ``None`` once
+        #: either side has won it.
+        self._timer: Optional[Timeout] = None
         self.tracer = env.tracer
         self.obs_name = f"drive{next(_drive_ids)}"
-        env.process(self._run(), name="disk-drive")
+        # The loop starts one URGENT dispatch from now, where a process's
+        # start would be, so requests submitted before then are served
+        # at that dispatch without a wake-up.
+        self._hop(self._serve_next, URGENT)
 
     # -- client interface ---------------------------------------------------
     def submit(self, request: DiskRequest) -> DiskRequest:
@@ -127,8 +146,11 @@ class DiskDrive:
             self.tracer.counter(
                 "drive.queue_depth", self.env.now, len(self.queue), track=self.obs_name
             )
-        if self._wakeup is not None and not self._wakeup.triggered:
-            self._wakeup.succeed(None)
+        if self._idle:
+            # The caller keeps running after this call, so the wake-up
+            # is an event of its own.
+            self._idle = False
+            self._hop(self._serve_next)
         return request
 
     def read(self, lba: int, sectors: int, tag: Any = None) -> DiskRequest:
@@ -171,13 +193,12 @@ class DiskDrive:
         for req in flushed:
             if req.done is not None and not req.done.triggered:
                 req.done.succeed(_INF)
-        wake, self._wake = self._wake, None
-        if wake is not None:
-            # Abort the service in flight, once, one hop later: a
-            # completion also reaches the service loop in two dispatches
-            # (timeout, then wake), so same-instant events keep their
-            # order either way.
-            self.env.timeout(0).callbacks.append(wake.succeed_once)
+        if self._timer is not None:
+            # Abort the service in flight two dispatches from now, this
+            # hop and then the wake, unless its timeout wins the race
+            # first.  Events due at this instant in the meantime still
+            # see the request in service.
+            self._hop(partial(self._abort_hop, self._timer))
         if self.tracer.enabled:
             self.tracer.instant(
                 "drive.fail",
@@ -214,80 +235,122 @@ class DiskDrive:
 
     # -- background workload --------------------------------------------------
     def attach_background(self, workload: BackgroundWorkload) -> None:
-        """Start injecting the competitive request stream into this drive."""
-        if workload.enabled:
-            self.env.process(self._background_loop(workload), name="disk-bg")
+        """Start injecting the competitive request stream into this drive.
 
-    def _background_loop(self, workload: BackgroundWorkload):
+        The stream's phase is drawn one URGENT dispatch from now; from
+        then on each arrival queues one request and schedules the next
+        ``interval_s`` later.
+        """
+        if not workload.enabled:
+            return
+        env = self.env
         interval = workload.interval_s
-        yield self.env.timeout(workload.rng.random() * interval)
-        while True:
-            pattern = workload.next_request()
-            self.submit(
-                DiskRequest(
-                    lba=pattern.lba,
-                    sectors=pattern.sectors,
-                    is_background=True,
-                    tag="background",
-                )
+
+        def arrive(event: Event) -> None:
+            request = DiskRequest(
+                lba=workload.next_lba(),
+                sectors=workload.sectors,
+                tag="background",
+                is_background=True,
             )
-            yield self.env.timeout(interval)
+            # An idle drive's wake-up would be the next event popped when
+            # nothing else is due now; it then runs in line, after the
+            # next arrival is scheduled, which keeps the insertion order
+            # of the next arrival and the service timeout.
+            in_line = self._idle and not self.failed and not env.due_now()
+            if in_line:
+                self._idle = False  # so submit schedules no wake-up
+            self.submit(request)
+            Timeout(env, interval).callbacks.append(arrive)
+            if in_line:
+                self._serve_next()
+
+        def first_arrival(event: Event) -> None:
+            Timeout(env, workload.rng.random() * interval).callbacks.append(arrive)
+
+        self._hop(first_arrival, URGENT)
 
     # -- service loop ----------------------------------------------------------
-    def _run(self):
+    def _hop(self, callback: Callable[[Event], None], priority: int = NORMAL) -> None:
+        """Run ``callback`` at a zero-delay event of its own."""
+        event = Event(self.env)
+        event.callbacks.append(callback)
+        self.env.schedule(event, priority)
+
+    def _serve_next(self, event: Optional[Event] = None) -> None:
+        """Start serving the next queued request, or idle until a submit."""
+        if not self.queue:
+            self._idle = True
+            return
         env = self.env
-        while True:
-            while not self.queue:
-                self._wakeup = env.event()
-                yield self._wakeup
-                self._wakeup = None
-            req = self.queue.pop()
-            t_start = env.now
-            service = self._service_time(req) * self.slow_factor
-            # Race the service against a fail-stop: the timeout and
-            # fail()'s hop both fire one wake event, and whichever comes
-            # first wins.  A drive that dies mid-transfer never delivers
-            # the request.
-            timeout = env.timeout(service)
-            wake = self._wake = Event(env)
-            timeout.callbacks.append(wake.succeed_once)
-            yield wake
-            self._wake = None
-            if not timeout.processed:
-                # fail()'s hop woke the loop before the service finished.
-                self.busy_time += env.now - t_start
-                if req.done is not None and not req.done.triggered:
-                    req.done.succeed(_INF)
-                if self.tracer.enabled:
-                    self.tracer.instant(
-                        "drive.abort",
-                        "drive",
-                        env.now,
-                        track=self.obs_name,
-                        args={"lba": req.lba, "sectors": req.sectors},
-                    )
-                continue
-            self.busy_time += service
-            self.served_requests += 1
-            self.served_bytes += req.bytes
-            if self.tracer.enabled:
-                self.tracer.span(
-                    "drive.service",
-                    "drive",
-                    t_start,
-                    env.now,
-                    track=self.obs_name,
-                    args={
-                        "lba": req.lba,
-                        "sectors": req.sectors,
-                        "background": req.is_background,
-                    },
-                )
-                self.tracer.counter(
-                    "drive.queue_depth", env.now, len(self.queue), track=self.obs_name
-                )
-            if req.done is not None and not req.done.triggered:
-                req.done.succeed(env.now)
+        req = self._req = self.queue.pop()
+        self._t_start = env.now
+        self._duration = service = self._service_time(req) * self.slow_factor
+        # Race the service against a fail-stop: the timeout and fail()'s
+        # hop each settle it, and whichever comes first wins.  A drive
+        # that dies mid-transfer never delivers the request.
+        timer = self._timer = Timeout(env, service)
+        timer.callbacks.append(self._timed_out)
+
+    def _timed_out(self, timer: Timeout) -> None:
+        if timer is not self._timer:
+            return  # fail()'s hop aborted this service first
+        self._timer = None
+        # The wake after the timeout would be the next event popped when
+        # nothing else is due now; it then runs in line.
+        if self.env.due_now():
+            self._hop(self._complete)
+        else:
+            self._complete()
+
+    def _abort_hop(self, timer: Timeout, event: Event) -> None:
+        if timer is self._timer:  # else this service's timeout won
+            self._timer = None
+            self._hop(self._abort)
+
+    def _abort(self, event: Event) -> None:
+        """Wake after fail(): the service in flight dies mid-transfer."""
+        env = self.env
+        req = self._req
+        self.busy_time += env.now - self._t_start
+        if req.done is not None and not req.done.triggered:
+            req.done.succeed(_INF)
+        if self.tracer.enabled:
+            self.tracer.instant(
+                "drive.abort",
+                "drive",
+                env.now,
+                track=self.obs_name,
+                args={"lba": req.lba, "sectors": req.sectors},
+            )
+        self._serve_next()
+
+    def _complete(self, event: Optional[Event] = None) -> None:
+        """Wake after the timeout: the service in flight is done."""
+        env = self.env
+        req = self._req
+        self.busy_time += self._duration
+        self.served_requests += 1
+        self.served_bytes += req.bytes
+        if self.tracer.enabled:
+            self.tracer.span(
+                "drive.service",
+                "drive",
+                self._t_start,
+                env.now,
+                track=self.obs_name,
+                args={
+                    "lba": req.lba,
+                    "sectors": req.sectors,
+                    "background": req.is_background,
+                },
+            )
+            self.tracer.counter(
+                "drive.queue_depth", env.now, len(self.queue), track=self.obs_name
+            )
+        if req.done is not None and not req.done.triggered:
+            req.done.succeed(env.now)
+        self._serve_next()
 
     def _service_time(self, req: DiskRequest) -> float:
         if self.service_time_fn is not None:

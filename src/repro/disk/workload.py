@@ -26,6 +26,9 @@ BLOCKING_FACTORS = (8, 16, 32, 64, 128, 256, 512, 1024)
 #: Mean background request size (sectors), §6.2.5.
 BACKGROUND_SECTORS = 50
 
+#: Background LBAs drawn per numpy call (:meth:`BackgroundWorkload.next_lba`).
+LBA_CHUNK = 32
+
 
 @dataclass(frozen=True)
 class InDiskLayout:
@@ -175,19 +178,26 @@ class BackgroundWorkload:
         self.extent_start = extent_start
         self.extent_sectors = extent_sectors
         self.rng = rng
+        self._lbas = np.empty(0, dtype=np.int64)
+        self._next = 0
 
     @property
     def enabled(self) -> bool:
         return self.interval_s is not None and np.isfinite(self.interval_s)
 
-    def arrivals(self, start: float, end: float) -> np.ndarray:
-        """Arrival times in [start, end) — one every ``interval_s``."""
-        if not self.enabled:
-            return np.empty(0, dtype=np.float64)
-        first = start + self.rng.random() * self.interval_s
-        return np.arange(first, end, self.interval_s)
+    def next_lba(self) -> int:
+        """The next request's start, uniform over the extent.
 
-    def next_request(self) -> AccessPattern:
-        hi = self.extent_sectors - self.sectors
-        lba = self.extent_start + int(self.rng.integers(0, hi + 1))
-        return AccessPattern(lba=lba, sectors=self.sectors, sequential=False)
+        The draws come ``LBA_CHUNK`` at a time from one ``integers(size=n)``
+        call, which yields the values, and leaves the generator in the
+        state, that ``n`` scalar ``integers`` calls would.  The stream's
+        only other draw is its phase, taken before the first LBA, so the
+        chunk size moves no value.
+        """
+        i = self._next
+        if i == len(self._lbas):
+            hi = self.extent_sectors - self.sectors
+            self._lbas = self.extent_start + self.rng.integers(0, hi + 1, size=LBA_CHUNK)
+            i = 0
+        self._next = i + 1
+        return int(self._lbas[i])

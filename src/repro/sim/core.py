@@ -102,6 +102,17 @@ class Environment:
         """True when the DES causality sanitizer is active."""
         return self._sanitize
 
+    def due_now(self) -> bool:
+        """True when an event is scheduled at the current instant.
+
+        When this is False, a zero-delay event scheduled now would be the
+        next one popped.  A callback that would end its dispatch by
+        scheduling one may run that event's work in line instead: every
+        other pair of events keeps its order.
+        """
+        heap = self._heap
+        return bool(heap) and heap[0][0] <= self._now
+
     def _context(self) -> str:
         """Diagnostic suffix: the active process and timeline position."""
         proc = self._active_proc.name if self._active_proc is not None else "<none>"

@@ -77,17 +77,6 @@ class Event:
         self.env.schedule(self)
         return self
 
-    def succeed_once(self, event: "Event") -> None:
-        """Callback: succeed with ``None`` unless already triggered.
-
-        Appended to several events' callbacks, it fires this event when
-        the first of them is processed and ignores the rest: the race
-        ``AnyOf`` runs, without building a condition.
-        """
-        if self._value is PENDING:
-            self._value = None
-            self.env.schedule(self)
-
     def defuse(self) -> None:
         """Mark a failed event as handled so it does not crash the run."""
         self._defused = True

@@ -2,7 +2,8 @@
 
 This module preserves the per-request path :class:`repro.disk.drive.DiskDrive`
 had before it was cut down to Python-int arithmetic, the kernel events
-the model needs and a two-FIFO queue:
+the model needs and a two-FIFO queue, and before its service loop and
+background stream moved onto kernel callbacks:
 
 * zone lookups are numpy ``searchsorted`` formulas over int64 tables
   (:class:`NumpyZoneMap`, the vectorised ``DiskGeometry`` lookups as they
@@ -11,7 +12,12 @@ the model needs and a two-FIFO queue:
   class whose turn it is (:class:`ListFairShareQueue`, kept as it was);
 * every submitted request gets a ``done`` event, background requests too;
 * each service races its timeout against an abort event through
-  ``env.any_of``, and ``fail`` succeeds the abort event.
+  ``env.any_of``, and ``fail`` succeeds the abort event;
+* the service loop (``_run``) and the background stream
+  (``_background_loop``) are generator processes, every hop between them
+  is a scheduled event (one wake-up per submit to an idle drive, one
+  wake per finished service), and the stream draws one scalar LBA per
+  request.
 
 It exists solely as the oracle for the differential suite in
 ``tests/test_drive_oracle.py`` (and, for the lookups, in
@@ -26,7 +32,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.disk.drive import DiskDrive
+from repro.disk.drive import DiskDrive, DiskRequest
 
 __all__ = ["ListFairShareQueue", "NumpyZoneMap", "ReferenceDrive"]
 
@@ -142,9 +148,31 @@ class ReferenceDrive(DiskDrive):
 
     def __init__(self, env, mechanics, *args, **kwargs) -> None:
         self._abort = None
+        self._wakeup = None
         self.zone_map = NumpyZoneMap(mechanics.geometry)
         super().__init__(env, mechanics, *args, **kwargs)
         self.queue = ListFairShareQueue()
+        env.process(self._run(), name="disk-drive")
+
+    def _serve_next(self, event=None) -> None:
+        """The start event ``DiskDrive.__init__`` schedules: a no-op here,
+        where :meth:`_run`'s own process, started right after it, serves."""
+
+    def attach_background(self, workload) -> None:
+        if workload.enabled:
+            self.env.process(self._background_loop(workload), name="disk-bg")
+
+    def _background_loop(self, workload):
+        interval = workload.interval_s
+        rng = workload.rng
+        hi = workload.extent_sectors - workload.sectors
+        yield self.env.timeout(rng.random() * interval)
+        while True:
+            lba = workload.extent_start + int(rng.integers(0, hi + 1))
+            self.submit(DiskRequest(
+                lba=lba, sectors=workload.sectors, is_background=True, tag="background"
+            ))
+            yield self.env.timeout(interval)
 
     def submit(self, request):
         if request.done is None:

@@ -67,18 +67,10 @@ class TestWorkloads:
         with pytest.raises(ValueError):
             SyntheticWorkload(InDiskLayout(64, 0.0), 0, 32, rng)
 
-    def test_background_arrivals_spacing(self):
-        rng = np.random.default_rng(5)
-        bg = BackgroundWorkload(0.01, rng)
-        arr = bg.arrivals(0.0, 1.0)
-        assert 95 <= arr.size <= 101
-        assert np.allclose(np.diff(arr), 0.01)
-
     def test_background_disabled(self):
         rng = np.random.default_rng(6)
         bg = BackgroundWorkload(None, rng)
         assert not bg.enabled
-        assert bg.arrivals(0, 10).size == 0
 
     def test_background_invalid_interval(self):
         with pytest.raises(ValueError):

@@ -81,17 +81,6 @@ def test_improved_build_raises_when_n_too_small():
         code.build_graph(8, rng)  # far fewer coded blocks than k
 
 
-def test_encode_one_matches_full_encode():
-    rng = np.random.default_rng(7)
-    k = 16
-    code = ImprovedLTCode(k, c=0.5, delta=0.5)
-    graph = code.build_graph(48, rng)
-    data = random_blocks(rng, k, 16)
-    full = code.encode(data, graph)
-    for j in (0, 5, 47):
-        assert np.array_equal(code.encode_one(data, graph, j), full[j])
-
-
 def test_encode_validates_block_count():
     code = LTCode(8)
     rng = np.random.default_rng(8)

@@ -113,23 +113,3 @@ def test_process_return_value_via_condition():
     p = env.process(parent(env))
     env.run()
     assert p.value == ["x", "y"]
-
-
-def test_succeed_once_fires_on_the_first_of_several_events():
-    """The wake a drive's service waits on: the first source schedules
-    it, later ones (here the stale timeout) do nothing."""
-    env = Environment(sanitize=True)
-    wake = env.event()
-    slow = env.timeout(3)
-    hop = env.timeout(1)
-    for source in (slow, hop):
-        source.callbacks.append(wake.succeed_once)
-    woke = []
-
-    def waiter(env):
-        yield wake
-        woke.append(env.now)
-
-    env.process(waiter(env))
-    env.run()
-    assert woke == [1] and wake.value is None and slow.processed

@@ -92,6 +92,20 @@ def test_run_until_past_time_raises():
         env.run(until=5)
 
 
+def test_due_now_reports_an_event_at_the_current_instant():
+    env = Environment()
+    assert not env.due_now()
+    env.timeout(1.0)
+    assert not env.due_now()  # pending, but later
+    env.timeout(0)
+    assert env.due_now()
+    env.step()  # the zero-delay timeout
+    assert not env.due_now()
+    env.timeout(1.0)
+    env.step()  # the clock reaches 1.0, where the second timeout is due
+    assert env.due_now()
+
+
 def test_process_composition():
     env = Environment()
 
