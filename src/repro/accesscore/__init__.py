@@ -19,7 +19,8 @@ decode-tail charging.  Two engines *wrap* it without duplicating it:
 Single wiring sites (the unification contract):
 
 * link/fault routing — :mod:`repro.accesscore.routing`
-  (``request_arrival_time`` / ``response_arrival_times``), plus
+  (``request_arrival_time`` / ``response_arrival_times``, and their
+  all-disks forms ``request_arrivals`` / ``response_arrivals``), plus
   :class:`events.EventRun` for the one DES fault-pump attachment;
 * scheme-level read tracing — :mod:`repro.accesscore.tracing` via the
   two epilogues (and :func:`tracing.trace_handoff` for hand-offs);

@@ -93,12 +93,14 @@ class EventDrive:
         self.env = env
         self.disk_id = disk_id
         self.block_bytes = block_bytes
-        self.svc = svc = cluster.block_service(disk_id, rng)
+        self.svc = cluster.block_service(disk_id, rng)
+        self.rng = rng
+        self.mechanics = mech = cluster.mechanics
+        self.state = state = cluster.disk_state(disk_id)
         # The block-service sampler substitutes for the drive's
         # sector-level timing so both engines draw from one distribution;
         # the drive needs no rng of its own.
-        self.drive = DiskDrive(env, svc.mechanics, service_time_fn=self._service_time)
-        state = cluster.disk_state(disk_id)
+        self.drive = DiskDrive(env, mech, service_time_fn=self._service_time)
         if state.failed:
             self.drive.failed = True
         if state.background is not None:
@@ -110,20 +112,21 @@ class EventDrive:
             )
 
     def _service_time(self, req: DiskRequest) -> float:
-        svc = self.svc
         if req.is_background:
-            bg = svc.background
+            state = self.state
+            bg = state.background
             if bg is None:
                 return 0.005
             # BackgroundLoad.sample_services(1, ...) in floats: the same
             # draw and the same order of additions, so the same bits.
-            spec = svc.mechanics.spec
+            mech = self.mechanics
+            spec = mech.spec
             return (
                 spec.controller_overhead_s
-                + svc.rng.random() * spec.rotation_period_s
-                + float(svc.mechanics.transfer_time(bg.sectors, svc.spt))
+                + self.rng.random() * spec.rotation_period_s
+                + float(mech.transfer_time(bg.sectors, state.spt))
             )
-        return float(svc.block_service_times(1, self.block_bytes)[0])
+        return float(self.svc.block_service_times(1, self.block_bytes)[0])
 
     def submit_block(self, tag) -> DiskRequest:
         sectors = max(1, self.block_bytes // SECTOR_BYTES)

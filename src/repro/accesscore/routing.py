@@ -1,14 +1,23 @@
 """Request/response routing and fixed access costs — one wiring site.
 
-Every message an access sends — the open, the per-disk request, the block
-payloads, the cancel — crosses the network through these helpers, which
-route through the link's fault timeline when one is active.  Both engines
-(closed-form and event-driven) call the same two functions, so link
+The per-disk request and the block payloads cross the network through
+these helpers, which route through the link's fault timeline when one is
+active.  Both engines (closed-form and event-driven) call them, so link
 degradation and filer-crash blackouts are wired into the simulator exactly
-once.
+once.  :func:`request_arrivals` and :func:`response_arrivals` are the same
+routes over all of an access's disks at once.
+
+The cancel is not routed: both engines send it as a plain one-way hop,
+``t_done + one_way_s`` in :func:`repro.accesscore.timeline.finalize_read`
+and ``SpeculativeRatelessWrite.commit``, ``t_dec + one_way`` in the closed
+form's adaptive hand-off, and a ``one_way_s`` timeout in the event engine's
+cancels and hand-offs.  So a link degradation or a filer-crash blackout
+never delays a cancel.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 MB = 1 << 20
 
@@ -37,6 +46,45 @@ def response_arrival_times(cluster, disk_id: int, ready, one_way_s: float):
     if lt is None:
         return ready + one_way_s
     return lt.response_arrivals(ready, one_way_s)
+
+
+def one_way_times(cluster, disk_ids) -> np.ndarray:
+    """Each disk's one-way link latency (its filer's link), as an array."""
+    per_filer = np.array([f.link.one_way_s for f in cluster.filers])
+    return per_filer[np.asarray(disk_ids, dtype=np.int64) // cluster.disks_per_filer]
+
+
+def request_arrivals(cluster, disk_ids, t_send: float, one_way_s: np.ndarray) -> np.ndarray:
+    """:func:`request_arrival_time` for each of an access's disks.
+
+    One array sum for every disk; a disk whose link has a fault timeline
+    takes the timeline's route, as the one-disk helper does.
+    """
+    out = t_send + one_way_s
+    if cluster.faults is not None:
+        for i, disk_id in enumerate(disk_ids):
+            lt = cluster.link_timeline(disk_id)
+            if lt is not None:
+                out[i] = lt.request_arrival(t_send, float(one_way_s[i]))
+    return out
+
+
+def response_arrivals(cluster, disk_ids, ready: np.ndarray, counts, one_way_s) -> np.ndarray:
+    """:func:`response_arrival_times` for a flat array of payloads.
+
+    ``ready`` holds ``counts[i]`` payloads from ``disk_ids[i]``, disk by
+    disk.  One array sum for every disk; a disk whose link has a fault
+    timeline takes the timeline's route.
+    """
+    out = ready + np.repeat(one_way_s, counts)
+    if cluster.faults is not None:
+        end = 0
+        for disk_id, n, one_way in zip(disk_ids, counts, one_way_s):
+            end += n
+            lt = cluster.link_timeline(disk_id)
+            if lt is not None and n:
+                out[end - n : end] = lt.response_arrivals(ready[end - n : end], float(one_way))
+    return out
 
 
 def decode_tail_s(block_bytes: int) -> float:

@@ -12,8 +12,8 @@ Implements the speculative-access timeline of §4.1.2/§6.2.2:
 6. a cancel message (one-way latency) stops still-queued blocks; blocks
    already served or in flight count toward the I/O-overhead metric.
 
-The closed-form engine evaluates steps 2-4 vectorised
-(:func:`serve_read_queues`); the event-driven engine
+The closed-form engine evaluates steps 2-4 in one array pass over the
+access's disks (:func:`serve_read_queues`); the event-driven engine
 (:mod:`repro.accesscore.events`) produces the same per-disk
 :class:`DiskStream` records from explicit processes.  Steps 5-6 — tracker
 consumption, cancel accounting, tracing, repair annotation — are shared
@@ -25,17 +25,18 @@ outright: both engines settle a speculative read through
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from repro.accesscore.result import AccessResult
-from repro.accesscore.routing import request_arrival_time, response_arrival_times
+from repro.accesscore.routing import one_way_times, request_arrivals, response_arrivals
 from repro.accesscore.tracing import (
-    _sample_indices,
+    trace_disk_queue,
     trace_read_access,
     trace_read_summary,
 )
-from repro.disk.service import served_before
+from repro.disk.service import served_counts
 
 
 @dataclass
@@ -59,90 +60,69 @@ def serve_read_queues(
     rng_for,
     file_name: str = "",
 ) -> list[DiskStream]:
-    """Run every disk's stored queue; return per-disk streams.
+    """Run every disk's stored queue in one array pass; return per-disk streams.
 
     ``rng_for(disk_id)`` supplies each disk's random stream.  Cached blocks
     are served by the filer at request-arrival time; the rest queue at the
-    disk in stored order.
+    disk in stored order.  Filer caches are probed and the tracer is fed
+    disk by disk; the sampling, the queues' running sums and the network
+    hops run once over all disks (:meth:`Cluster.block_service`).
     """
-    streams: list[DiskStream] = []
-    tracer = cluster.tracer
-    phase_rng_for = getattr(rng_for, "phase_rng_for", None)
-    for idx, disk_id in enumerate(disk_ids):
-        disk_id = int(disk_id)
-        filer = cluster.filer_of_disk(disk_id)
-        blocks = np.asarray(placement[idx], dtype=np.int64)
-        one_way = filer.link.one_way_s
-        t_arrive = request_arrival_time(cluster, disk_id, t_send, one_way)
-        cached = filer.cached_blocks(file_name, blocks)
-        n_cached = int(np.count_nonzero(cached))
-        n_uncached = blocks.size - n_cached
-        svc = cluster.block_service(
-            disk_id, rng_for(disk_id), phase_rng_for=phase_rng_for
+    ids = [int(d) for d in disk_ids]
+    sizes = [len(p) for p in placement]
+    bounds = np.cumsum([0] + sizes).tolist()
+    block_ids = np.fromiter(chain.from_iterable(placement), np.int64, bounds[-1])
+    cached = np.zeros(block_ids.size, dtype=bool)
+    queued = sizes
+    if disk_by_disk(cluster):
+        queued = []
+        for d, a, b in zip(ids, bounds, bounds[1:]):
+            cached[a:b] = cluster.filer_of_disk(d).cached_blocks(file_name, block_ids[a:b])
+            queued.append(b - a - int(np.count_nonzero(cached[a:b])))
+    one_way = one_way_times(cluster, ids)
+    t_arrive = request_arrivals(cluster, ids, t_send, one_way)
+    svc = cluster.block_service(
+        ids, [rng_for(d) for d in ids], getattr(rng_for, "phase_rng_for", None)
+    )
+    completions = svc.serve(queued, block_bytes, t_arrive)
+    ready = completions
+    if completions.size < block_ids.size:
+        # The filer answers cache hits when the request reaches it.
+        ready = np.repeat(t_arrive, sizes)
+        ready[~cached] = completions
+    arrivals = response_arrivals(cluster, ids, ready, sizes, one_way)
+    ends = np.cumsum(queued).tolist()
+    streams = [
+        DiskStream(
+            d, block_ids[a:b], cached[a:b], completions[e - n : e], arrivals[a:b], ow
         )
-        completions = svc.serve(n_uncached, block_bytes, t_arrive)
-        if n_cached == 0:
-            # Common case (cold filesystem cache): every block queues at
-            # the disk — same values as the masked assignment below.
-            arrivals = np.asarray(
-                response_arrival_times(cluster, disk_id, completions, one_way),
-                dtype=np.float64,
-            )
-        else:
-            arrivals = np.empty(blocks.size, dtype=np.float64)
-            arrivals[cached] = response_arrival_times(
-                cluster, disk_id, t_arrive, one_way
-            )
-            arrivals[~cached] = response_arrival_times(
-                cluster, disk_id, completions, one_way
-            )
-        if tracer.enabled:
-            tracer.span(
-                "filer.request",
-                "filer",
-                t_send,
-                t_arrive,
-                track="filer",
-                args={"disk": disk_id, "blocks": int(blocks.size)},
-            )
-            last = float(completions[-1]) if completions.size else t_arrive
-            if np.isfinite(last):
-                tracer.span(
-                    "drive.queue",
-                    "drive",
-                    t_arrive,
-                    last,
-                    track="drive",
-                    args={
-                        "disk": disk_id,
-                        "queued": n_uncached,
-                        "cached": int(blocks.size) - n_uncached,
-                    },
-                )
-                for i in _sample_indices(completions.size):
-                    tracer.counter(
-                        "drive.queue_depth",
-                        float(completions[i]),
-                        n_uncached - (i + 1),
-                        track="drive",
-                    )
-                if tracer.detail and completions.size:
-                    starts = np.concatenate([[t_arrive], completions[:-1]])
-                    for bid, t0b, t1b in zip(
-                        blocks[~cached], starts, completions
-                    ):
-                        tracer.span(
-                            "drive.block",
-                            "drive",
-                            float(t0b),
-                            float(t1b),
-                            track=f"disk{disk_id}",
-                            args={"block": int(bid)},
-                        )
-        streams.append(
-            DiskStream(disk_id, blocks, cached, completions, arrivals, one_way)
+        for d, a, b, e, n, ow in zip(
+            ids, bounds, bounds[1:], ends, queued, one_way.tolist()
         )
+    ]
+    if cluster.tracer.enabled:
+        for s, t_req in zip(streams, t_arrive.tolist()):
+            trace_disk_queue(cluster.tracer, s, t_send, t_req)
     return streams
+
+
+def disk_by_disk(cluster) -> bool:
+    """Whether an access's bookkeeping must visit its disks one by one:
+    the tracer records per-disk events, and filer caches keep LRU state."""
+    return cluster.tracer.enabled or any(f.cache is not None for f in cluster.filers)
+
+
+def account_links(cluster, disk_ids, nbytes) -> None:
+    """Add each disk's payload bytes to its filer's link counter, one
+    sum per filer."""
+    per_filer = np.bincount(
+        np.asarray(disk_ids, dtype=np.int64) // cluster.disks_per_filer,
+        weights=nbytes,
+        minlength=cluster.n_filers,
+    )
+    for filer, n in zip(cluster.filers, per_filer.tolist()):
+        if n:
+            filer.link.account(n)
 
 
 def merged_arrival_order(
@@ -240,40 +220,53 @@ def finalize_read(
     Returns (network bytes, disk blocks read, filesystem-cache hits).
     The cancel message reaches each disk one one-way latency after
     ``t_done``; blocks completed or in flight by then were transferred.
+    The counts run once over all streams; the tracer and the filer caches
+    are fed stream by stream.
     """
-    network_bytes = 0
-    disk_blocks = 0
-    cache_hits = 0
-    tracer = cluster.tracer
-    for s in streams:
-        t_cancel = t_done + s.one_way_s
-        served = served_before(s.completions, t_cancel)
-        n_cached = int(np.count_nonzero(s.cached))
-        cache_hits += n_cached
-        disk_blocks += served
-        sent = served + n_cached
-        nbytes = sent * block_bytes
-        network_bytes += nbytes
-        if tracer.enabled:
-            cancelled = int(s.block_ids.size) - sent
-            tracer.account_bytes("network", nbytes)
-            tracer.instant(
-                "scheme.cancel",
-                "scheme",
-                t_cancel,
-                track="scheme",
-                args={"disk": s.disk_id, "sent": sent, "cancelled": cancelled},
-            )
-            if cancelled > 0:
-                tracer.count("scheme.blocks_cancelled_in_queue", cancelled)
-        filer = cluster.filer_of_disk(s.disk_id)
-        filer.link.account(nbytes)
-        # Blocks that came off the platters populate the filesystem cache.
-        uncached_ids = s.block_ids[~s.cached][:served]
-        filer.record_read(file_name, uncached_ids, block_bytes)
-        cached_ids = s.block_ids[s.cached]
-        filer.record_read(file_name, cached_ids, block_bytes)
-    return network_bytes, disk_blocks, cache_hits
+    if not streams:
+        return 0, 0, 0
+    t_cancel = t_done + np.array([s.one_way_s for s in streams])
+    served = served_counts([s.completions for s in streams], t_cancel)
+    sizes = [s.block_ids.size for s in streams]
+    n_cached = np.bincount(
+        np.repeat(np.arange(len(streams)), sizes),
+        weights=np.concatenate([s.cached for s in streams]),
+        minlength=len(streams),
+    ).astype(np.int64)
+    sent = served + n_cached
+    disk_ids = [s.disk_id for s in streams]
+    account_links(cluster, disk_ids, sent * block_bytes)
+    if disk_by_disk(cluster):
+        tracer = cluster.tracer
+        for s, t, n_served, n_sent in zip(
+            streams, t_cancel.tolist(), served.tolist(), sent.tolist()
+        ):
+            if tracer.enabled:
+                cancelled = int(s.block_ids.size) - n_sent
+                tracer.account_bytes("network", n_sent * block_bytes)
+                tracer.instant(
+                    "scheme.cancel",
+                    "scheme",
+                    t,
+                    track="scheme",
+                    args={"disk": s.disk_id, "sent": n_sent, "cancelled": cancelled},
+                )
+                if cancelled > 0:
+                    tracer.count("scheme.blocks_cancelled_in_queue", cancelled)
+            filer = cluster.filer_of_disk(s.disk_id)
+            # Blocks that came off the platters populate the filesystem cache.
+            filer.record_read(file_name, s.block_ids[~s.cached][:n_served], block_bytes)
+            filer.record_read(file_name, s.block_ids[s.cached], block_bytes)
+    else:
+        # No cache: every block served off the platters is a disk read.
+        per_filer = np.bincount(
+            np.asarray(disk_ids) // cluster.disks_per_filer,
+            weights=served,
+            minlength=cluster.n_filers,
+        )
+        for filer, n in zip(cluster.filers, per_filer.tolist()):
+            filer.disk_bytes_read += int(n) * block_bytes
+    return int(sent.sum()) * block_bytes, int(served.sum()), int(n_cached.sum())
 
 
 def read_epilogue(
@@ -402,43 +395,44 @@ def simulate_uniform_write(
     the slowest disk (§6.3.1).  Returns (completion time at client, bytes
     over the network); the completion time is ``inf`` when any written-to
     disk fail-stops before committing (the write never fully acks).
-    Write-through populates the filesystem caches.
+    Write-through populates the filesystem caches.  The queues run in one
+    array pass, as :func:`serve_read_queues` runs a read's.
     """
-    t_done = t_send
-    network_bytes = 0
-    tracer = cluster.tracer
-    phase_rng_for = getattr(rng_for, "phase_rng_for", None)
-    for idx, disk_id in enumerate(disk_ids):
-        disk_id = int(disk_id)
-        filer = cluster.filer_of_disk(disk_id)
-        blocks = np.asarray(placement[idx], dtype=np.int64)
-        one_way = filer.link.one_way_s
-        svc = cluster.block_service(
-            disk_id, rng_for(disk_id), phase_rng_for=phase_rng_for
-        )
-        t_arrive = request_arrival_time(cluster, disk_id, t_send, one_way)
-        completions = svc.serve(blocks.size, block_bytes, t_arrive)
-        if blocks.size:
-            ack = response_arrival_times(
-                cluster, disk_id, float(completions[-1]), one_way
-            )
-            t_done = max(t_done, float(ack))
-        nbytes = blocks.size * block_bytes
-        network_bytes += nbytes
-        if tracer.enabled:
-            tracer.account_bytes("network", nbytes)
-            if blocks.size and np.isfinite(completions[-1]):
-                tracer.span(
-                    "drive.write_queue",
-                    "drive",
-                    t_arrive,
-                    float(completions[-1]),
-                    track="drive",
-                    args={"disk": disk_id, "blocks": int(blocks.size)},
-                )
-        filer.link.account(nbytes)
-        filer.record_write(file_name, blocks, block_bytes)
-    return t_done, network_bytes
+    ids = [int(d) for d in disk_ids]
+    sizes = [len(p) for p in placement]
+    bounds = np.cumsum([0] + sizes).tolist()
+    one_way = one_way_times(cluster, ids)
+    t_arrive = request_arrivals(cluster, ids, t_send, one_way)
+    svc = cluster.block_service(
+        ids, [rng_for(d) for d in ids], getattr(rng_for, "phase_rng_for", None)
+    )
+    completions = svc.serve(sizes, block_bytes, t_arrive)
+    # Each writing disk acks once, when its last block commits.
+    busy = [i for i, n in enumerate(sizes) if n]
+    last = completions[np.array(bounds[1:], dtype=np.int64)[busy] - 1]
+    acks = response_arrivals(
+        cluster, [ids[i] for i in busy], last, [1] * len(busy), one_way[busy]
+    )
+    t_done = max(t_send, float(acks.max())) if busy else t_send
+    nbytes = np.array(sizes, dtype=np.int64) * block_bytes
+    account_links(cluster, ids, nbytes)
+    if disk_by_disk(cluster):
+        tracer = cluster.tracer
+        block_ids = np.fromiter(chain.from_iterable(placement), np.int64, bounds[-1])
+        for d, a, b, t_req, n in zip(ids, bounds, bounds[1:], t_arrive.tolist(), nbytes.tolist()):
+            if tracer.enabled:
+                tracer.account_bytes("network", n)
+                if b > a and np.isfinite(completions[b - 1]):
+                    tracer.span(
+                        "drive.write_queue",
+                        "drive",
+                        t_req,
+                        float(completions[b - 1]),
+                        track="drive",
+                        args={"disk": d, "blocks": b - a},
+                    )
+            cluster.filer_of_disk(d).record_write(file_name, block_ids[a:b], block_bytes)
+    return t_done, int(nbytes.sum())
 
 
 def acks_incomplete(ack_times) -> bool:

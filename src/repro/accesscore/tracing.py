@@ -84,6 +84,51 @@ def trace_handoff(tracer, t: float, round_no: int, thief, victim, eligible) -> N
     tracer.instant("scheme.round", "scheme", t, track="scheme", args=args)
 
 
+def trace_disk_queue(tracer, stream, t_send: float, t_arrive: float) -> None:
+    """One disk's part of a closed-form read: the request hop, the queue
+    span and its queue-depth samples (``tracer.detail`` adds a span per
+    block).  ``stream`` is the disk's
+    :class:`~repro.accesscore.timeline.DiskStream`."""
+    if not tracer.enabled:
+        return
+    disk_id, blocks, completions = stream.disk_id, stream.block_ids, stream.completions
+    n_uncached = int(completions.size)
+    tracer.span(
+        "filer.request",
+        "filer",
+        t_send,
+        t_arrive,
+        track="filer",
+        args={"disk": disk_id, "blocks": int(blocks.size)},
+    )
+    last = float(completions[-1]) if completions.size else t_arrive
+    if not np.isfinite(last):
+        return
+    tracer.span(
+        "drive.queue",
+        "drive",
+        t_arrive,
+        last,
+        track="drive",
+        args={"disk": disk_id, "queued": n_uncached, "cached": int(blocks.size) - n_uncached},
+    )
+    for i in _sample_indices(completions.size):
+        tracer.counter(
+            "drive.queue_depth", float(completions[i]), n_uncached - (i + 1), track="drive"
+        )
+    if tracer.detail and completions.size:
+        starts = np.concatenate([[t_arrive], completions[:-1]])
+        for bid, t0b, t1b in zip(blocks[~stream.cached], starts, completions):
+            tracer.span(
+                "drive.block",
+                "drive",
+                float(t0b),
+                float(t1b),
+                track=f"disk{disk_id}",
+                args={"block": int(bid)},
+            )
+
+
 def trace_read_access(
     tracer,
     scheme_name: str,

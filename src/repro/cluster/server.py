@@ -179,33 +179,51 @@ class Cluster:
         """The fault timeline of the link serving ``disk_id`` (or ``None``)."""
         return None if self.faults is None else self.faults.link_for_disk(disk_id)
 
-    def block_service(
-        self,
-        disk_id: int,
-        rng: np.random.Generator,
-        phase_rng_for=None,
-    ) -> BlockService:
-        """A vectorised service model bound to the disk's current state.
+    def block_service(self, disk_ids, rngs, phase_rng_for=None) -> BlockService:
+        """A vectorised service model bound to the disks' current state.
 
-        ``phase_rng_for(disk_id)`` (when given) supplies the dedicated
-        ``"bgphase"`` stream for the background phase draw.  It is only
-        invoked when :meth:`has_background` holds — stream derivation
-        costs real hash work, and background-free experiments (most of the
-        grid) must not pay it per disk per access.
+        ``disk_ids`` is one disk id and ``rngs`` its random stream, or a
+        sequence of ids and their streams, aligned: the model of an access's
+        disks, sampled in one array pass.  ``phase_rng_for(disk_id)`` (when
+        given) supplies the dedicated ``"bgphase"`` stream for the
+        background phase draw.  It is only invoked for disks
+        :meth:`has_background` names — stream derivation costs real hash
+        work, and background-free experiments (most of the grid) must not
+        pay it per disk per access.
         """
-        st = self._disk_states[disk_id]
-        phase_rng = None
-        if phase_rng_for is not None and self.has_background(disk_id):
-            phase_rng = phase_rng_for(disk_id)
-        return BlockService(
+        if isinstance(disk_ids, (int, np.integer)):
+            st = self._disk_states[disk_ids]
+            return BlockService(
+                self.mechanics,
+                st.layout,
+                st.spt,
+                rngs,
+                st.background,
+                failed=st.failed,
+                timeline=self.disk_timeline(disk_ids),
+                phase_rng=(
+                    None
+                    if st.background is None or phase_rng_for is None
+                    else phase_rng_for(disk_ids)
+                ),
+            )
+        states = [self._disk_states[d] for d in disk_ids]
+        backgrounds = [st.background for st in states]
+        timelines = [None] * len(states)
+        if self.faults is not None:
+            timelines = [self.disk_timeline(d) for d in disk_ids]
+        return BlockService.over(
             self.mechanics,
-            st.layout,
-            st.spt,
-            rng,
-            st.background,
-            failed=st.failed,
-            timeline=self.disk_timeline(disk_id),
-            phase_rng=phase_rng,
+            [st.layout for st in states],
+            [st.spt for st in states],
+            list(rngs),
+            backgrounds,
+            [st.failed for st in states],
+            timelines,
+            [
+                None if bg is None or phase_rng_for is None else phase_rng_for(d)
+                for d, bg in zip(disk_ids, backgrounds)
+            ],
         )
 
     def age_caches(self, window_s: float) -> None:

@@ -27,9 +27,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.accesscore.result import AccessResult
-from repro.accesscore.routing import request_arrival_time, response_arrival_times
+from repro.accesscore.routing import one_way_times, request_arrivals, response_arrivals
 from repro.accesscore.timeline import (
+    account_links,
     acks_incomplete,
+    disk_by_disk,
     failed_write_result,
     simulate_uniform_write,
 )
@@ -40,7 +42,7 @@ from repro.core.policy.placement import (
     pooled_graph,
     rs_decode_bandwidth_bps,
 )
-from repro.disk.service import served_before
+from repro.disk.service import served_counts
 
 
 class UniformWrite:
@@ -162,22 +164,20 @@ class SpeculativeRatelessWrite:
         read path replays.
         """
         cfg = scheme.config
+        cluster = scheme.cluster
         h = len(disks)
-        placement: list[list[int]] = []
-        net_bytes = 0
-        total_committed = 0
-        for idx, disk_id in enumerate(disks):
-            t_cancel = t_enough + one_ways[idx]
-            committed = served_before(completions[idx], t_cancel)
-            committed = min(committed, per_disk_cap)
-            ids = (idx + h * np.arange(committed)).tolist()
-            placement.append(ids)
-            total_committed += committed
-            nbytes = committed * cfg.block_bytes
-            net_bytes += nbytes
-            filer = scheme.cluster.filer_of_disk(int(disk_id))
-            filer.link.account(nbytes)
-            filer.record_write(file_name, ids, cfg.block_bytes)
+        committed = np.minimum(
+            served_counts(completions, t_enough + np.asarray(one_ways)), per_disk_cap
+        )
+        placement = [
+            list(range(idx, idx + h * n, h)) for idx, n in enumerate(committed.tolist())
+        ]
+        total_committed = int(committed.sum())
+        net_bytes = total_committed * cfg.block_bytes
+        account_links(cluster, disks, committed * cfg.block_bytes)
+        if disk_by_disk(cluster):
+            for disk_id, ids in zip(disks, placement):
+                cluster.filer_of_disk(int(disk_id)).record_write(file_name, ids, cfg.block_bytes)
 
         scheme._register(
             file_name,
@@ -222,33 +222,21 @@ class SpeculativeRatelessWrite:
         t0 = scheme.open_latency()
 
         # Each disk streams ids d, d+H, d+2H, ...; speculative writing keeps
-        # every disk busy until the client cancels.
-        completions: list[np.ndarray] = []
-        one_ways: list[float] = []
-        acks: list[np.ndarray] = []
-        phase_rng_for = getattr(rng_for, "phase_rng_for", None)
-        for idx, disk_id in enumerate(disks):
-            disk_id = int(disk_id)
-            filer = scheme.cluster.filer_of_disk(disk_id)
-            one_way = filer.link.one_way_s
-            svc = scheme.cluster.block_service(
-                disk_id, rng_for(disk_id), phase_rng_for=phase_rng_for
-            )
-            t_arrive = request_arrival_time(scheme.cluster, disk_id, t0, one_way)
-            c = svc.serve(per_disk_cap, cfg.block_bytes, t_arrive)
-            completions.append(c)
-            one_ways.append(one_way)
-            acks.append(
-                np.asarray(
-                    response_arrival_times(scheme.cluster, disk_id, c, one_way)
-                )
-            )
+        # every disk busy until the client cancels.  One array pass serves
+        # every disk's supply, as the uniform write does.
+        cluster = scheme.cluster
+        ids = [int(d) for d in disks]
+        one_way = one_way_times(cluster, ids)
+        svc = cluster.block_service(
+            ids, [rng_for(d) for d in ids], getattr(rng_for, "phase_rng_for", None)
+        )
+        t_arrive = request_arrivals(cluster, ids, t0, one_way)
+        commits = svc.serve(per_disk_cap, cfg.block_bytes, t_arrive)
+        completions = list(commits.reshape(h, per_disk_cap))
 
         # Merge commit acks (commit + one-way back) in time order.
-        ack_times = np.concatenate(acks)
-        ack_ids = np.concatenate(
-            [idx + h * np.arange(c.size) for idx, c in enumerate(completions)]
-        )
+        ack_times = response_arrivals(cluster, ids, commits, [per_disk_cap] * h, one_way)
+        ack_ids = (np.arange(h)[:, None] + h * np.arange(per_disk_cap)).ravel()
         order = np.argsort(ack_times, kind="stable")
         ack_times, ack_ids = ack_times[order], ack_ids[order]
 
@@ -280,7 +268,7 @@ class SpeculativeRatelessWrite:
             scheme,
             file_name,
             disks,
-            one_ways,
+            one_way.tolist(),
             completions,
             per_disk_cap,
             t_enough,

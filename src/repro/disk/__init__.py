@@ -9,8 +9,9 @@ workloads.
 Two complementary interfaces:
 
 * :class:`repro.disk.service.BlockService` — a vectorised per-access block
-  service model, used by the storage-scheme simulations and by the
-  Table 6-1 calibration (:mod:`repro.disk.calibration`).
+  service model over one disk or all of an access's disks, used by the
+  storage-scheme simulations and by the Table 6-1 calibration
+  (:mod:`repro.disk.calibration`).
 * :class:`repro.disk.drive.DiskDrive` — an event-driven drive entity with a
   request queue.  The event engine (:mod:`repro.accesscore.events`) times
   its requests with the block-service sampler; its sector-level timing is

@@ -8,7 +8,6 @@ sequential-access probability 0/1, mean ~15 MB/s).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +78,18 @@ class DiskMechanics:
         # the per-access service models re-derive it for the same handful
         # of block-size/zone combinations all sweep long.
         self._xfer_cache: dict[tuple[int, int], float] = {}
+        # seek_table[d]: the local seek time of a d-cylinder move, for
+        # every distance a draw can take (index 0 is never drawn).  Built
+        # with the per-draw expression's operations in its order, on the
+        # same float64 operands, so a lookup equals the arithmetic bit for
+        # bit (tests/test_rng_batch.py checks every distance).
+        s = self.spec
+        d = np.arange(s.locality_span_cylinders + 1)
+        table = np.sqrt(d)
+        table *= s.seek_sqrt_s
+        table += s.seek_base_s
+        table += s.seek_linear_s * d
+        self.seek_table = table
 
     # -- seek ------------------------------------------------------------
     def seek_time(self, distance) -> np.ndarray:
@@ -91,26 +102,15 @@ class DiskMechanics:
     def sample_local_seek(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
         """Seek times for random moves within a file's local extent.
 
-        Inlines :meth:`seek_time` without its ``d <= 0`` guard — the draw
-        is always >= 1 cylinder, so the values are identical.
+        One bounded draw per move, looked up in :attr:`seek_table`: the
+        :meth:`seek_time` curve without its ``d <= 0`` guard (a draw is
+        always >= 1 cylinder).  A scalar draw consumes the bit stream as a
+        size-1 draw does, so ``n == 1`` takes the cheaper scalar call.
         """
-        s = self.spec
+        hi = self.spec.locality_span_cylinders + 1
         if n == 1:
-            # Scalar fast path (fully-sequential streams position exactly
-            # once per access): a scalar bounded draw consumes the bit
-            # stream identically to size=1, math.sqrt is the same
-            # correctly-rounded float64 sqrt, and the expression keeps the
-            # array path's operand order, so the value is bit-identical.
-            d = float(rng.integers(1, s.locality_span_cylinders + 1))
-            return np.array([s.seek_base_s + s.seek_sqrt_s * math.sqrt(d) + s.seek_linear_s * d])
-        d = rng.integers(1, s.locality_span_cylinders + 1, size=n)
-        # In-place over the sqrt temporary; float addition is commutative
-        # bit-for-bit, so the regrouping is exact.
-        t = np.sqrt(d)
-        t *= s.seek_sqrt_s
-        t += s.seek_base_s
-        t += s.seek_linear_s * d
-        return t
+            return self.seek_table[[rng.integers(1, hi)]]
+        return self.seek_table[rng.integers(1, hi, size=n)]
 
     def sample_rotational_latency(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
         """Uniform(0, one revolution) rotational delays."""

@@ -121,6 +121,26 @@ class TestMechanicsSampling:
         assert got.tolist() == ref
         _assert_lockstep(a, b)
 
+    def test_seek_table_equals_the_expression_at_every_distance(self):
+        # The array pass looks seeks up instead of evaluating the curve
+        # per draw: the table must hold the scalar and the array
+        # expression's exact values for every distance a draw can take.
+        import math
+
+        mech = DiskMechanics()
+        s = mech.spec
+        d = np.arange(1, s.locality_span_cylinders + 1)
+        t = np.sqrt(d)
+        t *= s.seek_sqrt_s
+        t += s.seek_base_s
+        t += s.seek_linear_s * d
+        assert mech.seek_table.size == s.locality_span_cylinders + 1
+        assert mech.seek_table[1:].tolist() == t.tolist()
+        assert mech.seek_table[1:].tolist() == [
+            s.seek_base_s + s.seek_sqrt_s * math.sqrt(float(v)) + s.seek_linear_s * float(v)
+            for v in d.tolist()
+        ]
+
     def test_seek_values_match_seek_time_curve(self):
         # The inlined expression must equal the public curve (d >= 1).
         mech = DiskMechanics()
@@ -177,6 +197,54 @@ class TestBlockServiceStream:
                 for _ in range(2)
             ]
             assert np.array_equal(runs[0], runs[1])
+
+
+class TestArrayPassSums:
+    """The array pass's per-block and per-queue sums stay sequential.
+
+    ``BlockService`` sums every disk's positioning draws with one
+    ``bincount`` and every disk's queue with one ``cumsum(axis=1)`` over a
+    zero-padded grid; both must add in the one-disk order.
+    """
+
+    @staticmethod
+    def _ragged(seed):
+        rng = np.random.default_rng(seed)
+        n_pos = rng.integers(0, 9, size=int(rng.integers(1, 40)))
+        # Magnitudes spread over many binades, so any regrouping shows.
+        weights = rng.random(int(n_pos.sum())) * 10.0 ** rng.integers(-6, 3, int(n_pos.sum()))
+        return n_pos, weights
+
+    def test_bincount_sums_each_block_in_draw_order(self):
+        for seed in range(200):
+            n_pos, weights = self._ragged(seed)
+            owner = np.repeat(np.arange(n_pos.size), n_pos)
+            got = np.bincount(owner, weights=weights, minlength=n_pos.size)
+            want, at = [], 0
+            for k in n_pos.tolist():
+                acc = 0.0
+                for w in weights[at : at + k].tolist():
+                    acc += w
+                want.append(acc)
+                at += k
+            assert got.tolist() == want, seed
+
+    def test_padded_grid_cumsum_equals_each_row_cumsum(self):
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            rows = [
+                rng.random(int(n)) * 10.0 ** rng.integers(-4, 2)
+                for n in rng.integers(0, 12, size=int(rng.integers(1, 9)))
+            ]
+            starts = rng.random(len(rows)) * 5
+            counts = np.array([r.size for r in rows])
+            real = np.arange(counts.max(initial=0)) < counts[:, None]
+            grid = np.zeros(real.shape)
+            grid[real] = np.concatenate(rows)
+            grid.cumsum(axis=1, out=grid)
+            grid += starts[:, None]
+            want = [r.cumsum() + t for r, t in zip(rows, starts)]
+            assert grid[real].tolist() == np.concatenate(want).tolist(), seed
 
 
 #: Root seeds for the batched-derivation pins; 2**32 + 5 has a two-word

@@ -73,25 +73,31 @@ def test_settled_edges():
 
 
 def completions_before(svc: BlockService, services, start: float) -> np.ndarray:
-    """``BlockService.completions`` with ``np.clip`` and ``np.allclose``."""
+    """``BlockService.completions`` of a one-disk model with ``np.clip``
+    and ``np.allclose``."""
+    (layout,), (spt,), (rng,), (bg,) = svc.layouts, svc.spts, svc.rngs, svc.backgrounds
+    (failed,), (timeline,), (phase_rng,) = svc.failed, svc.timelines, svc.phase_rngs
+
+    def warp(c):
+        return c if timeline is None else timeline.warp(c, start)
+
     services = np.asarray(services, dtype=np.float64)
-    if svc.failed:
+    if failed:
         return np.full(services.size, np.inf)
     s_cum = services.cumsum()
     s_cum += start
-    bg = svc.background
     if bg is None or services.size == 0:
-        return svc._warp(s_cum, start)
-    pen = svc.layout.p_sequential * svc.mechanics.mean_positioning_time()
-    per_bg = bg.mean_service(svc.mechanics, svc.spt) + pen
+        return warp(s_cum)
+    pen = layout.p_sequential * svc.mechanics.mean_positioning_time()
+    per_bg = bg.mean_service(svc.mechanics, spt) + pen
     interval = max(bg.interval_s, per_bg / (1.0 - svc.MIN_FOREGROUND_SHARE))
     eff_util = per_bg / interval
-    phase_rng = svc.phase_rng if svc.phase_rng is not None else svc.rng
+    phase_rng = phase_rng if phase_rng is not None else rng
     phase = start + phase_rng.random() * interval
 
     horizon = float(s_cum[-1] - start) / max(1e-3, 1.0 - eff_util)
     est = int((horizon / interval) * 1.5 + 16)
-    bg_draws = bg.sample_services(est, svc.mechanics, svc.spt, svc.rng)
+    bg_draws = bg.sample_services(est, svc.mechanics, spt, rng)
     b_cum = np.concatenate([[0.0], np.cumsum(bg_draws)])
 
     c = s_cum.copy()
@@ -100,7 +106,7 @@ def completions_before(svc: BlockService, services, start: float) -> np.ndarray:
         np.clip(j, 0, None, out=j)
         if j[-1] >= b_cum.size - 1:
             more = bg.sample_services(
-                int(j[-1] - b_cum.size + 2 + 64), svc.mechanics, svc.spt, svc.rng
+                int(j[-1] - b_cum.size + 2 + 64), svc.mechanics, spt, rng
             )
             b_cum = np.concatenate([b_cum, b_cum[-1] + np.cumsum(more)])
         c_new = s_cum + b_cum[j] + j * pen
@@ -108,15 +114,20 @@ def completions_before(svc: BlockService, services, start: float) -> np.ndarray:
             c = c_new
             break
         c = c_new
-    return svc._warp(c, start)
+    return warp(c)
 
 
-def _twin_services(seed: int, timeline) -> tuple[BlockService, BlockService, int, float]:
-    """Two identically seeded services, a block count and a start time."""
+def _twin_services(
+    seed: int, timeline, layout=None, background=None
+) -> tuple[BlockService, BlockService, int, float]:
+    """Two identically seeded services, a block count and a start time.
+    ``layout`` and ``background`` replace the drawn ones when given."""
     draw = np.random.default_rng(10_000 + seed)
-    layout = InDiskLayout(int(draw.choice([8, 64, 256, 1024])), float(draw.uniform()))
+    layout_drawn = InDiskLayout(int(draw.choice([8, 64, 256, 1024])), float(draw.uniform()))
     spt = int(draw.integers(500, 1000))
-    background = BackgroundLoad(float(draw.uniform(0.004, 0.2)))
+    background_drawn = BackgroundLoad(float(draw.uniform(0.004, 0.2)))
+    layout = layout or layout_drawn
+    background = background or background_drawn
     twins = tuple(
         BlockService(
             DiskMechanics(),
@@ -152,8 +163,8 @@ def test_completions_match_the_allclose_loop_over_seeds():
         want = completions_before(old, services, start)
         assert np.array_equal(got, want), seed
         # Both loops consumed the same draws, so the streams stay aligned.
-        assert new.rng.bit_generator.state == old.rng.bit_generator.state
-        assert new.phase_rng.bit_generator.state == old.phase_rng.bit_generator.state
+        assert new.rngs[0].bit_generator.state == old.rngs[0].bit_generator.state
+        assert new.phase_rngs[0].bit_generator.state == old.phase_rngs[0].bit_generator.state
     assert faulted == 200
 
 
@@ -161,9 +172,7 @@ def test_completions_match_under_a_saturating_background():
     # A 4 ms interval over-saturates the drive, so the fairness floor sets
     # the admission interval.
     for seed in range(40):
-        new, old, _, _ = _twin_services(seed, None)
-        for svc in (new, old):
-            svc.background = BackgroundLoad(0.004)
+        new, old, _, _ = _twin_services(seed, None, background=BackgroundLoad(0.004))
         services = np.full(200, 0.02)
         got = new.completions(services, 1.0)
         assert np.array_equal(got, completions_before(old, services, 1.0)), seed
@@ -187,13 +196,12 @@ def test_completions_match_when_the_draws_run_short(monkeypatch):
 
     monkeypatch.setattr(_Understated, "sample_services", counted)
     for seed in range(40):
-        new, old, n, start = _twin_services(seed, _timeline(seed))
-        for svc in (new, old):
-            svc.layout = InDiskLayout(256, 0.0)
-            svc.background = _Understated(0.008)
+        new, old, n, start = _twin_services(
+            seed, _timeline(seed), InDiskLayout(256, 0.0), _Understated(0.008)
+        )
         services = np.full(n + 40, 0.01)
         calls.clear()
         got = new.completions(services, start)
         assert len(calls) > 1, seed
         assert np.array_equal(got, completions_before(old, services, start)), seed
-        assert new.rng.bit_generator.state == old.rng.bit_generator.state
+        assert new.rngs[0].bit_generator.state == old.rngs[0].bit_generator.state
