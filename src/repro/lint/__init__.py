@@ -14,8 +14,6 @@ enforces those conventions with a small AST-based rule engine:
   one :class:`FileContext` at a time; project rules (``project=True``)
   see a whole-program :class:`repro.lint.project.ProjectContext` with
   the corpus's symbol tables (SIM011-SIM012).
-* Findings are cached under ``.repro-cache/lint/`` keyed by rule set
-  and file contents; unchanged repeat runs replay instantly.
 
 See ``docs/static_analysis.md`` for each rule's rationale.  The runtime
 complement to the static pass is the DES sanitizer

@@ -3,14 +3,9 @@
 Exit codes: 0 — clean (warnings allowed); 1 — at least one error-severity
 finding; 2 — usage error.  ``--format json`` emits a machine-readable
 report (schema below) for CI; the default human format is one
-``path:line:col: RULE [severity] message`` line per finding.
-
-Runs are cached by a content digest of the rule set and the analysis
-corpus (``.repro-cache/lint/``, see :mod:`repro.lint.cache`): a repeat
-run with unchanged inputs replays its findings *and* per-rule timings
-byte-identically without re-parsing a single file.  ``--no-cache``
-bypasses the cache; ``--cache-dir`` relocates it; cache status goes to
-stderr so stdout stays diffable.
+``path:line:col: RULE [severity] message`` line per finding.  A path
+argument that does not exist is a usage error, so a mistyped directory
+cannot pass the lint by linting nothing.
 
 JSON schema (``--format json``)::
 
@@ -28,9 +23,7 @@ JSON schema (``--format json``)::
 
 ``rules`` carries cumulative per-rule wall seconds (project rules also
 share the whole-program corpus-build cost), so lint cost stays visible
-in the CI trajectory.  A warm-cache run replays the seconds recorded
-when the entry was written — by design, so cold and warm reports diff
-clean.
+in the CI trajectory.
 """
 
 from __future__ import annotations
@@ -38,9 +31,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.lint.cache import default_cache_dir
 from repro.lint.engine import LintReport, Severity, all_rules, iter_py_files, run_lint
 
 #: Schema version of the JSON report (2: adds per-rule timing).
@@ -73,17 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-rules",
         action="store_true",
         help="print the registered rules (with their scope) and exit",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="always re-analyse; do not read or write the findings cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="findings cache location (default: $REPRO_CACHE_DIR/lint "
-        "or .repro-cache/lint)",
     )
     return parser
 
@@ -140,14 +122,12 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         if unknown:
             parser.error(f"unknown rule id(s): {', '.join(unknown)}")
 
+    missing = [p for p in args.paths if not Path(p).exists()]
+    if missing:
+        parser.error(f"no such file or directory: {' '.join(missing)}")
     files = list(iter_py_files(args.paths))
     if not files:
         parser.error(f"no .py files found under: {' '.join(map(str, args.paths))}")
-    cache_dir = None if args.no_cache else (args.cache_dir or default_cache_dir())
-    report = run_lint(files, select, cache_dir=cache_dir)
-    if cache_dir is not None:
-        sys.stderr.write(
-            f"# lint cache: {'hit' if report.cache_hit else 'miss'} ({cache_dir})\n"
-        )
+    report = run_lint(files, select)
     _report(report, args.format, out)
     return 1 if any(f.severity is Severity.ERROR for f in report.findings) else 0

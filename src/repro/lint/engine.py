@@ -63,17 +63,6 @@ class Finding:
             "message": self.message,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Finding":
-        return cls(
-            rule=data["rule"],
-            severity=Severity(data["severity"]),
-            path=data["path"],
-            line=int(data["line"]),
-            col=int(data["col"]),
-            message=data["message"],
-        )
-
     def render(self) -> str:
         return (
             f"{self.path}:{self.line}:{self.col}: "
@@ -349,10 +338,8 @@ class LintReport:
     findings: list[Finding]
     files_checked: int
     #: Cumulative seconds per rule id (project rules measured once,
-    #: file rules summed over files); rounded so a cache replay is
-    #: byte-identical to the original run.
+    #: file rules summed over files).
     rule_seconds: dict[str, float] = field(default_factory=dict)
-    cache_hit: bool = False
 
     @property
     def errors(self) -> list[Finding]:
@@ -387,8 +374,6 @@ def _wrap_project_item(rule_obj: Rule, item, contexts) -> Optional[Finding]:
 def run_lint(
     paths: Iterable[str | Path],
     select: Optional[Iterable[str]] = None,
-    *,
-    cache_dir: str | Path | None = None,
 ) -> LintReport:
     """Lint every ``.py`` file under ``paths``; the full-fat entry point.
 
@@ -397,67 +382,36 @@ def run_lint(
     selected, every file of each ``repro`` package touched — so
     cross-module analysis sees the whole program even for a partial
     path argument).  Findings outside the linted set are dropped.
-
-    With ``cache_dir`` set, the run is keyed by a content digest of the
-    rule set and the corpus (:mod:`repro.lint.cache`); a warm hit replays
-    the stored findings and timings byte-identically without parsing.
     """
-    from repro.lint import cache as findings_cache
-
     wanted = set(select) if select is not None else None
     rules = [r for r in _REGISTRY.values() if wanted is None or r.id in wanted]
-    rule_ids = [r.id for r in rules]
     project_rules = [r for r in rules if r.project]
 
     linted = list(iter_py_files(paths))
     linted_resolved = {p.resolve() for p in linted}
-    sources: list[tuple[Path, str]] = []
-    for p in linted:
-        sources.append((p, p.read_text(encoding="utf-8")))
-
-    corpus_extra: list[tuple[Path, str]] = []
-    if project_rules:
-        from repro.lint.project import discover_corpus
-
-        for extra in discover_corpus(linted):
-            if extra.resolve() not in linted_resolved:
-                corpus_extra.append((extra, extra.read_text(encoding="utf-8")))
-
-    key = None
-    if cache_dir is not None:
-        entries = [
-            (str(p), findings_cache.content_digest(src), True) for p, src in sources
-        ] + [
-            (str(p), findings_cache.content_digest(src), False)
-            for p, src in corpus_extra
-        ]
-        key = findings_cache.run_key(rule_ids, entries)
-        entry = findings_cache.load(cache_dir, key)
-        if entry is not None:
-            return LintReport(
-                findings=[Finding.from_dict(d) for d in entry["findings"]],
-                files_checked=int(entry["files_checked"]),
-                rule_seconds=dict(entry["rule_seconds"]),
-                cache_hit=True,
-            )
-
     findings: list[Finding] = []
     seconds: dict[str, float] = {r.id: 0.0 for r in rules}
     contexts: dict[Path, FileContext] = {}  # resolved path -> ctx (corpus)
     linted_ctxs: list[FileContext] = []
-    for p, src in sources:
+    for p in linted:
         try:
-            ctx = FileContext(p, src)
+            ctx = FileContext(p, p.read_text(encoding="utf-8"))
         except SyntaxError as exc:
             findings.append(_syntax_finding(p, exc))
             continue
         contexts[p.resolve()] = ctx
         linted_ctxs.append(ctx)
-    for p, src in corpus_extra:
-        try:
-            contexts[p.resolve()] = FileContext(p, src)
-        except SyntaxError:
-            continue  # not linted here; its own lint run reports it
+    if project_rules:
+        from repro.lint.project import discover_corpus
+
+        for extra in discover_corpus(linted):
+            resolved = extra.resolve()
+            if resolved in linted_resolved:
+                continue
+            try:
+                contexts[resolved] = FileContext(extra, extra.read_text(encoding="utf-8"))
+            except SyntaxError:
+                continue  # not linted here; its own lint run reports it
 
     for rule_obj in rules:
         if rule_obj.project:
@@ -493,30 +447,12 @@ def run_lint(
             seconds[rule_obj.id] += build_s / len(project_rules)
 
     findings.sort(key=lambda f: f.sort_key)
-    rule_seconds = {rid: round(s, 6) for rid, s in seconds.items()}
-    report = LintReport(
-        findings=findings,
-        files_checked=len(linted),
-        rule_seconds=rule_seconds,
-    )
-    if cache_dir is not None and key is not None:
-        findings_cache.store(
-            cache_dir,
-            key,
-            {
-                "findings": [f.to_dict() for f in report.findings],
-                "files_checked": report.files_checked,
-                "rule_seconds": report.rule_seconds,
-            },
-        )
-    return report
+    return LintReport(findings=findings, files_checked=len(linted), rule_seconds=seconds)
 
 
 def lint_paths(
     paths: Iterable[str | Path],
     select: Optional[Iterable[str]] = None,
-    *,
-    cache_dir: str | Path | None = None,
 ) -> list[Finding]:
     """Lint every ``.py`` file under ``paths``; findings come back sorted."""
-    return run_lint(paths, select, cache_dir=cache_dir).findings
+    return run_lint(paths, select).findings

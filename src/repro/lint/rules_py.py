@@ -1,11 +1,8 @@
-"""General Python hygiene rules with simulator consequences (SIM005-SIM006).
+"""General Python hygiene rules with simulator consequences (SIM005).
 
 SIM005 (mutable default arguments) is classic Python, but in this codebase
 it is also a determinism bug: a default ``[]`` shared across trials leaks
-state between supposedly independent runs.  SIM006 guards the process
-protocol — a generator process that catches :class:`repro.sim.core.Interrupt`
-and silently swallows it breaks the interrupter's contract (the cause is
-lost and the interrupted wait continues as if nothing happened).
+state between supposedly independent runs.
 """
 
 from __future__ import annotations
@@ -51,76 +48,4 @@ def check_mutable_defaults(ctx: FileContext) -> Iterator:
                     f"mutable default argument in {name}(); defaults are "
                     "created once and shared across calls — use None and "
                     "construct inside the body"
-                )
-
-
-# ---------------------------------------------------------------------------
-# SIM006 — process generators must not swallow Interrupt
-
-
-def _own_nodes(func: ast.AST) -> Iterator[ast.AST]:
-    """The nodes of ``func``'s own body, skipping nested function bodies."""
-    stack = list(ast.iter_child_nodes(func))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def _yields_in(func: ast.AST) -> bool:
-    """True if ``func``'s own body (not nested defs) contains a yield."""
-    return any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in _own_nodes(func))
-
-
-def _catches_interrupt(handler: ast.ExceptHandler) -> bool:
-    types = []
-    if handler.type is None:
-        return False  # bare except is pylint's business, not ours
-    if isinstance(handler.type, ast.Tuple):
-        types = list(handler.type.elts)
-    else:
-        types = [handler.type]
-    for t in types:
-        name = t.attr if isinstance(t, ast.Attribute) else getattr(t, "id", None)
-        if name == "Interrupt":
-            return True
-    return False
-
-
-def _handler_handles(handler: ast.ExceptHandler) -> bool:
-    """Re-raises, or references the bound exception (reads the cause)."""
-    for node in handler.body:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Raise):
-                return True
-            if (
-                handler.name is not None
-                and isinstance(sub, ast.Name)
-                and sub.id == handler.name
-            ):
-                return True
-    return False
-
-
-@rule(
-    "SIM006",
-    Severity.ERROR,
-    "process generators must not swallow Interrupt without re-raising or "
-    "handling the cause",
-)
-def check_interrupt_swallow(ctx: FileContext) -> Iterator:
-    for func in ctx.walk((ast.FunctionDef, ast.AsyncFunctionDef)):
-        if not _yields_in(func):
-            continue
-        for node in _own_nodes(func):
-            if not isinstance(node, ast.ExceptHandler):
-                continue
-            if _catches_interrupt(node) and not _handler_handles(node):
-                yield node, (
-                    f"generator process {func.name}() catches Interrupt but "
-                    "neither re-raises nor reads the cause; the interrupter's "
-                    "signal is silently lost — bind the exception and handle "
-                    "`exc.cause`, or re-raise"
                 )

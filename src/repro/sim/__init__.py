@@ -20,7 +20,7 @@ Example
 [5.0]
 """
 
-from repro.sim.core import Environment, Interrupt, SimulationError
+from repro.sim.core import Environment, SimulationError
 from repro.sim.events import AllOf, AnyOf, Event, Process, Timeout
 from repro.sim.resources import Store
 from repro.sim.rng import RngHub
@@ -30,7 +30,6 @@ __all__ = [
     "AnyOf",
     "Environment",
     "Event",
-    "Interrupt",
     "Process",
     "RngHub",
     "SimulationError",

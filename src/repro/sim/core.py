@@ -11,22 +11,14 @@ from typing import Any, Generator, Optional
 from repro.obs.tracer import NULL_TRACER
 from repro.sim.events import PENDING, AllOf, AnyOf, Event, Process, Timeout
 
-# Scheduling priorities: URGENT events (process initialisation, interrupts)
-# run before NORMAL events scheduled at the same instant.
+# Scheduling priorities: URGENT events (process starts, and the stop event
+# of ``run(until=t)``) run before NORMAL events scheduled at the same instant.
 URGENT = 0
 NORMAL = 1
 
 
 class SimulationError(RuntimeError):
     """Raised when the simulation reaches an inconsistent state."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`repro.sim.events.Process.interrupt`."""
-
-    @property
-    def cause(self) -> Any:
-        return self.args[0]
 
 
 class StopSimulation(Exception):

@@ -114,38 +114,10 @@ class Initialize(Event):
         env.schedule(self, priority=0)
 
 
-class Interruption(Event):
-    """Internal event delivering an :class:`~repro.sim.core.Interrupt`."""
-
-    __slots__ = ("process",)
-
-    def __init__(self, process: "Process", cause: Any) -> None:
-        from repro.sim.core import Interrupt
-
-        super().__init__(process.env)
-        if process.triggered:
-            raise RuntimeError("cannot interrupt a terminated process")
-        self.process = process
-        self.callbacks = [self._interrupt]
-        self._ok = False
-        self._value = Interrupt(cause)
-        self._defused = True
-        self.env.schedule(self, priority=0)
-
-    def _interrupt(self, event: "Event") -> None:
-        proc = self.process
-        if proc.triggered:
-            return  # process finished before the interrupt was delivered
-        if proc._target is not None and proc._target.callbacks is not None:
-            proc._target.callbacks.remove(proc._resume)
-            proc._target = None
-        proc._resume(self)
-
-
 class Process(Event):
     """Wrap a generator; the event fires when the generator returns."""
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "name")
 
     def __init__(
         self, env: "Environment", generator: Generator, name: str | None = None
@@ -154,17 +126,8 @@ class Process(Event):
             raise TypeError(f"{generator!r} is not a generator")
         super().__init__(env)
         self._generator = generator
-        self._target: Event | None = None
         self.name = name or getattr(generator, "__name__", "process")
         Initialize(env, self)
-
-    @property
-    def is_alive(self) -> bool:
-        return self._value is PENDING
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its current yield."""
-        Interruption(self, cause)
 
     def _resume(self, event: Event) -> None:
         env = self.env
@@ -213,7 +176,6 @@ class Process(Event):
             if next_event.callbacks is not None:
                 # Event still pending/triggered: wait for it.
                 next_event.callbacks.append(self._resume)
-                self._target = next_event
                 break
             # Event already processed: loop immediately with its value.
             event = next_event

@@ -36,11 +36,12 @@ def test_all_rules_registered():
     rules = all_rules()
     for rule_id in (
         "SIM001", "SIM002", "SIM003", "SIM004",
-        "SIM005", "SIM006", "SIM007",
+        "SIM005", "SIM007",
     ):
         assert rule_id in rules
         assert rules[rule_id].summary
-    assert "SIM008" not in rules and "SIM009" not in rules
+    for retired in ("SIM006", "SIM008", "SIM009", "SIM010"):
+        assert retired not in rules
 
 
 # ---------------------------------------------------------------------------
@@ -239,78 +240,6 @@ def test_sim005_flags_mutable_defaults():
 def test_sim005_allows_none_default():
     src = "def f(a=None):\n    return [] if a is None else a\n"
     assert rules_of(src, OUTSIDE) == []
-
-
-# ---------------------------------------------------------------------------
-# SIM006 — swallowed Interrupt
-
-
-def test_sim006_flags_swallowed_interrupt():
-    src = (
-        "def proc(env):\n"
-        "    try:\n"
-        "        yield env.timeout(5)\n"
-        "    except Interrupt:\n"
-        "        pass\n"
-    )
-    assert rules_of(src, OUTSIDE) == ["SIM006"]
-
-
-def test_sim006_allows_handling_or_reraise():
-    handled = (
-        "def proc(env):\n"
-        "    try:\n"
-        "        yield env.timeout(5)\n"
-        "    except Interrupt as intr:\n"
-        "        log(intr.cause)\n"
-    )
-    reraised = (
-        "def proc(env):\n"
-        "    try:\n"
-        "        yield env.timeout(5)\n"
-        "    except Interrupt:\n"
-        "        cleanup()\n"
-        "        raise\n"
-    )
-    non_generator = (
-        "def not_a_process(env):\n"
-        "    try:\n"
-        "        run(env)\n"
-        "    except Interrupt:\n"
-        "        pass\n"
-    )
-    assert rules_of(handled, OUTSIDE) == []
-    assert rules_of(reraised, OUTSIDE) == []
-    assert rules_of(non_generator, OUTSIDE) == []
-
-
-def test_sim006_ignores_a_plain_helper_nested_in_a_generator():
-    """The helper is no process; the generator around it swallows nothing."""
-    src = (
-        "def proc(env):\n"
-        "    def helper():\n"
-        "        try:\n"
-        "            run(env)\n"
-        "        except Interrupt:\n"
-        "            pass\n"
-        "    yield env.timeout(5)\n"
-    )
-    assert rules_of(src, OUTSIDE) == []
-
-
-def test_sim006_reports_a_nested_generator_once():
-    src = (
-        "def outer(env):\n"
-        "    def inner(env):\n"
-        "        try:\n"
-        "            yield env.timeout(5)\n"
-        "        except Interrupt:\n"
-        "            pass\n"
-        "    yield env.process(inner(env))\n"
-    )
-    findings = lint_source(src, OUTSIDE)
-    assert [(f.rule, f.line) for f in findings] == [("SIM006", 5)]
-    assert "inner()" in findings[0].message
 
 
 # ---------------------------------------------------------------------------
@@ -543,11 +472,21 @@ def test_cli_unknown_rule_is_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+def test_cli_missing_path_is_usage_error(tmp_path, capsys):
+    """A mistyped path must not pass the lint by linting nothing there."""
+    missing = tmp_path / "no_such_dir"
+    with pytest.raises(SystemExit) as exc:
+        _run_cli(tmp_path, "x = 1\n", (str(missing),))
+    assert exc.value.code == 2
+    assert str(missing) in capsys.readouterr().err
+
+
 def test_cli_list_rules():
     out = io.StringIO()
     assert main(["--list-rules"], out=out) == 0
-    assert "SIM001" in out.getvalue() and "SIM006" in out.getvalue()
-    assert "SIM008" not in out.getvalue() and "SIM009" not in out.getvalue()
+    assert "SIM001" in out.getvalue() and "SIM007" in out.getvalue()
+    for retired in ("SIM006", "SIM008", "SIM009", "SIM010"):
+        assert retired not in out.getvalue()
 
 
 # ---------------------------------------------------------------------------

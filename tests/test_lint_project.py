@@ -1,23 +1,18 @@
-"""Tests for the whole-program lint layer (SIM011-SIM012) and the cache.
+"""Tests for the whole-program lint layer (SIM011-SIM012).
 
 Fixture trees are built under ``tmp_path`` with a real ``repro`` package
 root, so module naming, corpus expansion and cross-module resolution run
 exactly as they do on the shipped tree.  Ends with self-checks that the
-shipped tree passes the whole-program rules; the cache tests check that
-the findings cache replays byte-identically.
+shipped tree passes the whole-program rules.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import os
-import shutil
-import subprocess
-import sys
 from pathlib import Path
 
-from repro.lint import Severity, lint_paths, run_lint
+from repro.lint import Severity, lint_paths
 from repro.lint.engine import iter_py_files
 from repro.lint.cli import main
 
@@ -324,7 +319,7 @@ def test_cli_json_v2_envelope_and_rule_timings(tmp_path):
     target.mkdir(parents=True)
     (target / "mod.py").write_text("import time\nt = time.time()\n")
     out = io.StringIO()
-    code = main([str(tmp_path), "--format", "json", "--no-cache"], out=out)
+    code = main([str(tmp_path), "--format", "json"], out=out)
     assert code == 1
     report = json.loads(out.getvalue())
     assert report["version"] == 2
@@ -333,79 +328,6 @@ def test_cli_json_v2_envelope_and_rule_timings(tmp_path):
     assert "SIM001" in report["rules"]
     for timing in report["rules"].values():
         assert isinstance(timing["seconds"], float) and timing["seconds"] >= 0.0
-
-
-# ---------------------------------------------------------------------------
-# findings cache
-
-
-def test_cache_warm_run_hits_and_replays_identically(tmp_path):
-    _write_tree(tmp_path, LAUNDERED)
-    cache_dir = tmp_path / "cache"
-    target = [tmp_path / "src"]
-    cold = run_lint(target, cache_dir=cache_dir)
-    warm = run_lint(target, cache_dir=cache_dir)
-    assert [f.rule for f in cold.findings] == ["SIM001"]
-    assert cold.cache_hit is False
-    assert warm.cache_hit is True
-    assert [f.to_dict() for f in warm.findings] == [
-        f.to_dict() for f in cold.findings
-    ]
-    assert warm.rule_seconds == cold.rule_seconds
-    assert warm.files_checked == cold.files_checked
-
-
-#: A call site naming a stream that ``RNG_FIXTURE`` does not register.
-TYPO_STREAM = "def draw(hub, disk_id):\n    return hub.stream('dsk', disk_id)\n"
-
-
-def test_cache_invalidated_by_unlinted_corpus_file_change(tmp_path):
-    _sim011_tree(tmp_path, TYPO_STREAM)
-    cache_dir = tmp_path / "cache"
-    target = [tmp_path / "src" / "repro" / "core"]
-    cold = run_lint(target, cache_dir=cache_dir)
-    assert [f.rule for f in cold.findings] == ["SIM011"]
-    # Register the stream in sim/rng.py (a file we never linted directly):
-    # the cached whole-program findings must be invalidated, not replayed.
-    registry = tmp_path / "src" / "repro" / "sim" / "rng.py"
-    registry.write_text(RNG_FIXTURE.replace("'disk': 2", "'disk': 2, 'dsk': 2"))
-    fixed = run_lint(target, cache_dir=cache_dir)
-    assert fixed.cache_hit is False
-    assert fixed.findings == []
-
-
-def test_cache_keyed_by_rule_selection(tmp_path):
-    _sim011_tree(tmp_path, TYPO_STREAM)
-    cache_dir = tmp_path / "cache"
-    target = [tmp_path / "src" / "repro" / "core"]
-    first = run_lint(target, ["SIM011"], cache_dir=cache_dir)
-    assert [f.rule for f in first.findings] == ["SIM011"]
-    other = run_lint(target, ["SIM005"], cache_dir=cache_dir)
-    assert other.cache_hit is False
-    assert other.findings == []
-
-
-def test_cache_missed_after_a_rule_edit(tmp_path):
-    """Editing a rule's source invalidates every cached report, even for a
-    corpus outside ``repro.lint``: the stale message is never replayed."""
-    shutil.copytree(REPO_ROOT / "src" / "repro", tmp_path / "src" / "repro")
-    (tmp_path / "fixture.py").write_text("def f(a=[]):\n    return a\n")
-    argv = [sys.executable, "-m", "repro.lint", "fixture.py", "--select", "SIM005",
-            "--cache-dir", "cache"]
-    env = {**os.environ, "PYTHONPATH": str(tmp_path / "src")}
-
-    def lint():
-        return subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
-
-    first = lint()
-    assert "lint cache: miss" in first.stderr and "mutable default" in first.stdout
-    rules = tmp_path / "src" / "repro" / "lint" / "rules_py.py"
-    rules.write_text(rules.read_text().replace(
-        'f"mutable default argument in', 'f"shared default argument in'
-    ))
-    second = lint()
-    assert "lint cache: miss" in second.stderr
-    assert "shared default argument in f()" in second.stdout
 
 
 # ---------------------------------------------------------------------------

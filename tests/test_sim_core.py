@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Environment, Interrupt, SimulationError
+from repro.sim import AllOf, AnyOf, Environment, SimulationError
 
 
 def test_timeout_advances_clock():
@@ -206,38 +206,6 @@ def test_yield_non_event_raises_inside_process():
     with pytest.raises(RuntimeError):
         env.run()
     assert not p.ok
-
-
-def test_interrupt_delivers_cause():
-    env = Environment()
-    log = []
-
-    def victim(env):
-        try:
-            yield env.timeout(100)
-        except Interrupt as intr:
-            log.append((env.now, intr.cause))
-
-    def attacker(env, proc):
-        yield env.timeout(3)
-        proc.interrupt("stop now")
-
-    v = env.process(victim(env))
-    env.process(attacker(env, v))
-    env.run()
-    assert log == [(3.0, "stop now")]
-
-
-def test_interrupt_terminated_process_raises():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(1)
-
-    p = env.process(quick(env))
-    env.run()
-    with pytest.raises(RuntimeError):
-        p.interrupt()
 
 
 def test_all_of_collects_values():
