@@ -237,7 +237,6 @@ class _Client:
         self.plan = plan
         self.cid = cid
         self.tracker = self.spec.completion.tracker(scheme, record, plan)
-        self._observe = getattr(self.tracker, "observe", None)
         self.inbox = Store(run.env)
         #: Outcomes expected / taken from the inbox so far.
         self.total = 0
@@ -253,10 +252,7 @@ class _Client:
     def _take(self, t: float, bid) -> None:
         """Feed one arrival to the tracker — same hook order as the core loop."""
         self.consumed += 1
-        if self._observe is not None:
-            self._observe(float(t), int(bid))
-        else:
-            self.tracker.add(int(bid))
+        self.tracker.observe(float(t), int(bid))
         self.order.append(int(bid))
 
     def consume(self):

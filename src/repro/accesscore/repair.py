@@ -18,7 +18,7 @@ import numpy as np
 from repro.faults.inject import surviving_blocks
 
 #: Trigger fraction used when a scheme declares no floor of its own
-#: (matches :class:`repro.core.policy.reaction.Respeculate`'s default).
+#: (:class:`repro.core.policy.reaction.Respeculate`'s default too).
 DEFAULT_REPAIR_FLOOR = 0.5
 
 
@@ -60,7 +60,7 @@ def annotate_repair(scheme, record, extra, t_done, t0, floor: float):
     extra["surviving_redundancy"] = surv_red
     extra["repair_triggered"] = triggered
     if triggered:
-        ledger = getattr(scheme.cluster, "repair_ledger", None)
+        ledger = scheme.cluster.repair_ledger
         if ledger is not None:
             ledger.note_degraded_read(
                 float(t_done) if np.isfinite(t_done) else float("inf"), surv_red

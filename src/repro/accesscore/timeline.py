@@ -8,7 +8,7 @@ Implements the speculative-access timeline of §4.1.2/§6.2.2:
    served by the filer immediately); background workloads interleave;
 4. block payloads travel back (one-way latency, plentiful bandwidth);
 5. the client consumes arrivals in order until the scheme's completion
-   tracker is satisfied (all blocks / replica coverage / LT decode);
+   tracker is satisfied (replica coverage / LT decode / stripe fill);
 6. a cancel message (one-way latency) stops still-queued blocks; blocks
    already served or in flight count toward the I/O-overhead metric.
 
@@ -159,7 +159,7 @@ def consume_sorted_arrivals(tracker, times: np.ndarray, ids: np.ndarray) -> tupl
     Returns ``(t_fill, consumed)`` — ``(inf, len)`` when the vector never
     completes the tracker.  The one consumption loop behind both closed-form
     dispatchers: trackers exposing a batched ``consume_arrivals`` take the
-    vectorised fast path; the rest run the scalar ``observe``/``add`` loop.
+    vectorised fast path; the rest run the scalar ``observe`` loop.
 
     The class-level lookup is on purpose: recording/tracing proxies that
     forward attribute access to an inner tracker must keep the scalar loop,
@@ -167,16 +167,13 @@ def consume_sorted_arrivals(tracker, times: np.ndarray, ids: np.ndarray) -> tupl
     """
     consume = getattr(type(tracker), "consume_arrivals", None)
     if consume is not None and times.size:
-        # Batched fast path (AllBlocks/Coverage trackers): same
+        # Batched fast path (coverage and decoder trackers): same
         # (t_fill, consumed) as the scalar loop, proven element-for-element
         # by tests/test_trackers_batch.py.
         return consume(tracker, times, ids)
-    observe = getattr(tracker, "observe", None)
+    observe = tracker.observe
     for consumed, (t, bid) in enumerate(zip(times, ids), start=1):
-        if observe is not None:
-            observe(float(t), int(bid))
-        else:
-            tracker.add(int(bid))
+        observe(float(t), int(bid))
         if tracker.complete:
             return float(t), consumed
     return float("inf"), int(times.size)
@@ -193,11 +190,9 @@ def completion_with_order(
 
     The finish time is ``inf`` if the access can never complete with the
     queued blocks (insufficient redundancy reached the disks).  The data-path
-    API replays real decoding with the consumed ids.
-
-    Trackers exposing ``observe(t, block_id)`` (the
-    :class:`repro.accesscore.trackers.TrackerBase` hook) are fed the arrival
-    time too; plain ``add``-only trackers keep working unchanged.
+    API replays real decoding with the consumed ids.  Trackers are fed
+    through ``observe(t, block_id)`` (the
+    :class:`repro.accesscore.trackers.TrackerBase` hook).
     """
     times, ids = merged_arrival_order(streams, block_bytes, client_bandwidth_bps)
     t_fill, consumed = consume_sorted_arrivals(tracker, times, ids)

@@ -1,19 +1,20 @@
 """Completion trackers: the stateful consumers behind every completion policy.
 
 A tracker eats block arrivals in time order and reports when the access
-can finish — all blocks (RAID-0), replica coverage (RRAID / RAID-0+1),
-LT decode (RobuSTore), grouped Reed-Solomon fill (RobuSTore-RS) or
-parity-stripe reconstruction (RAID-5).  Trackers are *per-access* mutable
-state; the stateless :mod:`repro.core.policy.completion` policies build a
-fresh one for every read, which is what keeps compositions trial-reentrant.
+can finish — replica coverage (RAID-0 at one copy, RRAID, RAID-0+1), LT
+decode (RobuSTore), code-stripe fill (RobuSTore-RS words and regenerating
+stripes) or parity-stripe reconstruction (RAID-5).  Trackers are
+*per-access* mutable state; the stateless
+:mod:`repro.core.policy.completion` policies build a fresh one for every
+read, which is what keeps compositions trial-reentrant.
 Both engines consume through the same trackers: the closed form feeds them
 a sorted arrival vector, the event-driven engine feeds them one inbox
 message at a time.
 
-``observe(t, block_id)`` is the pipeline's entry point: it defaults to
-:meth:`add` and exists so trackers that care about *when* progress happened
-(the grouped-RS decode pipeline) can record it without the consumption loop
-special-casing them.
+``observe(t, block_id)`` is the pipeline's only entry point: it defaults
+to :meth:`add` and exists so trackers that care about *when* progress
+happened (the stripe decode pipeline) can record it without the
+consumption loop special-casing them.
 
 :class:`DecodableCommit` is the writer-side twin: it consumes commit acks
 in time order and reports when the speculative rateless write may cancel
@@ -33,7 +34,7 @@ PARITY_BASE = 1 << 20
 class CompletionTracker(Protocol):
     """Consumes block arrivals; reports when the access can finish."""
 
-    def add(self, block_id: int) -> None: ...
+    def observe(self, t: float, block_id: int) -> None: ...
 
     @property
     def complete(self) -> bool: ...
@@ -59,12 +60,11 @@ def _consume_batch(
     """Vectorised equivalent of feeding ``originals`` one at a time.
 
     ``originals`` maps each arrival to the original-block slot it covers
-    (identity for :class:`AllBlocksTracker`, ``id % k`` for
-    :class:`CoverageTracker`).  Finds the arrival at which the tracker's
-    distinct-slot count reaches ``k``, updates ``_have``/``_count`` to
-    exactly the state the scalar loop would leave (the loop stops at the
-    completing arrival), and returns ``(t_fill, consumed)`` —
-    ``(inf, len)`` when the batch never completes.
+    (``id % k`` for :class:`CoverageTracker`).  Finds the arrival at which
+    the tracker's distinct-slot count reaches ``k``, updates
+    ``_have``/``_count`` to exactly the state the scalar loop would leave
+    (the loop stops at the completing arrival), and returns
+    ``(t_fill, consumed)`` — ``(inf, len)`` when the batch never completes.
     """
     need = tracker.k - tracker._count
     if need <= 0:
@@ -87,30 +87,11 @@ def _consume_batch(
     return float(times[stop]), stop + 1
 
 
-class AllBlocksTracker(TrackerBase):
-    """RAID-0: every distinct block must arrive."""
-
-    def __init__(self, k: int) -> None:
-        self.k = k
-        self._have = np.zeros(k, dtype=bool)
-        self._count = 0
-
-    def add(self, block_id: int) -> None:
-        if not self._have[block_id]:
-            self._have[block_id] = True
-            self._count += 1
-
-    def consume_arrivals(self, times: np.ndarray, ids: np.ndarray) -> tuple[float, int]:
-        """Batched arrival consumption; see :func:`_consume_batch`."""
-        return _consume_batch(self, ids, times)
-
-    @property
-    def complete(self) -> bool:
-        return self._count >= self.k
-
-
 class CoverageTracker(TrackerBase):
-    """RRAID: at least one replica of every original block (id = r*K + i)."""
+    """RRAID: at least one replica of every original block (id = r*K + i).
+
+    At one replica (ids below K) this is RAID-0's rule: every block.
+    """
 
     def __init__(self, k: int) -> None:
         self.k = k
@@ -162,61 +143,24 @@ class DecoderTracker(TrackerBase):
         return self.decoder.is_complete
 
 
-class GroupedRSTracker(TrackerBase):
-    """Complete when every RS group holds >= group_size distinct blocks.
-
-    ``observe`` additionally records *when* each group filled
-    (``fill_times``), which the grouped-RS completion policy turns into the
-    pipelined per-group decode schedule.
-    """
-
-    def __init__(self, n_groups: int, group_size: int) -> None:
-        self.group_size = group_size
-        self._counts = np.zeros(n_groups, dtype=np.int64)
-        self._filled = 0
-        self._seen: set[int] = set()
-        self.n_groups = n_groups
-        self.fill_times: list[float] = []
-
-    def add(self, block_id: int) -> None:
-        if block_id in self._seen:
-            return
-        self._seen.add(block_id)
-        g = block_id >> 20  # group packed in the high bits
-        if self._counts[g] < self.group_size:
-            self._counts[g] += 1
-            if self._counts[g] == self.group_size:
-                self._filled += 1
-
-    def observe(self, t: float, block_id: int) -> None:
-        before = self._filled
-        self.add(block_id)
-        if self._filled > before:
-            self.fill_times.extend([t] * (self._filled - before))
-
-    @property
-    def complete(self) -> bool:
-        return self._filled >= self.n_groups
-
-
-class RegenStripeTracker(TrackerBase):
-    """Regenerating layout: every stripe needs ``k`` *complete* nodes.
+class StripeTracker(TrackerBase):
+    """Code stripes: every stripe needs ``k`` *complete* nodes.
 
     Block id ``(stripe << 20) | (node * alpha + sub)``; a node counts only
     once all ``alpha`` of its coded blocks arrived (the product-matrix
     decoder consumes whole node vectors), and a stripe fills at ``k``
-    complete nodes.  ``observe`` records stripe fill times for the
-    pipelined per-stripe decode, mirroring :class:`GroupedRSTracker`.
+    complete nodes.  A grouped Reed-Solomon word is the ``alpha = 1``
+    case: a group fills at ``k`` distinct blocks.  ``observe`` additionally
+    records *when* each stripe filled (``fill_times``), which the stripe
+    completion policy turns into the pipelined per-stripe decode schedule.
     """
 
-    def __init__(
-        self, n_stripes: int, nodes: int, k: int, alpha: int, d: int | None = None
-    ) -> None:
+    def __init__(self, n_stripes: int, nodes: int, k: int, alpha: int, d: int) -> None:
         self.n_stripes = n_stripes
         self.nodes = nodes
         self.k = k
         self.alpha = alpha
-        self.d = nodes - 1 if d is None else d
+        self.d = d
         self._seen: set[int] = set()
         self._sub_counts = np.zeros((n_stripes, nodes), dtype=np.int64)
         self._nodes_done = np.zeros(n_stripes, dtype=np.int64)

@@ -81,6 +81,10 @@ class Cluster:
         self._disk_states: dict[int, DiskState] = {}
         #: Active :class:`repro.faults.inject.FaultInjector`, or ``None``.
         self.faults = None
+        #: Installed :class:`repro.rebuild.RepairLedger`, or ``None``: it
+        #: meters degraded reads and repair passes (see
+        #: :mod:`repro.accesscore.repair` and :mod:`repro.core.repair`).
+        self.repair_ledger = None
 
     @property
     def n_filers(self) -> int:

@@ -5,7 +5,7 @@ Every scheme is a composition of the :mod:`repro.core.policy` layers
 engine-agnostic pipeline in :mod:`repro.core.pipeline`.  The paper's
 schemes, as compared in Chapter 6:
 
-* ``raid0`` — plain striping, zero redundancy.
+* ``raid0`` — plain striping: rotated replication at zero redundancy.
 * ``rraid-s`` — rotated replication + speculative access.
 * ``rraid-a`` — rotated replication + adaptive multi-round access.
 * ``robustore`` — LT-coded redundancy + speculative access (the paper's

@@ -3,7 +3,7 @@
 This facade couples two things the rest of the package keeps separate:
 
 * **real data movement** — bytes are encoded by the scheme's codec
-  (LT graph, replication, Reed-Solomon groups, plain striping), coded
+  (LT graph, replication with RAID-0 as one copy, code stripes), coded
   payloads live in per-file in-memory stores, and reads reconstruct the
   data from the payloads **in the arrival order the timing simulation
   produced**;

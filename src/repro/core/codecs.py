@@ -38,26 +38,11 @@ class Codec(Protocol):
         ...
 
 
-class PlainCodec:
-    """RAID-0: block id == original index, no transform."""
-
-    def encode(self, blocks, record, cfg):
-        return {int(b): blocks[int(b)] for p in record.placement for b in p}
-
-    def decode(self, arrival_order, payloads, record, cfg):
-        out = np.zeros((cfg.k, cfg.block_bytes), dtype=np.uint8)
-        have = np.zeros(cfg.k, dtype=bool)
-        for bid in arrival_order:
-            if bid < cfg.k and not have[bid]:
-                out[bid] = payloads[bid]
-                have[bid] = True
-        if not have.all():
-            raise ValueError(f"{int((~have).sum())} blocks never arrived")
-        return out
-
-
 class ReplicaCodec:
-    """RRAID-S / RRAID-A / RAID-0+1: id = r*k + i carries block i."""
+    """RAID-0 / RRAID-S / RRAID-A / RAID-0+1: id = r*k + i carries block i.
+
+    RAID-0 stores one replica: id i is block i, no transform.
+    """
 
     def encode(self, blocks, record, cfg):
         k = cfg.k
@@ -97,59 +82,30 @@ class LTCodec:
         return decoder.get_data()
 
 
-class RSGroupCodec:
-    """RobuSTore-RS: per-group Reed-Solomon words, id = (g << 20) | j."""
+class _RSWord(ReedSolomonCode):
+    """A Reed-Solomon word as a stripe code: nodes of ``alpha = 1`` block."""
 
-    def _codes(self, record, cfg):
-        group = record.coding["group"]
-        coded = record.coding["coded_per_group"]
-        return group, coded, ReedSolomonCode(group, coded)
+    def encode(self, message):
+        return super().encode(message)[:, None]
 
-    def encode(self, blocks, record, cfg):
-        group, coded, code = self._codes(record, cfg)
-        out = {}
-        for g in range(record.coding["groups"]):
-            seg = blocks[g * group : (g + 1) * group]
-            if seg.shape[0] < group:
-                pad = np.zeros((group - seg.shape[0], blocks.shape[1]), np.uint8)
-                seg = np.vstack([seg, pad])
-            coded_blocks = code.encode(seg)
-            for j in range(coded):
-                out[(g << 20) | j] = coded_blocks[j]
-        return {bid: out[bid] for p in record.placement for bid in p}
-
-    def decode(self, arrival_order, payloads, record, cfg):
-        group, _, code = self._codes(record, cfg)
-        n_groups = record.coding["groups"]
-        by_group: dict[int, list[int]] = {g: [] for g in range(n_groups)}
-        for bid in arrival_order:
-            g = bid >> 20
-            if len(by_group[g]) < group:
-                by_group[g].append(bid)
-        short = [g for g, ids in by_group.items() if len(ids) < group]
-        if short:
-            raise ValueError(f"group {short[0]} never filled")
-
-        out = np.zeros((cfg.k, cfg.block_bytes), dtype=np.uint8)
-        for g, ids in by_group.items():
-            local = [bid & 0xFFFFF for bid in ids]
-            decoded = code.decode(local, np.stack([payloads[b] for b in ids]))
-            lo = g * group
-            hi = min(cfg.k, lo + group)
-            out[lo:hi] = decoded[: hi - lo]
-        return out
+    def decode(self, node_ids, contents):
+        return super().decode(node_ids, contents[:, 0])
 
 
-class RegenCodec:
-    """Regenerating stripes: product-matrix encode, decode from any k nodes.
+class StripeCodec:
+    """Code stripes: encode per stripe, decode each from any k nodes.
 
     Id ``(stripe << 20) | (node * alpha + sub)``; decode gathers the first
     k nodes per stripe whose ``alpha`` coded blocks all arrived (the
-    timing tracker's completion rule, replayed on real bytes).
+    timing tracker's completion rule, replayed on real bytes).  RobuSTore-RS
+    words are Reed-Solomon stripes at ``alpha = 1``; the regenerating
+    layouts are product-matrix stripes.
     """
 
     def _code(self, record):
         c = record.coding
+        if c["algorithm"] == "reed-solomon":
+            return _RSWord(c["k"], c["nodes"]), c
         return product_matrix_code(c["mode"], c["k"], c["d"], c["nodes"]), c
 
     def encode(self, blocks, record, cfg):
@@ -205,18 +161,18 @@ class RegenCodec:
 
 
 CODECS: dict[str, Codec] = {
-    "raid0": PlainCodec(),
+    "raid0": ReplicaCodec(),
     "rraid-s": ReplicaCodec(),
     "rraid-a": ReplicaCodec(),
     "raid0+1": ReplicaCodec(),
     "robustore": LTCodec(),
-    "robustore-rs": RSGroupCodec(),
+    "robustore-rs": StripeCodec(),
     # Cross-product compositions share the codec of their placement layer.
     "lt+adaptive": LTCodec(),
     "mirror+adaptive": ReplicaCodec(),
-    "rs+adaptive": RSGroupCodec(),
-    "regen-msr": RegenCodec(),
-    "regen-mbr": RegenCodec(),
+    "rs+adaptive": StripeCodec(),
+    "regen-msr": StripeCodec(),
+    "regen-mbr": StripeCodec(),
 }
 
 

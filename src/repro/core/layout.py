@@ -1,8 +1,8 @@
 """Layout planning: mapping blocks onto disks (Fig 6-1).
 
-* ``striped`` — RAID-0: block ``i`` on disk ``i mod H``, in-disk order by i.
 * ``rotated_replicas`` — RRAID-S / RRAID-A: replica ``r`` of block ``i`` on
-  disk ``(i + r) mod H``, stored grouped by replica then block.
+  disk ``(i + r) mod H``, stored grouped by replica then block.  At one
+  replica (D = 0) it is RAID-0's stripe: block ``i`` on disk ``i mod H``.
 * ``coded_balanced`` — RobuSTore balanced write: N coded blocks dealt
   round-robin across the disks.
 
@@ -14,16 +14,6 @@ them back in.
 from __future__ import annotations
 
 Placement = list[list[int]]
-
-
-def striped(n_blocks: int, n_disks: int) -> Placement:
-    """RAID-0 striping of ``n_blocks`` plain-text blocks."""
-    if n_disks < 1:
-        raise ValueError("need at least one disk")
-    placement: Placement = [[] for _ in range(n_disks)]
-    for i in range(n_blocks):
-        placement[i % n_disks].append(i)
-    return placement
 
 
 def rotated_replicas(k: int, replicas: int, n_disks: int) -> Placement:

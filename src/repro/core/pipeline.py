@@ -24,13 +24,23 @@ from repro.cluster.metadata import FileRecord
 from repro.core.base import SchemeBase
 from repro.core.policy.compose import COMPOSITIONS, SchemeSpec
 
-__all__ = ["PolicyScheme", "run_access", "scheme_class"]
+__all__ = ["PolicyScheme", "scheme_class"]
 
 
 class PolicyScheme(SchemeBase):
-    """A storage scheme assembled from the policy layers."""
+    """A storage scheme assembled from the policy layers.
+
+    The composition's redundancy override (RAID-0 pins 0.0) replaces the
+    configured redundancy here, so every construction runs at it.
+    """
 
     spec: ClassVar[SchemeSpec]
+
+    def __init__(self, cluster, config: AccessConfig, hub=None, metadata=None) -> None:
+        override = self.spec.redundancy_override
+        if override is not None:
+            config = replace(config, redundancy=override)
+        super().__init__(cluster, config, hub, metadata)
 
     def prepare(self, file_name: str, trial: int) -> FileRecord:
         disks = self.select_disks(trial)
@@ -78,9 +88,3 @@ def scheme_class(name: str) -> type[PolicyScheme]:
     _SYNTHESIZED[name] = cls
     return cls
 
-
-def run_access(cls: type[PolicyScheme], access: AccessConfig) -> AccessConfig:
-    """The access config ``cls`` runs at: its composition's redundancy
-    override (RAID-0 pins 0.0) replaces the configured redundancy."""
-    override = cls.spec.redundancy_override
-    return access if override is None else replace(access, redundancy=override)

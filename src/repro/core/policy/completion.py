@@ -9,11 +9,12 @@ the event-driven reference engine one inbox message at a time.
 
 The fill/cancel asymmetries the policies encode:
 
-* all-blocks / coverage / parity — done at fill, cancel at fill;
+* coverage / parity — done at fill, cancel at fill;
 * LT decode — done one block-decode after fill (incremental peeling hides
   the rest behind I/O), cancel once decoding is done;
-* grouped RS — cancel at fill (the client decodes locally while disks
-  stand down), done after the pipelined per-group quadratic decode.
+* code stripes (grouped RS, regenerating) — cancel at fill (the client
+  decodes locally while disks stand down), done after the pipelined
+  per-stripe decode.
 """
 
 from __future__ import annotations
@@ -22,12 +23,10 @@ import numpy as np
 
 from repro.accesscore.routing import decode_tail_s
 from repro.accesscore.trackers import (
-    AllBlocksTracker,
     CoverageTracker,
     DecoderTracker,
-    GroupedRSTracker,
     ParityStripeTracker,
-    RegenStripeTracker,
+    StripeTracker,
 )
 from repro.coding.peeling import PeelingDecoder
 from repro.core.policy.base import ReadPlan
@@ -49,15 +48,11 @@ class _CompletionBase:
         pass
 
 
-class AllBlocksCompletion(_CompletionBase):
-    """RAID-0: every distinct block must arrive."""
-
-    def tracker(self, scheme, record, plan: ReadPlan):
-        return AllBlocksTracker(scheme.config.k)
-
-
 class CoverageCompletion(_CompletionBase):
-    """Replicated layouts: one copy of every original block (id % K)."""
+    """Replicated layouts: one copy of every original block (id % K).
+
+    RAID-0 is the one-copy case: every block must arrive.
+    """
 
     def tracker(self, scheme, record, plan: ReadPlan):
         return CoverageTracker(scheme.config.k)
@@ -96,55 +91,32 @@ class LTDecodeCompletion(_CompletionBase):
             )
 
 
-class GroupedRSCompletion(_CompletionBase):
-    """RobuSTore-RS: every group fills, then groups decode pipelined.
+class StripeCompletion(_CompletionBase):
+    """Code stripes: every stripe fills, then stripes decode pipelined.
 
-    RS decoding pipelines *per group*: a group decodes once it fills, one
-    group at a time, at the quadratic-cost RS rate.  With fast parallel
-    disks every group fills almost together and the whole decode
-    serialises after the fill; over a slow WAN the fills stagger and
-    decoding hides behind the transfers (Collins & Plank's regime, §2.3).
+    A stripe decodes once it fills, one stripe at a time, and the cancel
+    goes out at fill while the client decodes locally.  The decode rate
+    uses the GF(256) bandwidth table at word length ``d``: a grouped RS
+    word (alpha = 1, d = k) pays the quadratic-cost RS rate over its
+    ``k`` blocks, while the product-matrix decoder's systems are ``d x d``,
+    far smaller than an RS word, which is the decode-side half of the
+    regenerating bargain.  With fast parallel disks every stripe fills
+    almost together and the whole decode serialises after the fill; over
+    a slow WAN the fills stagger and decoding hides behind the transfers
+    (Collins & Plank's regime, §2.3).
+
+    ``extra`` names the result extra that reports the stripe geometry and
+    ``field`` the tracker attribute it reports (``group`` = k for RS,
+    ``regen_nodes`` = nodes for the regenerating stripes).
     """
 
-    def tracker(self, scheme, record, plan: ReadPlan):
-        return GroupedRSTracker(record.coding["groups"], record.coding["group"])
-
-    def finish(self, scheme, tracker, t_fill):
-        cfg = scheme.config
-        group = tracker.group_size
-        group_decode_s = group * cfg.block_bytes / rs_decode_bandwidth_bps(group)
-        decoder_free = 0.0
-        for ft in sorted(tracker.fill_times):
-            decoder_free = max(decoder_free, ft) + group_decode_s
-        t_done = (
-            decoder_free if tracker.fill_times and tracker.complete else float("inf")
-        )
-        # The cancel goes out as soon as the groups fill — the client
-        # decodes locally while the disks stand down.
-        return t_done, t_fill
-
-    def extras(self, scheme, tracker, t_fill, t_done):
-        decode_tail = (
-            max(0.0, t_done - t_fill) if np.isfinite(t_done) else float("inf")
-        )
-        return {"decode_tail_s": decode_tail, "group": tracker.group_size}
-
-
-class RegenCompletion(_CompletionBase):
-    """Regenerating stripes: k complete nodes per stripe, pipelined decode.
-
-    Like grouped RS, stripes decode one at a time as they fill, and the
-    cancel goes out at fill while the client decodes locally.  The decode
-    rate uses the GF(256) bandwidth table at word length ``d`` — the
-    product-matrix decoder's systems are ``d x d``, far smaller than an
-    RS word, which is the decode-side half of the regenerating bargain.
-    """
+    def __init__(self, extra: str, field: str) -> None:
+        self.extra = extra
+        self.field = field
 
     def tracker(self, scheme, record, plan: ReadPlan):
         c = record.coding
-        return RegenStripeTracker(
-            c["stripes"], c["nodes"], c["k"], c["alpha"], c["d"]
-        )
+        return StripeTracker(c["stripes"], c["nodes"], c["k"], c["alpha"], c["d"])
 
     def finish(self, scheme, tracker, t_fill):
         cfg = scheme.config
@@ -162,7 +134,7 @@ class RegenCompletion(_CompletionBase):
         decode_tail = (
             max(0.0, t_done - t_fill) if np.isfinite(t_done) else float("inf")
         )
-        return {"decode_tail_s": decode_tail, "regen_nodes": tracker.nodes}
+        return {"decode_tail_s": decode_tail, self.extra: getattr(tracker, self.field)}
 
 
 class ParityCompletion(_CompletionBase):

@@ -23,12 +23,10 @@ from repro.core.policy.base import (
     WritePolicy,
 )
 from repro.core.policy.completion import (
-    AllBlocksCompletion,
     CoverageCompletion,
-    GroupedRSCompletion,
     LTDecodeCompletion,
     ParityCompletion,
-    RegenCompletion,
+    StripeCompletion,
 )
 from repro.core.policy.dispatch import AdaptiveDispatch, SpeculativeDispatch
 from repro.core.policy.placement import (
@@ -39,12 +37,9 @@ from repro.core.policy.placement import (
     RegeneratingMBRPlacement,
     RegeneratingMSRPlacement,
     RotatedReplicaPlacement,
-    StripedPlacement,
 )
 from repro.core.policy.reaction import (
-    AbortOnLoss,
     DegradedParityRead,
-    EmergentFailover,
     PassiveReaction,
     Respeculate,
 )
@@ -65,11 +60,11 @@ class SchemeSpec:
     completion: CompletionPolicy
     reaction: FaultReaction
     write: WritePolicy
-    #: Redundancy forced onto the access config (RAID-0 always runs at 0).
+    #: Redundancy forced onto the access config (RAID-0 always runs at 0);
+    #: :class:`~repro.core.pipeline.PolicyScheme` applies it on construction.
     redundancy_override: float | None = None
 
 
-_STRIPED = StripedPlacement()
 _ROTATED = RotatedReplicaPlacement()
 _MIRRORED = MirroredStripePlacement()
 _PARITY = ParityStripePlacement()
@@ -81,15 +76,12 @@ _REGEN_MBR = RegeneratingMBRPlacement()
 _SPECULATIVE = SpeculativeDispatch()
 _ADAPTIVE = AdaptiveDispatch()
 
-_ALL_BLOCKS = AllBlocksCompletion()
 _COVERAGE = CoverageCompletion()
 _LT_DECODE = LTDecodeCompletion()
-_RS_FILL = GroupedRSCompletion()
-_REGEN_FILL = RegenCompletion()
+_RS_FILL = StripeCompletion("group", "k")
+_REGEN_FILL = StripeCompletion("regen_nodes", "nodes")
 _PARITY_FILL = ParityCompletion()
 
-_ABORT = AbortOnLoss()
-_FAILOVER = EmergentFailover()
 _RESPECULATE = Respeculate()
 _DEGRADED = DegradedParityRead()
 _PASSIVE = PassiveReaction()
@@ -101,21 +93,27 @@ _SPEC_WRITE = SpeculativeRatelessWrite()
 #: The paper's schemes (first seven) and the new cross-products the
 #: layered decomposition unlocks.
 COMPOSITIONS: dict[str, SchemeSpec] = {
-    # RAID-0 (§6.2.1): no redundancy, so a read waits for every block and
-    # is gated by the slowest disk — the baseline every figure compares.
+    # RAID-0 (§6.2.1): rotated replication at D = 0, i.e. block i on disk
+    # i mod H.  No redundancy, so a read waits for every block and is gated
+    # by the slowest disk — the baseline every figure compares.  Nothing
+    # to re-request: any lost block leaves the access incomplete (latency
+    # inf) because the tracker never finishes.
     "raid0": SchemeSpec(
-        "raid0", _STRIPED, _SPECULATIVE, _ALL_BLOCKS, _ABORT, _UNIFORM,
+        "raid0", _ROTATED, _SPECULATIVE, _COVERAGE, _PASSIVE, _UNIFORM,
         redundancy_override=0.0,
     ),
     # RRAID-S: replica r of block i on disk (i + r) mod H; one speculative
-    # round, cancel on first-copy coverage (~200% I/O overhead).
+    # round, cancel on first-copy coverage (~200% I/O overhead).  Failover
+    # falls out of speculation: every replica is already requested, so a
+    # failed disk's blocks arrive from their mirrors, and the access only
+    # fails when *all* copies of some block sit on failed disks.
     "rraid-s": SchemeSpec(
-        "rraid-s", _ROTATED, _SPECULATIVE, _COVERAGE, _FAILOVER, _UNIFORM,
+        "rraid-s", _ROTATED, _SPECULATIVE, _COVERAGE, _PASSIVE, _UNIFORM,
     ),
     # RRAID-A: the same placement; an idle disk steals half a laggard's
     # remaining work, one round trip per hand-off (Fig 6-12).
     "rraid-a": SchemeSpec(
-        "rraid-a", _ROTATED, _ADAPTIVE, _COVERAGE, _FAILOVER, _UNIFORM,
+        "rraid-a", _ROTATED, _ADAPTIVE, _COVERAGE, _PASSIVE, _UNIFORM,
     ),
     # RobuSTore (the contribution): LT-coded blocks, one speculative round
     # cancelled at decode (§4.3.3), speculative rateless writes (§4.3.2).
@@ -128,12 +126,14 @@ COMPOSITIONS: dict[str, SchemeSpec] = {
         "raid5", _PARITY, _SPECULATIVE, _PARITY_FILL, _DEGRADED, _UNIFORM,
     ),
     # RAID-0+1 (Fig 2-2): two mirrored stripe sets; a block's copies share
-    # a stripe position, so one slow disk pair pins both mirrors.
+    # a stripe position, so one slow disk pair pins both mirrors.  Failover
+    # is speculation's, as for RRAID-S.
     "raid0+1": SchemeSpec(
-        "raid0+1", _MIRRORED, _SPECULATIVE, _COVERAGE, _FAILOVER, _UNIFORM,
+        "raid0+1", _MIRRORED, _SPECULATIVE, _COVERAGE, _PASSIVE, _UNIFORM,
     ),
     # RobuSTore-RS (§5.2.1 ablation): speculation over Reed-Solomon words
-    # of 32 originals; pays an RS decode tail and the slowest group's skew.
+    # of 32 originals, each a code stripe at alpha = 1, d = k; pays an RS
+    # decode tail and the slowest group's skew.
     "robustore-rs": SchemeSpec(
         "robustore-rs", _GROUPED_RS, _SPECULATIVE, _RS_FILL, _PASSIVE, _ENCODE_OVERLAP,
     ),
@@ -147,7 +147,7 @@ COMPOSITIONS: dict[str, SchemeSpec] = {
     # and immediately steal from struggling set-A partners — genuine
     # cross-mirror work stealing the monoliths could not express.
     "mirror+adaptive": SchemeSpec(
-        "mirror+adaptive", _MIRRORED, _ADAPTIVE, _COVERAGE, _FAILOVER, _UNIFORM,
+        "mirror+adaptive", _MIRRORED, _ADAPTIVE, _COVERAGE, _PASSIVE, _UNIFORM,
     ),
     # Grouped RS under the adaptive engine: the group-skew cost without
     # speculation's wasted transfers.

@@ -1,4 +1,4 @@
-"""Placement policies: stripe, mirrors, parity stripes, LT, grouped RS.
+"""Placement policies: rotated replicas, mirrors, parity stripes, LT, code stripes.
 
 Each policy turns (config, #disks, trial) into a :class:`PlacementSpec`
 — the per-disk stored queues plus the coding descriptor and record extras
@@ -99,15 +99,11 @@ class _PlacementBase:
         return primaries, holders
 
 
-class StripedPlacement(_PlacementBase):
-    """RAID-0: block i on disk i mod H, no redundancy."""
-
-    def plan(self, cfg, n_disks, trial):
-        return PlacementSpec(L.striped(cfg.k, n_disks), {"algorithm": "none"})
-
-
 class RotatedReplicaPlacement(_PlacementBase):
-    """RRAID: replica r of block i on disk (i + r) mod H, id r*K + i."""
+    """RRAID: replica r of block i on disk (i + r) mod H, id r*K + i.
+
+    At D = 0 this is RAID-0's stripe: block i on disk i mod H.
+    """
 
     def plan(self, cfg, n_disks, trial):
         return PlacementSpec(
@@ -284,35 +280,39 @@ class RegeneratingMBRPlacement(RegeneratingPlacement):
 
 
 class GroupedRSPlacement(_PlacementBase):
-    """RobuSTore-RS: per-group RS words interleaved across all disks."""
+    """RobuSTore-RS: per-group RS words interleaved across all disks.
+
+    A word is a stripe at alpha = 1: ``k`` originals coded into ``nodes``
+    one-block nodes, any ``k`` of which decode (d = k, the MDS end of the
+    regenerating tradeoff).  So the coding descriptor speaks the
+    regenerating stripes' vocabulary, and one stripe tracker, completion,
+    codec and repair pass serve both families.
+    """
 
     #: Originals per RS word (<= 128 keeps N <= 256 at 1x redundancy).
     GROUP = 32
 
-    def grouping(self, cfg):
-        group = min(self.GROUP, cfg.k)
-        n_groups = -(-cfg.k // group)
-        coded_per_group = max(
-            group, int(round(group * (1.0 + cfg.redundancy)))
-        )
-        coded_per_group = min(coded_per_group, 256)
-        return group, n_groups, coded_per_group
-
     def coding(self, cfg) -> dict:
-        group, n_groups, coded_per_group = self.grouping(cfg)
+        group = min(self.GROUP, cfg.k)
+        coded = min(256, max(group, int(round(group * (1.0 + cfg.redundancy)))))
         return {
             "algorithm": "reed-solomon",
-            "group": group,
-            "groups": n_groups,
-            "coded_per_group": coded_per_group,
+            "nodes": coded,
+            "k": group,
+            "d": group,
+            "alpha": 1,
+            "stripe_symbols": group,
+            "stripes": -(-cfg.k // group),
         }
 
     def plan(self, cfg, n_disks, trial):
-        group, n_groups, coded_per_group = self.grouping(cfg)
+        coding = self.coding(cfg)
         ids = [
-            (g << 20) | j for j in range(coded_per_group) for g in range(n_groups)
+            (s << 20) | j
+            for j in range(coding["nodes"])
+            for s in range(coding["stripes"])
         ]
         placement = [[] for _ in range(n_disks)]
         for pos, bid in enumerate(ids):
             placement[pos % n_disks].append(bid)
-        return PlacementSpec(placement, self.coding(cfg))
+        return PlacementSpec(placement, coding)

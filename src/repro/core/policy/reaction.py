@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.accesscore.repair import annotate_repair
+from repro.accesscore.repair import DEFAULT_REPAIR_FLOOR, annotate_repair
 from repro.accesscore.result import AccessResult
 from repro.accesscore.timeline import serve_read_queues
 from repro.accesscore.trackers import PARITY_BASE
@@ -25,7 +25,12 @@ from repro.core.policy.base import ReadPlan
 
 
 class PassiveReaction:
-    """Request everything once and live with what arrives."""
+    """Request everything once and live with what arrives.
+
+    RAID-0's abort on a lost block and the replicated layouts' failover
+    need no code: the tracker never completes, or a mirror's copy arrives
+    (see the ``COMPOSITIONS`` comments).
+    """
 
     def plan_read(self, scheme, record):
         return ReadPlan(record.disk_ids, record.placement)
@@ -40,23 +45,6 @@ class PassiveReaction:
         return None
 
 
-class AbortOnLoss(PassiveReaction):
-    """RAID-0: any lost block leaves the access incomplete (latency inf).
-
-    With zero redundancy there is nothing to re-request — the abort is the
-    completion tracker simply never finishing.
-    """
-
-
-class EmergentFailover(PassiveReaction):
-    """Replicated layouts: failover falls out of speculation.
-
-    Every replica is already requested, so a failed disk's blocks arrive
-    from their mirrors without any explicit reaction; the access only
-    fails when *all* copies of some block sit on failed disks.
-    """
-
-
 class Respeculate(PassiveReaction):
     """RobuSTore: re-request undelivered blocks, flag files for repair."""
 
@@ -64,7 +52,7 @@ class Respeculate(PassiveReaction):
     #: this fraction of the configured degree, reads flag the file for a
     #: background rebuild (``extra["repair_triggered"]``;
     #: :func:`repro.core.repair.maybe_repair` acts on it).
-    REPAIR_REDUNDANCY_FLOOR = 0.5
+    REPAIR_REDUNDANCY_FLOOR = DEFAULT_REPAIR_FLOOR
 
     def retry_targets(self, scheme, pending, t_retry_floor, t0):
         """Resolve where and when a second round can go.

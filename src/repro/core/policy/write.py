@@ -102,7 +102,7 @@ class EncodeOverlapWrite(UniformWrite):
     """
 
     def encode_tail_s(self, scheme, pspec) -> float | None:
-        group = pspec.coding["group"]
+        group = pspec.coding["k"]
         return scheme.config.data_bytes / rs_decode_bandwidth_bps(group)
 
 

@@ -9,13 +9,13 @@ failure, which is the economy ``ext_repair`` measures:
 * **LT** (RobuSTore) — read enough surviving coded blocks to decode
   (a normal speculative read), extend the graph with *fresh* rateless
   blocks, write them to healthy disks.
-* **Reed-Solomon** (grouped) — whole-word reconstruction: every affected
-  group reads ``group`` surviving blocks from helpers, re-encodes the
-  exact lost blocks, writes them back.
-* **Regenerating** (product-matrix MSR/MBR) — each lost node pulls one
-  ``beta``-symbol from ``d`` helpers: ``d`` block transfers instead of a
-  whole stripe, the Dimakis repair-bandwidth saving.  Falls back to
-  whole-stripe decode when fewer than ``d`` helpers survive.
+* **Code stripes** (product-matrix MSR/MBR, and grouped Reed-Solomon
+  words as stripes at ``alpha = 1``) — with ``alpha > 1`` each lost node
+  pulls one ``beta``-symbol from ``d`` helpers: ``d`` block transfers
+  instead of a whole stripe, the Dimakis repair-bandwidth saving.  An RS
+  word, or a regenerating stripe with fewer than ``d`` surviving helpers,
+  is rebuilt whole: ``k`` surviving nodes are read, the exact lost nodes
+  re-encoded and written back.
 
 All passes consume drive capacity through the ordinary disk service
 model (:func:`serve_read_queues` / :func:`simulate_uniform_write`), so
@@ -231,58 +231,8 @@ def _repair_lt(scheme, file_name: str, trial: int, record, dead, healthy, lost):
     )
 
 
-def _repair_reed_solomon(
-    scheme, file_name: str, trial: int, record, dead, healthy, lost
-):
-    """Grouped RS: whole-word reconstruction per affected group."""
-    dead_set = set(dead)
-    group = record.coding["group"]
-    pos_of = _positions_of(record)
-    lost_ids = sorted(b for i in dead for b in record.placement[i])
-    affected = sorted({bid >> 20 for bid in lost_ids})
-
-    helper_q = [[] for _ in record.disk_ids]
-    for g in affected:
-        survivors = sorted(
-            bid
-            for bid, p in pos_of.items()
-            if (bid >> 20) == g and p not in dead_set
-        )[:group]
-        if len(survivors) < group:
-            raise RuntimeError(
-                f"{file_name!r}: group {g} kept only {len(survivors)}/{group} blocks"
-            )
-        for bid in survivors:
-            helper_q[pos_of[bid]].append(bid)
-    t_read, bytes_read = _helper_read(scheme, record, trial, helper_q, file_name)
-
-    # Re-encode the exact lost blocks; spread them over the healthy disks.
-    writes = [[] for _ in record.disk_ids]
-    for j, bid in enumerate(lost_ids):
-        writes[healthy[j % len(healthy)]].append(bid)
-    t_write, bytes_written = _write_replacements(
-        scheme, record, trial, writes, file_name
-    )
-    _merge_placement(scheme, record, file_name, dead_set, writes)
-
-    return RepairEvent(
-        file_name=file_name,
-        algorithm="reed-solomon",
-        bytes_read_helpers=bytes_read,
-        bytes_written=bytes_written,
-        disks_touched=_touched(record, helper_q, writes),
-        blocks_lost=lost,
-        blocks_rebuilt=lost,
-        block_bytes=scheme.config.block_bytes,
-        read_s=t_read,
-        write_s=t_write,
-    )
-
-
-def _repair_regenerating(
-    scheme, file_name: str, trial: int, record, dead, healthy, lost
-):
-    """Product-matrix repair: ``d`` beta-symbols per lost node."""
+def _repair_stripes(scheme, file_name: str, trial: int, record, dead, healthy, lost):
+    """Stripe repair: ``d`` beta-symbols per lost node, or decode from ``k``."""
     dead_set = set(dead)
     c = record.coding
     n, k, d, alpha = c["nodes"], c["k"], c["d"], c["alpha"]
@@ -303,16 +253,18 @@ def _repair_regenerating(
             raise RuntimeError(
                 f"{file_name!r}: stripe {s} kept only {len(alive)}/{k} nodes"
             )
-        if len(alive) >= d:
+        if alpha > 1 and len(alive) >= d:
             # Exact regeneration: each lost node pulls one beta-symbol
-            # (one block) from d helpers.
+            # (one block) from d helpers.  At alpha = 1 (an RS word) a
+            # beta-symbol is a whole node, so per-node repair would read
+            # k blocks per lost node instead of k per stripe.
             for f in lost_nodes:
                 for h in alive[:d]:
                     helper_q[node_pos(s, h)].append(
                         (s << 20) | (h * alpha + (f % alpha))
                     )
         else:
-            # Degraded fallback: decode the stripe from k whole nodes,
+            # Whole-stripe rebuild: decode the stripe from k whole nodes,
             # re-encode every lost node from the message.
             for h in alive[:k]:
                 for a in range(alpha):
@@ -344,8 +296,8 @@ def _repair_regenerating(
 def repair_file(scheme: PolicyScheme, file_name: str, trial: int) -> RepairEvent:
     """Rebuild the redundancy a failure destroyed; return the pass's record.
 
-    Dispatches on the record's coding family (LT graph extension, RS
-    whole-word reconstruction, regenerating node repair).
+    Dispatches on the record's coding family (LT graph extension, or the
+    stripe pass for RS words and regenerating stripes).
 
     Raises
     ------
@@ -363,27 +315,19 @@ def repair_file(scheme: PolicyScheme, file_name: str, trial: int) -> RepairEvent
     # The pass's own helper reads (LT re-reads the whole object through
     # scheme.read) are rebuild traffic, not client traffic: unhook any
     # installed ledger so they don't count as degraded foreground reads.
-    ledger = getattr(scheme.cluster, "repair_ledger", None)
+    ledger = scheme.cluster.repair_ledger
     if ledger is not None:
         scheme.cluster.repair_ledger = None
     try:
-        algorithm = record.coding.get("algorithm", "lt")
-        if algorithm.startswith("regenerating"):
-            return _repair_regenerating(
-                scheme, file_name, trial, record, dead, healthy, lost
-            )
-        if algorithm == "reed-solomon":
-            return _repair_reed_solomon(
-                scheme, file_name, trial, record, dead, healthy, lost
-            )
-        return _repair_lt(scheme, file_name, trial, record, dead, healthy, lost)
+        repair = _repair_stripes if "alpha" in record.coding else _repair_lt
+        return repair(scheme, file_name, trial, record, dead, healthy, lost)
     finally:
         if ledger is not None:
             scheme.cluster.repair_ledger = ledger
 
 
 def maybe_repair(
-    scheme, file_name: str, trial: int, result, scheduler=None, ledger=None
+    scheme, file_name: str, trial: int, result, scheduler=None
 ) -> RepairDecision:
     """Act on one fault notification; idempotent per disk epoch.
 
@@ -398,14 +342,13 @@ def maybe_repair(
 
     Without a ``scheduler`` every trigger repairs immediately (eager);
     with one, the scheduler decides which queued tasks to release now.
-    Executed passes are metered into ``ledger`` (falling back to the
-    cluster-installed ``repair_ledger``, if any).
+    Executed passes are metered into the cluster's ``repair_ledger``, if
+    one is installed.
     """
     record = scheme.metadata.lookup(file_name)
     surv = result.extra.get("surviving_redundancy")
     triggered = result.extra.get("repair_triggered")
-    if ledger is None:
-        ledger = getattr(scheme.cluster, "repair_ledger", None)
+    ledger = scheme.cluster.repair_ledger
     if triggered is None:
         floor = getattr(scheme, "REPAIR_REDUNDANCY_FLOOR", DEFAULT_REPAIR_FLOOR)
         state = repair_trigger_state(scheme, record, floor)
@@ -455,16 +398,15 @@ def maybe_repair(
     )
 
 
-def drain_repairs(scheme, scheduler, ledger=None) -> tuple[RepairEvent, ...]:
+def drain_repairs(scheme, scheduler) -> tuple[RepairEvent, ...]:
     """Flush a scheduler's queue and repair everything it was holding.
 
     The end-of-horizon drain: lazy and batched policies may still be
     sitting on deferred :class:`~repro.rebuild.RepairTask` entries when a
-    run ends.  Every flushed task gets its repair pass, metered into
-    ``ledger`` (falling back to the cluster-installed ``repair_ledger``).
+    run ends.  Every flushed task gets its repair pass, metered into the
+    cluster's ``repair_ledger``, if one is installed.
     """
-    if ledger is None:
-        ledger = getattr(scheme.cluster, "repair_ledger", None)
+    ledger = scheme.cluster.repair_ledger
     reports = []
     for task in scheduler.flush():
         reports.append(repair_file(scheme, task.file_name, task.trial))

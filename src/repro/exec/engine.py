@@ -33,7 +33,7 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from repro.exec.job import (
@@ -49,16 +49,12 @@ class JobFailure(RuntimeError):
     """A job failed in a worker *and* in its in-process retry."""
 
 
-def _worker(payload_json: str) -> tuple[str, float]:
-    """Pool entry point: run one payload, return (results JSON, wall s).
+def _worker(payload_json: str) -> str:
+    """Pool entry point: run one payload, return its results JSON.
 
     Module-level so it pickles under both fork and spawn start methods.
-    The wall time is measurement metadata only — it never enters the
-    payload, the results or the cache entry (lint rule SIM001).
     """
-    t0 = time.perf_counter()
-    results_json = execute_payload(payload_json)
-    return results_json, time.perf_counter() - t0
+    return execute_payload(payload_json)
 
 
 def _mp_context():
@@ -85,9 +81,6 @@ class ExecStats:
     retried: int = 0
     deduped: int = 0
     wall_s: float = 0.0
-    #: (job label, wall seconds, served-from-cache) per completed job, in
-    #: completion order — the per-job accounting ledger.
-    job_walls: list = field(default_factory=list)
 
     @property
     def hit_rate(self) -> float:
@@ -206,7 +199,6 @@ class Executor:
             finally:
                 tracer.offset = saved
             self.stats.ran += 1
-            self.stats.job_walls.append((job.label, 0.0, False))
             out.append(results)
         return out
 
@@ -248,17 +240,14 @@ class Executor:
 
     def _run_local(self, job: Job, key: str) -> str:
         """Execute one job in-process; persist and account it."""
-        t0 = time.perf_counter()
         results_json = execute_payload(job.payload_json())
-        wall_s = time.perf_counter() - t0
-        self._record(job, key, results_json, wall_s)
+        self._record(job, key, results_json)
         return results_json
 
-    def _record(self, job: Job, key: str, results_json: str, wall_s: float) -> None:
+    def _record(self, job: Job, key: str, results_json: str) -> None:
         if self.store is not None:
             self.store.put(key, job.scheme_name, job.payload(), json.loads(results_json))
         self.stats.ran += 1
-        self.stats.job_walls.append((job.label, wall_s, False))
 
     def _run_pool(
         self,
@@ -288,11 +277,11 @@ class Executor:
             for key in order:
                 job = jobs[miss_indices[key][0]]
                 try:
-                    results_json, wall_s = futures[key].result()
+                    results_json = futures[key].result()
                 except BaseException as exc:  # job error or broken pool
                     failed.append((key, exc))
                     continue
-                self._record(job, key, results_json, wall_s)
+                self._record(job, key, results_json)
                 produced[key] = results_json
                 progress.tick(cached=False)
         for key, exc in failed:

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.accesscore.result import AccessConfig, AccessResult
 from repro.cluster.server import Cluster
-from repro.core.pipeline import run_access, scheme_class
+from repro.core.pipeline import scheme_class
 from repro.disk.workload import InDiskLayout
 from repro.experiments import config as C
 from repro.metrics.stats import MetricSummary, summarize
@@ -76,8 +76,7 @@ class TrialPlan:
     fault_horizon_s: float = 60.0
     #: Simulation engine: ``closed`` (vectorised closed form) or ``event``
     #: (the event-driven reference engine).  Defaults from ``REPRO_ENGINE``
-    #: (the runner's ``--engine`` flag sets it); an explicit ``engine=``
-    #: argument to :func:`run_scheme` still overrides the plan.
+    #: (the runner's ``--engine`` flag sets it).
     engine: str = field(default_factory=C.engine)
 
     def __post_init__(self) -> None:
@@ -180,9 +179,7 @@ def _run_trial(plan: TrialPlan, scheme, cluster: Cluster, hub: RngHub,
 TRACE_TRIAL_GAP_S = 0.05
 
 
-def run_scheme(
-    plan: TrialPlan, scheme_name: str, tracer=None, engine: str | None = None
-) -> list[AccessResult]:
+def run_scheme(plan: TrialPlan, scheme_name: str, tracer=None) -> list[AccessResult]:
     """Run all trials of one scheme under ``plan``.
 
     ``tracer`` defaults to the ambient tracer installed with
@@ -192,29 +189,23 @@ def run_scheme(
     timeline — and the kernel's own process/event instrumentation appears
     in the trace alongside drive, filer and scheme spans.
 
-    ``engine="event"`` runs every access on the event-driven reference
-    engine instead of the closed form — same trial structure, same
-    environment redraws, different clock.  ``None`` (the default) takes
-    the plan's ``engine`` field, which in turn defaults from
-    ``REPRO_ENGINE`` / the runner's ``--engine`` flag.
+    The plan's ``engine`` field picks the clock: ``"event"`` runs every
+    access on the event-driven reference engine instead of the closed
+    form — same trial structure, same environment redraws.
     """
-    if engine is None:
-        engine = plan.engine
-    if engine not in ("closed", "event"):
-        raise ValueError(f"unknown engine {engine!r}")
+    engine = plan.engine
     cls = scheme_class(scheme_name)  # raises ValueError for unknown names
     tracer = tracer if tracer is not None else current_tracer()
-    access = run_access(cls, plan.access)
     hub = RngHub(plan.seed)
     cluster = Cluster(
         n_disks=plan.pool,
         disks_per_filer=C.DISKS_PER_FILER,
         rtt_s=plan.rtt_s,
         fs_cache_bytes=plan.fs_cache_bytes,
-        cache_line_bytes=access.block_bytes,
+        cache_line_bytes=plan.access.block_bytes,
         tracer=tracer,
     )
-    scheme = cls(cluster, access, hub=hub)
+    scheme = cls(cluster, plan.access, hub=hub)
     results: list[AccessResult] = []
 
     if not tracer.enabled:

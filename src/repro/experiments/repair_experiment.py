@@ -8,7 +8,8 @@ per run) hits a cluster holding files under three coding families —
 * LT (``robustore``): whole-object reconstruction — re-read ~K(1+eps)
   blocks, re-encode fresh coded blocks;
 * grouped Reed-Solomon (``robustore-rs``): per-group reconstruction —
-  re-read a full group word per affected group;
+  re-read a full group word per affected group (the stripe pass at
+  ``alpha = 1``);
 * product-matrix regenerating (``regen-msr`` / ``regen-mbr``): per-node
   functional repair — each of ``d`` helpers ships one sub-symbol per lost
   node (Dimakis et al.'s repair-bandwidth point).
@@ -150,7 +151,7 @@ def _run_cell(
     for t in range(files):
         r = scheme.read(f"f{t}", t)
         fg.append(r.latency_s)
-        maybe_repair(scheme, f"f{t}", t, r, scheduler=scheduler, ledger=ledger)
+        maybe_repair(scheme, f"f{t}", t, r, scheduler=scheduler)
     inline = len(ledger.events)
 
     # Foreground pass 2: what a client sees *after* the policy had its
@@ -158,7 +159,7 @@ def _run_cell(
     for t in range(files):
         fg.append(scheme.read(f"f{t}", t).latency_s)
 
-    drained = len(drain_repairs(scheme, scheduler, ledger))
+    drained = len(drain_repairs(scheme, scheduler))
 
     lost_mb = ledger.blocks_lost * cfg.block_bytes / MB
     p99_base = float(np.percentile(base, 99))

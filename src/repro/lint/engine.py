@@ -341,10 +341,6 @@ class LintReport:
     #: file rules summed over files).
     rule_seconds: dict[str, float] = field(default_factory=dict)
 
-    @property
-    def errors(self) -> list[Finding]:
-        return [f for f in self.findings if f.severity is Severity.ERROR]
-
 
 def _wrap_project_item(rule_obj: Rule, item, contexts) -> Optional[Finding]:
     """Turn a project-rule yield into a Finding, honouring pragmas."""

@@ -11,9 +11,10 @@ see across module boundaries:
   (``fresh_batch``'s id vector counts as the last key part), so a typo'd
   name or a drifted key shape cannot silently fork the RNG universe.
 * **SIM012** *(warning)* — dead/drifted exports.  An ``__all__`` entry
-  that names a symbol the module does not define, or that no other
-  module, test, benchmark or example ever imports, marks a back-compat
-  shim that has drifted to garbage.
+  that names a symbol the module does not define, or that no file of the
+  run's corpus imports, marks a back-compat shim that has drifted to
+  garbage.  The corpus is the ``repro`` package plus the paths linted, so
+  a run over ``src/`` alone does not see the tests' imports.
 """
 
 from __future__ import annotations
@@ -122,9 +123,10 @@ def check_stream_discipline(project: ProjectContext) -> Iterator:
 def _export_uses(project: ProjectContext) -> set[tuple[str, str]]:
     """Every ``(module, symbol)`` imported or attribute-accessed anywhere.
 
-    Scans the *whole* corpus — repro modules, tests, benchmarks,
-    examples — for ``from m import s``, ``from m import *`` (credits all
-    of ``m.__all__``) and ``alias.attr`` chains on imported modules.
+    Scans the *whole* corpus — repro modules plus whatever tests,
+    benchmarks and examples the run was given — for ``from m import s``,
+    ``from m import *`` (credits all of ``m.__all__``) and ``alias.attr``
+    chains on imported modules.
     """
     from repro.lint.project import _resolve_relative, module_name_for
 
@@ -240,7 +242,6 @@ def check_dead_exports(project: ProjectContext) -> Iterator:
                     path,
                     line,
                     f"__all__ entry {symbol!r} of {name} is imported by no "
-                    "module, test, benchmark or example — dead export "
-                    "(back-compat shim drift?); drop it or add coverage "
-                    "that imports it",
+                    "file of this run's corpus — dead export (back-compat "
+                    "shim drift?); drop it or add coverage that imports it",
                 )

@@ -33,7 +33,7 @@ from repro.accesscore.result import AccessConfig
 from repro.accesscore.routing import MB
 from repro.cluster.metadata_distributed import DistributedMetadataServer
 from repro.cluster.server import Cluster
-from repro.core.pipeline import run_access, scheme_class
+from repro.core.pipeline import scheme_class
 from repro.core.qos import DiskProfile, QoSOptions, plan_access
 from repro.serve.ring import FilePlacer, HashRing
 from repro.serve.slo import ServeReport, SloTracker
@@ -219,8 +219,7 @@ class StorageService:
         demands from this sample.
         """
         plan = self.plan
-        cls = scheme_class(self.scheme_name)
-        scheme = cls(self.cluster, run_access(cls, self.access), hub=self.hub)
+        scheme = scheme_class(self.scheme_name)(self.cluster, self.access, hub=self.hub)
         lats = []
         for trial in range(plan.calibration_trials):
             self.cluster.redraw_disk_states(

@@ -25,7 +25,7 @@ from repro.accesscore.events import event_read
 from repro.accesscore.result import AccessConfig
 from repro.accesscore.routing import MB
 from repro.cluster.server import Cluster
-from repro.core.pipeline import run_access, scheme_class
+from repro.core.pipeline import scheme_class
 from repro.experiments.harness import TrialPlan, run_scheme
 from repro.sim.rng import RngHub
 
@@ -51,11 +51,10 @@ def _dead_disk_latencies(scheme: str, engine: str) -> list[float]:
 
 def _two_reads(name: str, engine: str) -> list:
     """Read one prepared file twice on trial 0 through 256 MB filer caches."""
-    cls = scheme_class(name)
-    cfg = run_access(cls, AccessConfig(data_bytes=32 * MB, n_disks=12))
+    cfg = AccessConfig(data_bytes=32 * MB, n_disks=12)
     cluster = Cluster(n_disks=12, fs_cache_bytes=256 * MB, cache_line_bytes=cfg.block_bytes)
     hub = RngHub(0)
-    scheme = cls(cluster, cfg, hub=hub)
+    scheme = scheme_class(name)(cluster, cfg, hub=hub)
     cluster.redraw_disk_states(hub.fresh("env", name, 0))
     scheme.prepare("f", 0)
     if engine == "event":

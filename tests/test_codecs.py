@@ -107,7 +107,7 @@ def test_rs_group_codec_unfilled_group_raises():
     record = make_record("robustore-rs")
     codec = CODECS["robustore-rs"]
     payloads = codec.encode(blocks(), record, CFG)
-    group_size = record.coding["group"]
+    group_size = record.coding["k"]
     too_few = list(payloads)[: group_size - 1]
     with pytest.raises(ValueError):
         codec.decode(too_few, payloads, record, CFG)

@@ -12,7 +12,7 @@ from repro.accesscore.timeline import (
     serve_read_queues,
     simulate_uniform_write,
 )
-from repro.accesscore.trackers import AllBlocksTracker, CoverageTracker
+from repro.accesscore.trackers import CoverageTracker
 from repro.cluster.server import Cluster
 from repro.disk.workload import InDiskLayout
 
@@ -50,7 +50,8 @@ class TestAccessResult:
 
 class TestTrackers:
     def test_all_blocks_tracker(self):
-        t = AllBlocksTracker(3)
+        """RAID-0's rule is coverage over ids below k: every block."""
+        t = CoverageTracker(3)
         t.add(0); t.add(0); t.add(1)
         assert not t.complete
         t.add(2)
@@ -99,7 +100,7 @@ class TestServeReadQueues:
         c = make_cluster()
         placement = [[0], [1]]
         streams = serve_read_queues(c, [0, 1], placement, MB, 0.0, rng_for_factory())
-        t, consumed, order = completion_with_order(streams, AllBlocksTracker(2))
+        t, consumed, order = completion_with_order(streams, CoverageTracker(2))
         assert np.isfinite(t)
         assert consumed == 2
         assert sorted(order) == [0, 1]
@@ -108,7 +109,7 @@ class TestServeReadQueues:
         c = make_cluster()
         placement = [[0]]
         streams = serve_read_queues(c, [0], placement, MB, 0.0, rng_for_factory())
-        t, consumed, _ = completion_with_order(streams, AllBlocksTracker(2))
+        t, consumed, _ = completion_with_order(streams, CoverageTracker(2))
         assert t == float("inf")
         assert consumed == 1
 

@@ -11,11 +11,12 @@ from repro.sim.rng import RngHub
 
 class TestLayouts:
     def test_striped_round_robin(self):
-        p = L.striped(8, 4)
+        """RAID-0's stripe is rotated replication at D = 0."""
+        p = L.rotated_replicas_fractional(8, 0.0, 4)
         assert p == [[0, 4], [1, 5], [2, 6], [3, 7]]
 
     def test_striped_uneven(self):
-        p = L.striped(5, 4)
+        p = L.rotated_replicas_fractional(5, 0.0, 4)
         assert [len(d) for d in p] == [2, 1, 1, 1]
 
     def test_rotated_replicas_figure_6_1d(self):
@@ -42,7 +43,7 @@ class TestLayouts:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            L.striped(4, 0)
+            L.rotated_replicas_fractional(4, 0.0, 0)
         with pytest.raises(ValueError):
             L.rotated_replicas(4, 0, 2)
         with pytest.raises(ValueError):

@@ -235,7 +235,12 @@ def test_sim012_flags_dead_and_drifted_exports(tmp_path):
     assert all(f.severity is Severity.WARNING for f in findings)
     messages = sorted(f.message for f in findings)
     assert len(findings) == 2
-    assert any("'dead'" in m and "dead export" in m for m in messages)
+    assert any(
+        "'dead'" in m
+        and "imported by no file of this run's corpus" in m
+        and "dead export" in m
+        for m in messages
+    )
     assert any("'ghost'" in m and "drifted" in m for m in messages)
     assert not any("'used'" in m for m in messages)
 

@@ -30,7 +30,7 @@ from repro.accesscore.events import event_read
 from repro.accesscore.result import AccessConfig
 from repro.accesscore.routing import MB
 from repro.cluster.server import Cluster
-from repro.core.pipeline import PolicyScheme, run_access, scheme_class
+from repro.core.pipeline import PolicyScheme, scheme_class
 from repro.core.policy.compose import COMPOSITIONS, SchemeSpec
 from repro.experiments.config import DISKS_PER_FILER
 from repro.experiments.harness import TrialPlan, _run_trial, run_scheme
@@ -45,8 +45,8 @@ def _layers(name):
 
 
 #: Grid points with no registry entry, assembled from the shared layer
-#: singletons: the dispatch axis varied over a striped layout, and the
-#: reaction axis varied over a replicated one.
+#: singletons: the dispatch axis varied over RAID-0's striped layout, and
+#: the reaction axis varied over a replicated one.
 EXTRA_SPECS = {
     "striped+adaptive": SchemeSpec(
         "striped+adaptive",
@@ -89,14 +89,7 @@ class _RecordingTracker:
 
     def observe(self, t, block_id):
         self._times.append(t)
-        inner_observe = getattr(self._inner, "observe", None)
-        if inner_observe is not None:
-            inner_observe(t, block_id)
-        else:
-            self._inner.add(block_id)
-
-    def add(self, block_id):
-        self._inner.add(block_id)
+        self._inner.observe(t, block_id)
 
     def __getattr__(self, attr):  # complete, fill_times, decoder, ...
         return getattr(self._inner, attr)
@@ -124,10 +117,9 @@ class _RecordingCompletion:
 
 def run_round_trip(name, spec_override=None, trial=0, seed=11):
     cls = _class_for(name, spec_override)
-    cfg = run_access(cls, CFG)
     cluster = Cluster(n_disks=16, rtt_s=0.001)
     hub = RngHub(seed)
-    scheme = cls(cluster, cfg, hub=hub)
+    scheme = cls(cluster, CFG, hub=hub)
     cluster.redraw_disk_states(hub.fresh("env", name, trial))
     wrote = scheme.write("f", trial)
     read = scheme.read("f", trial)
@@ -176,13 +168,12 @@ def test_byte_ledger_reconciles(name):
 def read_link_bytes(name, engine, warm, seed=3):
     """One read's result and the bytes its filer links counted."""
     cls = scheme_class(name)
-    cfg = run_access(cls, CFG)
     cluster = Cluster(
         n_disks=16, rtt_s=0.001, fs_cache_bytes=512 * MB if warm else 0,
-        cache_line_bytes=cfg.block_bytes,
+        cache_line_bytes=CFG.block_bytes,
     )
     hub = RngHub(seed)
-    scheme = cls(cluster, cfg, hub=hub)
+    scheme = cls(cluster, CFG, hub=hub)
     cluster.redraw_disk_states(hub.fresh("env", name, 0))
     if warm:
         scheme.write("f", 0)  # write-through fills the filer caches

@@ -26,7 +26,8 @@ MB = 1 << 20
     st.integers(min_value=1, max_value=32),
 )
 def test_striped_partitions_blocks(k, h):
-    p = L.striped(k, h)
+    """RAID-0's stripe (rotated replication at D = 0) deals blocks evenly."""
+    p = L.rotated_replicas_fractional(k, 0.0, h)
     flat = sorted(b for disk in p for b in disk)
     assert flat == list(range(k))
     counts = [len(disk) for disk in p]

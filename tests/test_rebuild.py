@@ -158,7 +158,8 @@ class TestMeteredRepairs:
         scheme, r = _scheme_under_kills(name, [0, 1, 2, 3], floor=0.99)
         assert np.isfinite(r.latency_s)
         ledger = RepairLedger()
-        decision = maybe_repair(scheme, "f", 0, r, ledger=ledger)
+        scheme.cluster.repair_ledger = ledger
+        decision = maybe_repair(scheme, "f", 0, r)
         assert decision.repaired and decision.dead_disks == (0, 1, 2, 3)
         (event,) = ledger.events
         assert event.algorithm == algorithm
@@ -190,7 +191,8 @@ class TestMeteredRepairs:
             cluster.install_faults(_kill([0]))
             r = scheme.read("f", 0)
             ledger = RepairLedger()
-            assert maybe_repair(scheme, "f", 0, r, ledger=ledger).repaired
+            cluster.repair_ledger = ledger
+            assert maybe_repair(scheme, "f", 0, r).repaired
             lost = ledger.blocks_lost * cfg.block_bytes
             bytes_read[name] = ledger.bytes_read_helpers / lost
         # MSR node repair: d/alpha = 2.0 MB per lost MB; RS re-reads a
@@ -223,16 +225,15 @@ class TestMeteredRepairs:
     def test_scheduler_defers_and_drain_repairs(self):
         scheme, r = _scheme_under_kills("robustore-rs", [0, 1, 2, 3], floor=0.99)
         ledger = RepairLedger()
+        scheme.cluster.repair_ledger = ledger
         scheduler = LazyThresholdScheduler(floor=0.0)
-        decision = maybe_repair(
-            scheme, "f", 0, r, scheduler=scheduler, ledger=ledger
-        )
+        decision = maybe_repair(scheme, "f", 0, r, scheduler=scheduler)
         assert decision.triggered and not decision.repaired
         assert decision.reason == "deferred" and decision.deferred == 1
         assert ledger.repairs == 0
         # Degraded reads are metered even while the rebuild waits.
         assert ledger.degraded_reads == 1
-        reports = drain_repairs(scheme, scheduler, ledger)
+        reports = drain_repairs(scheme, scheduler)
         assert len(reports) == 1 and reports[0].complete
         assert ledger.repairs == 1
         assert scheduler.pending == ()

@@ -81,8 +81,8 @@ def plan_for(fault: bool, mode: str = "read") -> TrialPlan:
 
 def run_both(name: str, fault: bool, mode: str = "read"):
     plan = plan_for(fault, mode)
-    closed = run_scheme(plan, name, engine="closed")
-    event = run_scheme(plan, name, engine="event")
+    closed = run_scheme(replace(plan, engine="closed"), name)
+    event = run_scheme(replace(plan, engine="event"), name)
     return closed, event
 
 
@@ -210,8 +210,8 @@ def test_background_load_slows_reads():
 def test_unknown_scheme_and_engine_raise():
     with pytest.raises(ValueError):
         scheme_class("no-such-scheme")
-    with pytest.raises(ValueError):
-        run_scheme(plan_for(False), "robustore", engine="warp")
+    with pytest.raises(ValueError, match="unknown engine 'warp'"):
+        replace(plan_for(False), engine="warp")
 
 
 # -- the event engine pinned bit for bit ------------------------------------
@@ -224,7 +224,7 @@ EVENT_CACHE_BYTES = 2048 * MB
 def _event_runs(plan: TrialPlan, name: str):
     """``run_scheme`` on the event engine; exceptions pinned by type."""
     try:
-        results = run_scheme(plan, name, engine="event")
+        results = run_scheme(replace(plan, engine="event"), name)
     except Exception as exc:  # pinned, not ignored
         return {"error": type(exc).__name__}
     return [_result_dict(r) for r in results]
@@ -267,7 +267,7 @@ def build_event_reference() -> dict:
     tracer = Tracer()
     storm_plan = replace(base, fault_plan=storm)
     for name in ("raid0", "rraid-a", "robustore"):
-        run_scheme(storm_plan, name, tracer=tracer, engine="event")
+        run_scheme(replace(storm_plan, engine="event"), name, tracer=tracer)
     out["traced_storm"] = {
         "counters": _clean(dict(sorted(tracer.counters.items()))),
         "bytes": _clean(dict(sorted(tracer.bytes_ledger.items()))),

@@ -5,7 +5,7 @@ import pytest
 
 from repro.accesscore.result import AccessConfig
 from repro.accesscore.routing import MB
-from repro.accesscore.trackers import GroupedRSTracker
+from repro.accesscore.trackers import StripeTracker
 from repro.cluster.server import Cluster
 from repro.core import SCHEMES
 from repro.core.policy.placement import rs_decode_bandwidth_bps
@@ -22,7 +22,8 @@ def test_decode_bandwidth_monotone_in_group():
 
 
 def test_tracker_requires_every_group():
-    t = GroupedRSTracker(n_groups=2, group_size=2)
+    """An RS group is a stripe of one-block nodes: it fills at k blocks."""
+    t = StripeTracker(n_stripes=2, nodes=7, k=2, alpha=1, d=2)
     t.add((0 << 20) | 0)
     t.add((0 << 20) | 1)
     assert not t.complete
@@ -61,5 +62,4 @@ def test_rs_variant_slower_than_lt():
 def test_group_capped_at_256_coded():
     cfg = AccessConfig(data_bytes=64 * MB, n_disks=8, redundancy=9.0)
     scheme = SCHEMES["robustore-rs"](Cluster(n_disks=8), cfg, hub=RngHub(0))
-    group, n_groups, coded = scheme.spec.placement.grouping(cfg)
-    assert coded <= 256
+    assert scheme.spec.placement.coding(cfg)["nodes"] <= 256

@@ -6,7 +6,7 @@ The access engine's hot path feeds whole per-disk arrival batches to
 through ``observe``.  This suite proves the two are equivalent for every
 tracker that implements the batch contract — same ``(t_fill, consumed)``
 return, same internal state afterwards — and documents why
-:class:`~repro.accesscore.trackers.GroupedRSTracker` deliberately does not
+:class:`~repro.accesscore.trackers.StripeTracker` deliberately does not
 (its ``observe`` records per-arrival fill timestamps).
 """
 
@@ -15,12 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.accesscore.trackers import (
-    AllBlocksTracker,
-    CoverageTracker,
-    DecoderTracker,
-    GroupedRSTracker,
-)
+from repro.accesscore.trackers import CoverageTracker, DecoderTracker, StripeTracker
 from repro.coding.lt import ImprovedLTCode
 from repro.coding.peeling import PeelingDecoder
 
@@ -67,17 +62,19 @@ def _check_simple(make_tracker, ids, with_inf=False, prefix=0):
 
 
 class TestAllBlocksTracker:
+    """RAID-0's all-blocks rule: coverage over ids below k."""
+
     def test_completes_mid_batch(self):
-        _check_simple(lambda: AllBlocksTracker(4), [0, 1, 1, 2, 3, 0, 2])
+        _check_simple(lambda: CoverageTracker(4), [0, 1, 1, 2, 3, 0, 2])
 
     def test_never_completes(self):
-        _check_simple(lambda: AllBlocksTracker(5), [0, 1, 1, 0, 2])
+        _check_simple(lambda: CoverageTracker(5), [0, 1, 1, 0, 2])
 
     def test_empty_batch(self):
-        _check_simple(lambda: AllBlocksTracker(3), [])
+        _check_simple(lambda: CoverageTracker(3), [])
 
     def test_partial_then_batch(self):
-        _check_simple(lambda: AllBlocksTracker(4), [3, 3, 0, 1, 2], prefix=2)
+        _check_simple(lambda: CoverageTracker(4), [3, 3, 0, 1, 2], prefix=2)
 
     def test_completing_arrival_at_infinite_time(self):
         """A failed-disk (t=inf) arrival can still complete the tracker.
@@ -86,7 +83,7 @@ class TestAllBlocksTracker:
         ``isfinite(t_fill)`` — this pins the contract the access engine's
         batch fast path relies on.
         """
-        tracker = AllBlocksTracker(2)
+        tracker = CoverageTracker(2)
         t_fill, consumed = tracker.consume_arrivals(
             np.array([1.0, np.inf]), np.array([0, 1])
         )
@@ -112,13 +109,13 @@ class TestCoverageTracker:
     data=st.data(),
 )
 def test_simple_trackers_match_scalar_loop(k, replicas, data):
-    """Random id sequences (duplicates, partial prefixes, both trackers)."""
+    """Random id sequences (duplicates, partial prefixes, RAID-0's one copy
+    and replicated layouts)."""
     ids = data.draw(
         st.lists(st.integers(min_value=0, max_value=k * replicas - 1), max_size=4 * k)
     )
     prefix = data.draw(st.integers(min_value=0, max_value=len(ids)))
-    make = (lambda: AllBlocksTracker(k)) if replicas == 1 else (lambda: CoverageTracker(k))
-    _check_simple(make, ids, prefix=prefix)
+    _check_simple(lambda: CoverageTracker(k), ids, prefix=prefix)
 
 
 class TestDecoderTracker:
@@ -174,12 +171,12 @@ class TestDecoderTracker:
 
 
 def test_grouped_rs_tracker_has_no_batch_path():
-    """GroupedRSTracker records *when* each group filled; the scalar
+    """The stripe tracker records *when* each RS group filled; the scalar
     observe loop is its contract.  The access engine probes the class (not
     the instance) for ``consume_arrivals``, so absence here routes it to
     the scalar loop."""
-    assert getattr(GroupedRSTracker, "consume_arrivals", None) is None
-    tracker = GroupedRSTracker(n_groups=2, group_size=2)
+    assert getattr(StripeTracker, "consume_arrivals", None) is None
+    tracker = StripeTracker(n_stripes=2, nodes=2, k=2, alpha=1, d=2)
     for t, bid in [(0.1, 0), (0.2, 1), (0.3, (1 << 20)), (0.4, (1 << 20) | 1)]:
         tracker.observe(t, bid)
     assert tracker.complete and tracker.fill_times == [0.2, 0.4]
