@@ -296,16 +296,29 @@ def _repair_stripes(scheme, file_name: str, trial: int, record, dead, healthy, l
 def repair_file(scheme: PolicyScheme, file_name: str, trial: int) -> RepairEvent:
     """Rebuild the redundancy a failure destroyed; return the pass's record.
 
-    Dispatches on the record's coding family (LT graph extension, or the
-    stripe pass for RS words and regenerating stripes).
+    Dispatches on the record's coding descriptor: the stripe pass for
+    RS words and regenerating stripes (an ``alpha`` key), LT graph
+    extension for ``lt``.
 
     Raises
     ------
+    NotImplementedError
+        If the layout's algorithm has no repair pass (replication,
+        mirrored striping, parity).
     RuntimeError
         If the surviving blocks cannot reconstruct the data (the failure
         exceeded the redundancy).
     """
     record = scheme.metadata.lookup(file_name)
+    coding = record.coding
+    if "alpha" in coding:
+        repair = _repair_stripes
+    elif coding["algorithm"] == "lt":
+        repair = _repair_lt
+    else:
+        raise NotImplementedError(
+            f"no repair pass for {coding['algorithm']!r} layouts"
+        )
     dead = failed_positions(scheme, file_name)
     lost = sum(len(record.placement[i]) for i in dead)
     healthy = [i for i in range(len(record.disk_ids)) if i not in set(dead)]
@@ -319,7 +332,6 @@ def repair_file(scheme: PolicyScheme, file_name: str, trial: int) -> RepairEvent
     if ledger is not None:
         scheme.cluster.repair_ledger = None
     try:
-        repair = _repair_stripes if "alpha" in record.coding else _repair_lt
         return repair(scheme, file_name, trial, record, dead, healthy, lost)
     finally:
         if ledger is not None:

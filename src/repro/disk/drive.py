@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import count
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -32,7 +31,6 @@ from repro.disk.workload import BackgroundWorkload
 from repro.sim import Environment, Event, Timeout
 from repro.sim.core import NORMAL, URGENT
 
-_drive_ids = count()
 _INF = float("inf")
 
 
@@ -120,8 +118,6 @@ class DiskDrive:
         #: fail-stop is open (see :meth:`_serve_next`); ``None`` once
         #: either side has won it.
         self._timer: Optional[Timeout] = None
-        self.tracer = env.tracer
-        self.obs_name = f"drive{next(_drive_ids)}"
         # The loop starts one URGENT dispatch from now, where a process's
         # start would be, so requests submitted before then are served
         # at that dispatch without a wake-up.
@@ -142,10 +138,6 @@ class DiskDrive:
                 request.done.succeed(_INF)
             return request
         self.queue.push(request)
-        if self.tracer.enabled:
-            self.tracer.counter(
-                "drive.queue_depth", self.env.now, len(self.queue), track=self.obs_name
-            )
         if self._idle:
             # The caller keeps running after this call, so the wake-up
             # is an event of its own.
@@ -167,15 +159,6 @@ class DiskDrive:
         for req in removed:
             if req.done is not None and not req.done.triggered:
                 req.done.succeed(None)
-        if removed and self.tracer.enabled:
-            self.tracer.count("drive.cancelled_requests", len(removed))
-            self.tracer.instant(
-                "drive.cancel",
-                "drive",
-                self.env.now,
-                track=self.obs_name,
-                args={"removed": len(removed)},
-            )
         return len(removed)
 
     # -- fault injection -------------------------------------------------------
@@ -199,14 +182,6 @@ class DiskDrive:
             # first.  Events due at this instant in the meantime still
             # see the request in service.
             self._hop(partial(self._abort_hop, self._timer))
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "drive.fail",
-                "drive",
-                self.env.now,
-                track=self.obs_name,
-                args={"flushed": len(flushed)},
-            )
 
     def recover(self) -> None:
         """Return a failed drive to service (its queue starts empty)."""
@@ -214,24 +189,12 @@ class DiskDrive:
             return
         self.failed = False
         self._last_end_lba = None  # the head re-homes on restart
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "drive.recover", "drive", self.env.now, track=self.obs_name
-            )
 
     def set_slow(self, factor: float) -> None:
         """Stretch every subsequently started service by ``factor`` (>= 1)."""
         if factor < 1.0:
             raise ValueError("slow factor must be >= 1")
         self.slow_factor = float(factor)
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "drive.slow",
-                "drive",
-                self.env.now,
-                track=self.obs_name,
-                args={"factor": factor},
-            )
 
     # -- background workload --------------------------------------------------
     def attach_background(self, workload: BackgroundWorkload) -> None:
@@ -310,46 +273,20 @@ class DiskDrive:
 
     def _abort(self, event: Event) -> None:
         """Wake after fail(): the service in flight dies mid-transfer."""
-        env = self.env
         req = self._req
-        self.busy_time += env.now - self._t_start
+        self.busy_time += self.env.now - self._t_start
         if req.done is not None and not req.done.triggered:
             req.done.succeed(_INF)
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "drive.abort",
-                "drive",
-                env.now,
-                track=self.obs_name,
-                args={"lba": req.lba, "sectors": req.sectors},
-            )
         self._serve_next()
 
     def _complete(self, event: Optional[Event] = None) -> None:
         """Wake after the timeout: the service in flight is done."""
-        env = self.env
         req = self._req
         self.busy_time += self._duration
         self.served_requests += 1
         self.served_bytes += req.bytes
-        if self.tracer.enabled:
-            self.tracer.span(
-                "drive.service",
-                "drive",
-                self._t_start,
-                env.now,
-                track=self.obs_name,
-                args={
-                    "lba": req.lba,
-                    "sectors": req.sectors,
-                    "background": req.is_background,
-                },
-            )
-            self.tracer.counter(
-                "drive.queue_depth", env.now, len(self.queue), track=self.obs_name
-            )
         if req.done is not None and not req.done.triggered:
-            req.done.succeed(env.now)
+            req.done.succeed(self.env.now)
         self._serve_next()
 
     def _service_time(self, req: DiskRequest) -> float:

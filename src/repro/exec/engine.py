@@ -20,7 +20,7 @@ hood it:
   line when asked to.
 
 Traced runs (``tracer.enabled``) force the sequential in-process path and
-bypass the cache: the trace's single global DES timeline only exists when
+bypass the cache: the trace's single global timeline only exists when
 one process advances it, and a cache hit would silence the spans a trace
 exists to record.
 """
@@ -176,7 +176,7 @@ class Executor:
         """Sequential, uncached, with one ``exec.job`` span per job.
 
         Trial jobs (``run_scheme``) advance ``tracer.offset`` past each
-        run, so the span covers exactly the stretch of the global DES
+        run, so the span covers exactly the stretch of the global
         timeline the job occupied; other job kinds run inline through
         their own ``run_traced`` hook.
         """

@@ -196,7 +196,7 @@ class Job:
 
     # -- executor hooks -------------------------------------------------------
     def run_traced(self, tracer) -> list[AccessResult]:
-        """Traced execution: sequential, on the shared DES timeline."""
+        """Traced execution: sequential, on the shared traced timeline."""
         from repro.experiments.harness import run_scheme
 
         return run_scheme(self.plan, self.scheme_name, tracer=tracer)

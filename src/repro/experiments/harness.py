@@ -7,6 +7,7 @@ access's disks, and runs the scheme's read and/or write procedure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
@@ -19,7 +20,6 @@ from repro.disk.workload import InDiskLayout
 from repro.experiments import config as C
 from repro.metrics.stats import MetricSummary, summarize
 from repro.obs.tracer import current_tracer
-from repro.sim.core import Environment
 from repro.sim.rng import RngHub
 
 
@@ -184,10 +184,10 @@ def run_scheme(plan: TrialPlan, scheme_name: str, tracer=None) -> list[AccessRes
 
     ``tracer`` defaults to the ambient tracer installed with
     :func:`repro.obs.use_tracer` (the no-op tracer otherwise).  With a live
-    tracer, trials are sequenced by a process on the DES kernel so every
-    trial's events land at a distinct place on one global simulated
-    timeline — and the kernel's own process/event instrumentation appears
-    in the trace alongside drive, filer and scheme spans.
+    tracer, each trial lands at a distinct place on one global simulated
+    timeline: the tracer's offset starts trial t where trial t-1 ended,
+    :data:`TRACE_TRIAL_GAP_S` later, so the trial-local times every layer
+    records map onto it.  The next run continues where this one ends.
 
     The plan's ``engine`` field picks the clock: ``"event"`` runs every
     access on the event-driven reference engine instead of the closed
@@ -206,49 +206,24 @@ def run_scheme(plan: TrialPlan, scheme_name: str, tracer=None) -> list[AccessRes
         tracer=tracer,
     )
     scheme = cls(cluster, plan.access, hub=hub)
+    traced = tracer.enabled
+    base = tracer.offset if traced else 0.0
+    elapsed = 0.0  # where the next trial starts, relative to ``base``
     results: list[AccessResult] = []
-
-    if not tracer.enabled:
-        for trial in range(plan.trials):
-            results.append(
-                _run_trial(plan, scheme, cluster, hub, scheme_name, trial, engine)
-            )
-        return results
-
-    # Traced run: a DES driver process advances the virtual clock past each
-    # trial's latency, placing trial t at the global time where trial t-1
-    # ended.  Trial-internal emitters use trial-local times, mapped onto
-    # the global timeline via the tracer offset; the kernel always emits
-    # while offset == base, so its env-relative times line up exactly.
-    base = tracer.offset
-    env = Environment(tracer=tracer)
-
-    def one_trial(trial: int):
-        tracer.offset = base + env.now
-        try:
-            result = _run_trial(
-                plan, scheme, cluster, hub, scheme_name, trial, engine
-            )
-        finally:
-            tracer.offset = base
+    for trial in range(plan.trials):
+        if traced:
+            tracer.offset = base + elapsed
+        result = _run_trial(plan, scheme, cluster, hub, scheme_name, trial, engine)
         results.append(result)
         lat = result.latency_s
-        span = lat if np.isfinite(lat) and lat > 0 else 0.0
-        yield env.timeout(span + TRACE_TRIAL_GAP_S)
-
-    def driver():
-        for trial in range(plan.trials):
-            yield env.process(one_trial(trial), name=f"{scheme_name}/trial{trial}")
-
-    env.process(driver(), name=f"run:{scheme_name}")
-    env.run()
-    # Next scheme (or experiment) continues after this run on the timeline.
-    tracer.offset = base + env.now
+        elapsed += (lat if 0.0 < lat < math.inf else 0.0) + TRACE_TRIAL_GAP_S
+    if traced:
+        tracer.offset = base + elapsed
     return results
 
 
 def run_point(
-    plan: TrialPlan, schemes: Sequence[str] = C.ALL_SCHEMES, tracer=None
+    plan: TrialPlan, schemes: Sequence[str] = C.ALL_SCHEMES
 ) -> dict[str, MetricSummary]:
     """Run every scheme at one configuration point.
 
@@ -260,7 +235,7 @@ def run_point(
     from repro.exec.job import Job
 
     jobs = [Job(plan, name) for name in schemes]
-    batches = current_executor().run_jobs(jobs, tracer=tracer)
+    batches = current_executor().run_jobs(jobs)
     return {name: summarize(results) for name, results in zip(schemes, batches)}
 
 
@@ -311,7 +286,6 @@ def sweep(
     xs: Sequence,
     plan_for,
     schemes: Sequence[str] = C.ALL_SCHEMES,
-    tracer=None,
 ) -> ExperimentResult:
     """Run ``plan_for(x)`` for every x; collect per-scheme series.
 
@@ -324,7 +298,7 @@ def sweep(
 
     xs = list(xs)
     jobs = [Job(plan_for(x), name) for x in xs for name in schemes]
-    batches = current_executor().run_jobs(jobs, tracer=tracer)
+    batches = current_executor().run_jobs(jobs)
     summaries: dict[str, list[MetricSummary]] = {name: [] for name in schemes}
     it = iter(batches)
     for _x in xs:

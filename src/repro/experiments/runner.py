@@ -16,7 +16,7 @@ cache stats and GC).  ``--trace`` installs a live
 :class:`repro.obs.Tracer` for the run and writes a Chrome
 ``trace_event``-format JSON (open in ``chrome://tracing`` or Perfetto);
 traced runs execute sequentially and uncached — the trace's single global
-DES timeline only exists in one process.  ``--trace-detail`` adds
+timeline only exists in one process.  ``--trace-detail`` adds
 per-block spans (large!).  Inspect a written trace with
 ``python -m repro.obs.report out.json``.
 """

@@ -24,8 +24,8 @@ Three layers:
   (``cluster.install_faults(plan)``); schemes, the disk service and the
   network path consult it, the event-driven
   :class:`repro.disk.drive.DiskDrive` reacts to it through
-  :meth:`FaultInjector.schedule_on`, and fault events appear in
-  ``repro.obs`` traces.
+  :meth:`FaultInjector.schedule_on`, and :meth:`FaultInjector.emit_trace`
+  puts the planned faults on ``repro.obs`` traces.
 
 Determinism contract: a plan is pure data; installing a plan with no
 events leaves every simulated quantity bit-identical to a plain run, and

@@ -17,8 +17,9 @@ topology and hangs the resulting :class:`FaultInjector` off
   :func:`repro.core.repair.maybe_repair` pass;
 * :meth:`schedule_on` registers the plan as real events on a DES
   :class:`repro.sim.core.Environment`, flipping event-driven
-  :class:`repro.disk.drive.DiskDrive` entities mid-service and emitting
-  ``fault.*`` trace instants through ``repro.obs``.
+  :class:`repro.disk.drive.DiskDrive` entities mid-service;
+* :meth:`emit_trace` puts every planned fault on a trace as a
+  ``fault.<kind>`` instant, once per trial, when the trial starts.
 """
 
 from __future__ import annotations
@@ -85,7 +86,11 @@ class FaultInjector:
 
     # -- observability ---------------------------------------------------------
     def emit_trace(self, tracer) -> None:
-        """Record every planned fault as an instant on the ``fault`` track."""
+        """Record every planned fault as an instant on the ``fault`` track.
+
+        The one place faults reach a trace: the harness calls it as each
+        trial starts, for either engine.
+        """
         if not tracer.enabled:
             return
         for ev in self.plan:
@@ -102,8 +107,7 @@ class FaultInjector:
         :class:`repro.disk.drive.DiskDrive` entities; their ``fail`` /
         ``recover`` / ``set_slow`` hooks run at the scheduled instants
         (in-flight requests abort to ``inf``, queued ones are flushed).
-        Every dispatched fault also lands on the trace as a
-        ``fault.<kind>`` instant.  Returns the driver process.
+        The pump records nothing on a trace.  Returns the pump process.
         """
         drives = dict(drives or {})
         # Expand windowed faults into (time, action) pairs so a single
@@ -114,7 +118,6 @@ class FaultInjector:
             if ev.duration is not None and ev.kind in (DISK_FAIL, DISK_SLOW, FILER_CRASH):
                 actions.append((ev.t + ev.duration, i, "end", ev))
         actions.sort(key=lambda a: (a[0], a[1]))
-        tracer = env.tracer
 
         def filer_drives(filer_id: int):
             lo = filer_id * self.cluster.disks_per_filer
@@ -137,11 +140,6 @@ class FaultInjector:
                     drive.recover()
                 elif ev.kind == DISK_SLOW:
                     drive.set_slow(float(ev.factor) if edge == "start" else 1.0)
-            if tracer.enabled:
-                name = f"fault.{ev.kind}" if edge == "start" else f"fault.{ev.kind}:end"
-                tracer.instant(name, "fault", env.now, track="fault", args=ev.describe())
-                if edge == "start":
-                    tracer.count(f"fault.events:{ev.kind}")
 
         def pump():
             for t, _, edge, ev in actions:

@@ -324,8 +324,6 @@ _TRACER_RECORD_METHODS = {
     "instant",
     "counter",
     "count",
-    "begin",
-    "end",
     "account_bytes",
 }
 

@@ -1,10 +1,12 @@
 """``repro.obs`` — event tracing and instrumentation for the simulator.
 
 A :class:`Tracer` collects spans, point events, counter samples and
-aggregate counters keyed on *simulated* time from every layer of the
-simulator (DES kernel, drive model, filers, schemes).  The default
-:data:`NULL_TRACER` is a no-op whose methods cost one attribute check on
-the hot paths, so instrumentation is free when tracing is off.
+aggregate counters keyed on *simulated* time.  It reaches the simulator
+one way, as ``cluster.tracer``: the schemes and the access core, the
+filers, the metadata server and the fault plan record through it, under
+either engine.  The default :data:`NULL_TRACER` records nothing: every
+site checks its ``enabled`` flag first, so instrumentation costs one
+attribute read when tracing is off.
 
 Capture a trace from the CLI::
 

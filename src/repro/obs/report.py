@@ -43,7 +43,7 @@ class TraceReport:
     job_spans:
         ``(name, start_s, dur_s)`` per execution-engine job span
         (category ``exec``) in timeline order — where each scheduled
-        ``(plan, scheme)`` cell sits on the global DES timeline.
+        ``(plan, scheme)`` cell sits on the global simulated timeline.
     """
 
     stage_time: dict[str, float] = field(default_factory=dict)
@@ -90,32 +90,8 @@ class TraceReport:
     # -- construction ----------------------------------------------------------
     @classmethod
     def from_tracer(cls, tracer) -> "TraceReport":
-        rep = cls(counters=dict(tracer.counters), bytes=dict(tracer.bytes_ledger))
-        stage_t: dict[str, float] = defaultdict(float)
-        stage_n: dict[str, int] = defaultdict(int)
-        name_t: dict[str, list] = defaultdict(lambda: [0.0, 0])
-        for s in tracer.spans:
-            stage_t[s.cat] += s.dur
-            stage_n[s.cat] += 1
-            acc = name_t[s.name]
-            acc[0] += s.dur
-            acc[1] += 1
-            rep.span_end_s = max(rep.span_end_s, s.end)
-            if s.cat == "exec":
-                rep.job_spans.append((s.name, s.ts, s.dur))
-        rep.stage_time = dict(stage_t)
-        rep.stage_spans = dict(stage_n)
-        rep.name_time = {k: (v[0], v[1]) for k, v in name_t.items()}
-        rep.n_instants = len(tracer.instants)
-        depth, inflight = [], []
-        for c in tracer.counter_samples:
-            if "queue_depth" in c.name:
-                depth.append(c.value)
-            elif "inflight" in c.name:
-                inflight.append(c.value)
-        rep.queue_depth_hist = _histogram(depth)
-        rep.inflight_hist = _histogram(inflight)
-        return rep
+        """The report of a live tracer: the report of its Chrome export."""
+        return cls.from_chrome(tracer.to_chrome())
 
     @classmethod
     def from_chrome(cls, trace: Mapping) -> "TraceReport":

@@ -60,67 +60,14 @@ class CounterSample:
 
 
 class NullTracer:
-    """No-op tracer: the default everywhere, so hot paths cost ~nothing.
+    """The tracer of an untraced run: it records nothing.
 
-    Keeps exact API parity with :class:`Tracer` (enforced by a test); every
-    recording method is a no-op and every query returns an empty result.
-    ``enabled`` is False so instrumentation sites can skip argument
-    construction entirely with ``if tracer.enabled:``.
+    Every instrumentation site checks ``enabled`` before it calls a record
+    method or reads ``offset`` or ``detail``, so the no-op tracer needs
+    nothing else and tracing off costs one attribute read per site.
     """
 
     enabled = False
-    detail = False
-    offset = 0.0
-
-    def span(self, name, cat, start, end, track=None, args=None) -> None:
-        pass
-
-    def begin(self, name, cat, t, track=None, args=None) -> None:
-        pass
-
-    def end(self, t, track=None) -> None:
-        pass
-
-    def instant(self, name, cat, t, track=None, args=None) -> None:
-        pass
-
-    def counter(self, name, t, value, track=None) -> None:
-        pass
-
-    def count(self, name, delta=1) -> None:
-        pass
-
-    def account_bytes(self, kind, nbytes) -> None:
-        pass
-
-    @property
-    def spans(self) -> list:
-        return []
-
-    @property
-    def instants(self) -> list:
-        return []
-
-    @property
-    def counter_samples(self) -> list:
-        return []
-
-    @property
-    def counters(self) -> dict:
-        return {}
-
-    @property
-    def bytes_ledger(self) -> dict:
-        return {}
-
-    def categories(self) -> set:
-        return set()
-
-    def to_chrome(self) -> dict:
-        return {"traceEvents": [], "displayTimeUnit": "ms"}
-
-    def write_chrome(self, path) -> None:
-        pass
 
 
 #: Shared default instance — instrumented components hold a reference to
@@ -151,8 +98,6 @@ class Tracer:
         self._samples: list[CounterSample] = []
         self._counters: dict[str, float] = {}
         self._bytes: dict[str, int] = {}
-        # Open begin()/end() frames, one stack per track.
-        self._open: dict[str, list[tuple[str, str, float, Optional[dict]]]] = {}
 
     # -- recording -----------------------------------------------------------
     def span(
@@ -170,41 +115,6 @@ class Tracer:
             SpanRecord(
                 name, cat, off + start, max(0.0, end - start), track or cat, args or {}
             )
-        )
-
-    def begin(
-        self,
-        name: str,
-        cat: str,
-        t: float,
-        track: str | None = None,
-        args: Optional[Mapping[str, Any]] = None,
-    ) -> None:
-        """Open a nested span on ``track``; close it with :meth:`end`."""
-        track = track or cat
-        self._open.setdefault(track, []).append(
-            (name, cat, self.offset + t, dict(args) if args else None)
-        )
-
-    def end(self, t: float, track: str | None = None) -> None:
-        """Close the innermost open span on ``track`` at time ``t``."""
-        if track is not None:
-            stack = self._open.get(track)
-        else:
-            # No track given: close on the only track with an open frame.
-            open_tracks = [k for k, v in self._open.items() if v]
-            if len(open_tracks) != 1:
-                raise RuntimeError(
-                    f"end() without track is ambiguous: open on {open_tracks!r}"
-                )
-            track = open_tracks[0]
-            stack = self._open[track]
-        if not stack:
-            raise RuntimeError(f"end() with no open span on track {track!r}")
-        name, cat, ts, args = stack.pop()
-        end_ts = self.offset + t
-        self._spans.append(
-            SpanRecord(name, cat, ts, max(0.0, end_ts - ts), track, args or {})
         )
 
     def instant(
@@ -267,10 +177,6 @@ class Tracer:
     @property
     def bytes_ledger(self) -> dict[str, int]:
         return dict(self._bytes)
-
-    def categories(self) -> set[str]:
-        """Every category that produced at least one span or instant."""
-        return {s.cat for s in self._spans} | {i.cat for i in self._instants}
 
     # -- Chrome trace_event export --------------------------------------------
     def to_chrome(self) -> dict:

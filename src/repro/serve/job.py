@@ -55,9 +55,8 @@ class ServeJob:
     def run_traced(self, tracer) -> ServeReport:
         """Traced fallback: run sequentially in-process.
 
-        The serving loop is closed-form queueing, not DES — there are no
-        kernel spans to record — so a traced run simply executes the
-        cell inline and lets the executor's ``exec.job`` span mark it.
+        The serving loop is closed-form queueing and records no spans of
+        its own, so a traced run simply executes the cell inline and lets the executor's ``exec.job`` span mark it.
         """
         import json
 

@@ -8,7 +8,6 @@ from heapq import heappop, heappush
 from itertools import count
 from typing import Any, Generator, Optional
 
-from repro.obs.tracer import NULL_TRACER
 from repro.sim.events import PENDING, AllOf, AnyOf, Event, Process, Timeout
 
 # Scheduling priorities: URGENT events (process starts, and the stop event
@@ -45,10 +44,6 @@ class Environment:
     ----------
     initial_time:
         Starting value of the virtual clock (seconds by convention).
-    tracer:
-        Optional :class:`repro.obs.Tracer`; the kernel emits process
-        lifecycle spans and event-dispatch instants through it.  Defaults
-        to the no-op tracer.
     sanitize:
         Enable the DES causality sanitizer: every ``schedule``/``step``
         additionally checks for double-scheduling, scheduling onto an
@@ -62,14 +57,12 @@ class Environment:
     def __init__(
         self,
         initial_time: float = 0.0,
-        tracer=None,
         sanitize: Optional[bool] = None,
     ) -> None:
         self._now = float(initial_time)
         self._heap: list[tuple[float, int, int, Event]] = []
         self._eid = count()
         self._active_proc: Optional[Process] = None
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         if sanitize is None:
             sanitize = os.environ.get("REPRO_SANITIZE", "").strip().lower() in (
                 "1",
@@ -121,20 +114,7 @@ class Environment:
 
     def process(self, generator: Generator, name: str | None = None) -> Process:
         """Register ``generator`` as a new simulation process."""
-        proc = Process(self, generator, name=name)
-        tracer = self.tracer
-        if tracer.enabled:
-            t_start = self._now
-            tracer.instant(
-                f"sim.process.start:{proc.name}", "sim", t_start, track="kernel"
-            )
-            tracer.count("sim.processes_started")
-
-            def _trace_finish(event: Event, _t0: float = t_start, _name: str = proc.name):
-                tracer.span(f"sim.process:{_name}", "sim", _t0, self._now, track="kernel")
-
-            proc.callbacks.append(_trace_finish)
-        return proc
+        return Process(self, generator, name=name)
 
     def all_of(self, events) -> Event:
         return AllOf(self, events)
@@ -199,11 +179,6 @@ class Environment:
         callbacks, event.callbacks = event.callbacks, None
         if callbacks is None:
             raise SimulationError(f"{event!r} was scheduled twice")
-        if self.tracer.enabled:
-            self.tracer.count("sim.events_dispatched")
-            self.tracer.instant(
-                f"sim.dispatch:{type(event).__name__}", "sim", self._now, track="kernel"
-            )
         for callback in callbacks:
             callback(event)
 

@@ -35,9 +35,9 @@ from repro.disk.drive import DiskDrive, DiskRequest
 from repro.disk.geometry import DiskGeometry, Zone
 from repro.disk.mechanics import DiskMechanics
 from repro.disk.workload import BackgroundWorkload
-from repro.obs import Tracer
 from repro.sim import Environment
 from tests._drive_ref import ReferenceDrive
+from tests.test_sim_core import DispatchCounter
 
 #: Three zones over 30 cylinders: requests cross zone boundaries often.
 GEOMETRY = DiskGeometry([Zone(0, 9, 64), Zone(10, 19, 48), Zone(20, 29, 32)], heads=2)
@@ -229,8 +229,8 @@ def test_background_request_costs_two_dispatches():
     """A drive that serves only its background stream dispatches two
     kernel events per request, the arrival and the service timeout: the
     idle drive's wake-up and the wake after the timeout run in line."""
-    tracer = Tracer()
-    env = Environment(tracer=tracer)
+    env = Environment()
+    dispatched = DispatchCounter(env)
     drive = DiskDrive(env, DiskMechanics(geometry=GEOMETRY), service_time_fn=lambda r: 0.0625)
     drive.attach_background(BackgroundWorkload(
         0.25, OnGrid(0), extent_sectors=GEOMETRY.total_sectors,
@@ -238,7 +238,7 @@ def test_background_request_costs_two_dispatches():
     env.run(until=1.125)
     assert drive.served_requests == 5  # arrivals at 0, 0.25, ..., 1.0
     # Plus the drive's and the stream's start events and the run's stop.
-    assert tracer.counters["sim.events_dispatched"] == 2 * 5 + 3
+    assert dispatched.count == 2 * 5 + 3
 
 
 def test_background_requests_get_no_done_event():

@@ -7,7 +7,6 @@ from repro.cluster.server import Cluster
 from repro.disk.drive import DiskDrive
 from repro.disk.mechanics import DiskMechanics
 from repro.faults import FaultInjector, FaultPlan
-from repro.obs import Tracer
 from repro.sim import Environment
 
 
@@ -174,23 +173,6 @@ class TestScheduleOn:
             assert not drives[d].failed  # ...and restarted at the window end
         for d in range(4, 8):  # filer 1 untouched
             assert np.isfinite(reqs[d].done.value)
-
-    def test_pump_emits_fault_instants(self):
-        plan = FaultPlan.from_scenario(
-            [{"at": 0.001, "fault": "disk_fail", "disk": 0, "duration": 0.05}]
-        )
-        inj = make_injector(plan)
-        tracer = Tracer()
-        env = Environment(tracer=tracer)
-        drive = make_drive(env)
-        drive.read(0, 2048)
-        inj.schedule_on(env, {0: drive})
-        env.run()
-        names = [i.name for i in tracer.instants if i.track == "fault"]
-        assert "fault.disk_fail" in names
-        assert "fault.disk_fail:end" in names
-        # The drive's own abort instant also lands on the trace.
-        assert any(i.name == "drive.abort" for i in tracer.instants)
 
     def test_pump_runs_under_the_sanitizer(self):
         """The injector's timeouts must satisfy the causality sanitizer."""

@@ -4,7 +4,7 @@ import numpy as np
 
 from repro.accesscore.result import AccessConfig
 from repro.accesscore.routing import MB
-from repro.experiments.harness import TrialPlan, run_scheme
+from repro.experiments.harness import TRACE_TRIAL_GAP_S, TrialPlan, run_scheme
 from repro.metrics.stats import summarize
 from repro.obs import TraceReport, Tracer, load_trace, use_tracer
 from repro.obs.report import main as report_main
@@ -42,16 +42,18 @@ def test_robustore_byte_ledger_reconciles_exactly():
 
 
 def test_traced_run_covers_all_four_layers():
-    """A traced run produces spans from sim kernel, drive, filer and scheme."""
+    """A traced run produces spans from the drive, filer and scheme layers,
+    and none from the DES kernel, which takes no tracer."""
     tracer = Tracer()
     run_scheme(small_plan(trials=2), "robustore", tracer=tracer)
     span_cats = {s.cat for s in tracer.spans}
-    assert {"sim", "drive", "filer", "scheme"} <= span_cats
+    assert {"drive", "filer", "scheme"} <= span_cats
+    assert "sim" not in span_cats
     # ... and the export preserves them.
     chrome_cats = {
         e["cat"] for e in tracer.to_chrome()["traceEvents"] if e["ph"] == "X"
     }
-    assert {"sim", "drive", "filer", "scheme"} <= chrome_cats
+    assert {"drive", "filer", "scheme"} <= chrome_cats
 
 
 def test_tracing_does_not_perturb_results():
@@ -75,6 +77,23 @@ def test_trials_laid_out_on_global_timeline():
     assert len(reads) == 3
     for earlier, later in zip(reads, reads[1:]):
         assert earlier.end <= later.ts  # no overlap: trial t+1 starts after t
+
+
+def test_trial_t_starts_after_every_earlier_latency_and_gap():
+    """Trial t opens at base + sum over i < t of (latency_i + gap), added
+    in trial order, so every traced timestamp keeps its place."""
+    tracer = Tracer()
+    tracer.offset = base = 3.25
+    results = run_scheme(small_plan(trials=4), "robustore", tracer=tracer)
+    assert all(0.0 < r.latency_s < np.inf for r in results)
+    opens = [s.ts for s in tracer.spans if s.name == "scheme.open"]
+    expected, elapsed = [], 0.0
+    for r in results:
+        expected.append(base + elapsed)
+        elapsed += r.latency_s + TRACE_TRIAL_GAP_S
+    assert opens == expected
+    # The next run continues where this one ends.
+    assert tracer.offset == base + elapsed
 
 
 def test_ambient_tracer_is_picked_up_by_run_scheme():

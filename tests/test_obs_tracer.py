@@ -1,13 +1,11 @@
-"""Tracer core: span nesting on the DES clock, counters, Chrome export."""
+"""Tracer core: spans and offsets, counters, Chrome export."""
 
-import inspect
 import json
 import pathlib
 
 import pytest
 
-from repro.obs import NULL_TRACER, NullTracer, Tracer, current_tracer, use_tracer
-from repro.sim.core import Environment
+from repro.obs import NULL_TRACER, Tracer, current_tracer, use_tracer
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_trace.json"
 
@@ -23,10 +21,8 @@ def build_reference_tracer() -> Tracer:
     tr = Tracer()
     tr.span("scheme.read:robustore", "scheme", 0.0, 2.5, track="scheme",
             args={"trial": 0})
-    tr.begin("drive.service", "drive", 0.25, track="disk0")
-    tr.begin("drive.seek", "drive", 0.25, track="disk0")
-    tr.end(0.4, track="disk0")
-    tr.end(1.0, track="disk0")
+    tr.span("drive.seek", "drive", 0.25, 0.4, track="disk0")
+    tr.span("drive.service", "drive", 0.25, 1.0, track="disk0")
     tr.instant("scheme.cancel", "scheme", 2.0, track="scheme",
                args={"cancelled": 3})
     tr.counter("drive.queue_depth", 0.5, 4, track="disk0")
@@ -42,51 +38,7 @@ def build_reference_tracer() -> Tracer:
     return tr
 
 
-# -- spans under the DES clock ------------------------------------------------
-
-def test_span_nesting_and_ordering_under_des_clock():
-    """begin/end frames nest LIFO and land at the kernel's virtual times."""
-    tracer = Tracer()
-    env = Environment(tracer=tracer)
-
-    def worker():
-        tracer.begin("outer", "test", env.now, track="w")
-        yield env.timeout(1.0)
-        tracer.begin("inner", "test", env.now, track="w")
-        yield env.timeout(2.0)
-        tracer.end(env.now, track="w")  # closes inner
-        yield env.timeout(0.5)
-        tracer.end(env.now, track="w")  # closes outer
-
-    env.process(worker(), name="worker")
-    env.run()
-
-    by_name = {s.name: s for s in tracer.spans if s.track == "w"}
-    inner, outer = by_name["inner"], by_name["outer"]
-    assert (inner.ts, inner.end) == (1.0, 3.0)
-    assert (outer.ts, outer.end) == (0.0, 3.5)
-    # Proper nesting: inner lies strictly inside outer.
-    assert outer.ts <= inner.ts and inner.end <= outer.end
-    # LIFO close order: inner was recorded before outer.
-    names = [s.name for s in tracer.spans if s.track == "w"]
-    assert names.index("inner") < names.index("outer")
-    # The kernel's own process span covers the whole generator lifetime.
-    kernel = [s for s in tracer.spans if s.name == "sim.process:worker"]
-    assert len(kernel) == 1 and kernel[0].ts == 0.0 and kernel[0].end == 3.5
-
-
-def test_end_without_track_requires_unambiguity():
-    tracer = Tracer()
-    tracer.begin("a", "t", 0.0, track="x")
-    tracer.begin("b", "t", 0.0, track="y")
-    with pytest.raises(RuntimeError):
-        tracer.end(1.0)  # two tracks open -> ambiguous
-    tracer.end(1.0, track="y")
-    tracer.end(2.0)  # only "x" open now -> fine
-    assert {s.name for s in tracer.spans} == {"a", "b"}
-    with pytest.raises(RuntimeError):
-        tracer.end(3.0, track="x")  # nothing open
-
+# -- spans --------------------------------------------------------------------
 
 def test_span_offset_applied_and_duration_clamped():
     tracer = Tracer()
@@ -115,38 +67,11 @@ def test_count_is_monotone_and_rejects_negative_deltas():
         tracer.account_bytes("network", -10)
 
 
-# -- NullTracer parity --------------------------------------------------------
+# -- NullTracer ---------------------------------------------------------------
 
-def _public_api(cls):
-    return {
-        name
-        for name, member in inspect.getmembers(cls)
-        if not name.startswith("_")
-        and (callable(member) or isinstance(member, property)
-             or not inspect.isroutine(member))
-    }
-
-
-def test_null_tracer_api_parity():
-    """Every public attribute of Tracer exists on NullTracer (and is inert)."""
-    missing = _public_api(Tracer) - _public_api(NullTracer)
-    assert not missing, f"NullTracer lacks: {sorted(missing)}"
-
-    null = NullTracer()
-    assert null.enabled is False
-    # Recording methods accept the same arguments and stay empty.
-    null.span("s", "c", 0.0, 1.0, track="t", args={"a": 1})
-    null.begin("s", "c", 0.0, track="t")
-    null.end(1.0, track="t")
-    null.instant("i", "c", 0.0, track="t", args={})
-    null.counter("q", 0.0, 3, track="t")
-    null.count("n", 2)
-    null.account_bytes("network", 100)
-    assert null.spans == [] and null.instants == [] and null.counter_samples == []
-    assert null.counters == {} and null.bytes_ledger == {}
-    assert null.categories() == set()
-    assert null.to_chrome() == {"traceEvents": [], "displayTimeUnit": "ms"}
-    null.write_chrome("/nonexistent/dir/never_written.json")  # no-op, no error
+def test_null_tracer_is_disabled():
+    """Every instrumentation site checks this flag before it records."""
+    assert NULL_TRACER.enabled is False
 
 
 def test_ambient_tracer_stack():

@@ -222,6 +222,23 @@ class TestMeteredRepairs:
                 maybe_repair(scheme, "f", 0, r)
         assert "repair_epoch" not in scheme.metadata.lookup("f").extra
 
+    @pytest.mark.parametrize(
+        "name,algorithm",
+        [("rraid-s", "replication"), ("raid0+1", "mirrored-striping"),
+         ("raid5", "parity")],
+    )
+    def test_layout_without_a_repair_pass_raises_and_stays_unclaimed(
+        self, name, algorithm
+    ):
+        # These layouts have no repair pass: each notification must say so,
+        # and the epoch it never repaired must not turn the next one into
+        # a "duplicate".
+        scheme, r = _scheme_under_kills(name, [0, 1], floor=0.99)
+        for _ in range(2):
+            with pytest.raises(NotImplementedError, match=algorithm):
+                maybe_repair(scheme, "f", 0, r)
+        assert "repair_epoch" not in scheme.metadata.lookup("f").extra
+
     def test_scheduler_defers_and_drain_repairs(self):
         scheme, r = _scheme_under_kills("robustore-rs", [0, 1, 2, 3], floor=0.99)
         ledger = RepairLedger()

@@ -1,8 +1,33 @@
 """Tests for the discrete-event simulation kernel."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.sim import AllOf, AnyOf, Environment, SimulationError
+from repro.sim.core import EmptySchedule
+
+
+class DispatchCounter:
+    """Wraps ``env.step`` to count a run's kernel dispatches: the calls
+    that pop an event (on a dry heap ``step`` raises before popping)."""
+
+    def __init__(self, env: Environment) -> None:
+        self.count = 0
+        self._step = env.step
+        env.step = self._counted_step
+
+    def _counted_step(self) -> None:
+        self.count += 1
+        try:
+            self._step()
+        except EmptySchedule:
+            self.count -= 1
+            raise
 
 
 def test_timeout_advances_clock():
@@ -255,3 +280,19 @@ def test_run_out_of_events_before_until_event():
     ev = env.event()  # never triggered
     with pytest.raises(SimulationError):
         env.run(until=ev)
+
+
+def test_kernel_and_drive_load_no_tracer():
+    """Tracing reaches the simulator through ``cluster.tracer`` alone, so
+    the DES kernel and the drive stand without ``repro.obs``."""
+    code = (
+        "import sys, repro.sim, repro.disk.drive; "
+        "print(sorted(m for m in sys.modules if m.startswith('repro.obs')))"
+    )
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

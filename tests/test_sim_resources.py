@@ -1,7 +1,7 @@
 """Tests for the FIFO store the event engine's client inboxes use."""
 
-from repro.obs import Tracer
 from repro.sim import Environment, Store
+from tests.test_sim_core import DispatchCounter
 
 
 def test_store_fifo():
@@ -28,12 +28,12 @@ def test_store_fifo():
 def test_put_without_getter_dispatches_no_event():
     """A put nobody waits on only buffers the item: no event reaches the
     kernel, so the run dispatches nothing at all."""
-    tracer = Tracer()
-    env = Environment(tracer=tracer)
+    env = Environment()
+    dispatched = DispatchCounter(env)
     store = Store(env)
     puts = [store.put(i) for i in range(3)]
     env.run()
-    assert tracer.counters.get("sim.events_dispatched", 0) == 0
+    assert dispatched.count == 0
     assert puts == [None, None, None]
     assert store.items == [0, 1, 2]
 
