@@ -2,16 +2,18 @@
 
 The subsystem turns experiment execution into scheduled, memoized jobs:
 
-* :class:`~repro.exec.job.Job` — one ``(plan, scheme)`` cell as canonical
-  JSON with a :func:`~repro.sim.rng.stable_digest` content hash;
+* :class:`~repro.exec.job.Job` — one ``(plan, scheme)`` cell, a trial
+  plan or a serving plan, as canonical JSON with a
+  :func:`~repro.sim.rng.stable_digest` content hash;
 * :class:`~repro.exec.engine.Executor` — cache-aware, optionally
   process-parallel batch execution with retry and progress accounting;
 * :class:`~repro.exec.store.ResultStore` — the content-addressed
   ``.repro-cache/`` result store (``python -m repro.exec`` for stats/GC).
 
-``run_point``/``sweep`` in :mod:`repro.experiments.harness` submit through
-the ambient executor (:func:`use_executor` / :func:`current_executor`),
-and ``python -m repro.experiments -j N`` installs a pooled one.
+``run_cells``/``run_point``/``sweep`` in :mod:`repro.experiments.harness`
+submit through the ambient executor (:func:`use_executor` /
+:func:`current_executor`), and ``python -m repro.experiments -j N``
+installs a pooled one.
 
 See ``docs/parallel_execution.md`` for the job model, cache-key anatomy
 and the traced-run sequential degradation.

@@ -1,8 +1,7 @@
 """The execution engine: scheduled, parallel, memoized experiment jobs.
 
 An :class:`Executor` takes a batch of :class:`~repro.exec.job.Job` cells
-and returns their trial-result lists in submission order.  Under the
-hood it:
+and returns their results in submission order.  Under the hood it:
 
 * serves cache hits from a :class:`~repro.exec.store.ResultStore`
   (content-addressed, so interrupted or repeated sweeps resume for free);
@@ -11,9 +10,9 @@ hood it:
   (``RngHub(plan.seed)``) and its own simulated cluster, so cells are
   embarrassingly parallel;
 * runs everything through the *same* canonical payload/codec path
-  (:func:`repro.exec.job.execute_payload`) whether pooled, sequential or
-  cached, so parallel execution is bit-identical to sequential by
-  construction;
+  (:func:`repro.exec.job.execute_payload`) whether pooled, sequential,
+  traced or cached, so parallel execution is bit-identical to sequential
+  by construction;
 * retries a crashed worker job once, in-process, and reports it — a
   failure is never silently dropped;
 * keeps per-job wall-clock accounting and paints a live progress/ETA
@@ -36,12 +35,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from repro.exec.job import (
-    Job,
-    execute_payload,
-    results_from_json,
-    results_from_jsonable,
-)
+from repro.exec.job import Job, execute_payload
 from repro.exec.store import ResultStore
 
 
@@ -152,11 +146,13 @@ class Executor:
         self.stats = ExecStats()
 
     # -- public API -----------------------------------------------------------
-    def run_jobs(self, jobs: Sequence[Job], tracer=None) -> list[list]:
-        """Execute ``jobs``; return each job's ``AccessResult`` list.
+    def run_jobs(self, jobs: Sequence[Job], tracer=None) -> list:
+        """Execute ``jobs``; return each job's results.
 
-        Output order is submission order, regardless of completion order,
-        cache hits or retries — callers can zip results against inputs.
+        A trial job's results are its ``AccessResult`` list, a serving
+        job's its ``ServeReport``.  Output order is submission order,
+        regardless of completion order, cache hits or retries — callers
+        can zip results against inputs.
         """
         from repro.obs.tracer import current_tracer
 
@@ -172,18 +168,20 @@ class Executor:
             self.stats.wall_s += time.perf_counter() - t_start
 
     # -- traced path ----------------------------------------------------------
-    def _run_traced(self, jobs: list[Job], tracer) -> list[list]:
+    def _run_traced(self, jobs: list[Job], tracer) -> list:
         """Sequential, uncached, with one ``exec.job`` span per job.
 
-        Trial jobs (``run_scheme``) advance ``tracer.offset`` past each
+        Each job runs through :func:`execute_payload` with the live
+        tracer, so its results take the codec path cached and pooled
+        results take.  A trial job advances ``tracer.offset`` past its
         run, so the span covers exactly the stretch of the global
-        timeline the job occupied; other job kinds run inline through
-        their own ``run_traced`` hook.
+        timeline the job occupied; a serving cell records nothing and
+        gets a zero-length span where it ran.
         """
         out = []
         for job in jobs:
             t0 = tracer.offset
-            results = job.run_traced(tracer)
+            results_json = execute_payload(job.payload_json(), tracer)
             t1 = tracer.offset
             saved = tracer.offset
             tracer.offset = 0.0
@@ -199,11 +197,11 @@ class Executor:
             finally:
                 tracer.offset = saved
             self.stats.ran += 1
-            out.append(results)
+            out.append(job.decode(json.loads(results_json)))
         return out
 
     # -- untraced path --------------------------------------------------------
-    def _run_untraced(self, jobs: list[Job]) -> list[list]:
+    def _run_untraced(self, jobs: list[Job]) -> list:
         out: list = [None] * len(jobs)
         progress = _Progress(len(jobs), self.progress)
         try:
@@ -214,7 +212,7 @@ class Executor:
             for i, (job, key) in enumerate(zip(jobs, keys)):
                 entry = self.store.get(key) if self.store is not None else None
                 if entry is not None:
-                    out[i] = results_from_jsonable(entry["results"])
+                    out[i] = job.decode(entry["results"])
                     self.stats.hits += 1
                     progress.tick(cached=True)
                 else:
@@ -233,7 +231,7 @@ class Executor:
                 for _ in indices[1:]:  # duplicate cells ran once
                     progress.tick(cached=True)
                 for i in indices:
-                    out[i] = results_from_json(results_json)
+                    out[i] = jobs[i].decode(json.loads(results_json))
         finally:
             progress.close()
         return out

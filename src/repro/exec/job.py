@@ -1,12 +1,15 @@
 """The job model: one ``(plan, scheme)`` cell as canonical, hashable data.
 
 A :class:`Job` is the unit the execution engine schedules, caches and
-ships across process boundaries.  Its payload is a *canonical JSON
-encoding* of the full :class:`~repro.experiments.harness.TrialPlan`
-(including the nested :class:`~repro.accesscore.result.AccessConfig`, in-disk
-layout, fault plan/model) plus the scheme name; its cache key is a
-:func:`repro.sim.rng.stable_digest` of that payload folded with the run's
-env knobs (``REPRO_TRIALS`` / ``REPRO_DATA_MB``) and a code-version salt.
+ships across process boundaries.  Its plan is a
+:class:`~repro.experiments.harness.TrialPlan` (all trials of one scheme)
+or a :class:`~repro.serve.service.ServePlan` (one serving cell).  Its
+payload is a *canonical JSON encoding* of that plan — nested dataclasses
+as field dicts, a fault plan as its declarative scenario — plus the
+scheme name, and a ``kind`` tag for every plan type but the trial plan;
+its cache key is a :func:`repro.sim.rng.stable_digest` of that payload
+folded with the run's env knobs (``REPRO_TRIALS`` / ``REPRO_DATA_MB``)
+and a code-version salt.
 
 Determinism contract: a payload contains *only* values that reproduce the
 simulation — no wall-clock times, no PIDs, no per-process state (enforced
@@ -20,15 +23,17 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.accesscore.result import AccessConfig, AccessResult
-from repro.disk.workload import InDiskLayout
+from repro.accesscore.result import AccessResult
 from repro.experiments import config as C
-from repro.experiments.harness import TrialPlan
-from repro.faults.model import FaultModel
+from repro.experiments.harness import TrialPlan, run_scheme
 from repro.faults.plan import FaultPlan
+from repro.obs.tracer import NULL_TRACER
+from repro.serve.service import ServePlan, StorageService
+from repro.serve.slo import ServeReport
 from repro.sim.rng import stable_digest
 
 
@@ -64,103 +69,103 @@ def canonical_json(obj) -> str:
 
 
 # ---------------------------------------------------------------------------
-# TrialPlan <-> canonical dict
+# plan <-> canonical dict
 
-#: TrialPlan fields needing structured encoding; every other field must be
-#: a plain scalar (guarded below, so adding a field to TrialPlan without
-#: teaching the codec is an immediate, loud failure — not a silent cache
-#: corruption).
-_STRUCTURED_FIELDS = {"access", "layout", "fault_plan", "fault_model"}
-
-
-def _encode_flat_dataclass(value) -> dict:
-    """Scalar-field dataclasses (AccessConfig, InDiskLayout, FaultModel)."""
-    out = {}
-    for f in dataclasses.fields(value):
-        v = getattr(value, f.name)
-        if not isinstance(v, (int, float, str, bool, type(None))):
-            raise TypeError(
-                f"{type(value).__name__}.{f.name} is not a scalar "
-                f"({type(v).__name__}); teach repro.exec.job its encoding"
-            )
-        out[f.name] = v
-    return out
+def _encode(value):
+    """A plan value's payload form: dataclasses become field dicts."""
+    if isinstance(value, FaultPlan):
+        return value.describe()
+    if dataclasses.is_dataclass(value):
+        return {
+            f.name: _encode(getattr(value, f.name)) for f in dataclasses.fields(value)
+        }
+    if isinstance(value, (int, float, str, bool, type(None))):
+        return value
+    raise TypeError(f"{type(value).__name__} has no payload encoding")
 
 
-def encode_plan(plan: TrialPlan, scheme_name: str) -> dict:
-    """The canonical payload dict for one job."""
-    out: dict = {"scheme": str(scheme_name)}
-    for f in dataclasses.fields(TrialPlan):
-        v = getattr(plan, f.name)
-        if f.name == "access":
-            out[f.name] = _encode_flat_dataclass(v)
-        elif f.name == "layout":
-            out[f.name] = None if v is None else _encode_flat_dataclass(v)
-        elif f.name == "fault_plan":
-            out[f.name] = None if v is None else v.describe()
-        elif f.name == "fault_model":
-            out[f.name] = None if v is None else _encode_flat_dataclass(v)
-        elif isinstance(v, (int, float, str, bool, type(None))):
-            out[f.name] = v
-        else:
-            raise TypeError(
-                f"TrialPlan.{f.name} is not a scalar ({type(v).__name__}); "
-                "teach repro.exec.job its encoding"
-            )
-    return out
-
-
-def decode_plan(payload: dict) -> tuple[TrialPlan, str]:
-    """Rebuild ``(plan, scheme_name)`` from :func:`encode_plan` output."""
-    data = dict(payload)
-    scheme_name = str(data.pop("scheme"))
-    known = {f.name for f in dataclasses.fields(TrialPlan)}
-    unknown = set(data) - known
+def _decode(cls: type, data: dict):
+    """Inverse of :func:`_encode` for a dataclass ``cls``, led by its annotations."""
+    hints = typing.get_type_hints(cls)
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
-        raise ValueError(f"unknown TrialPlan fields in payload: {sorted(unknown)}")
-    kwargs: dict = {}
+        raise ValueError(f"unknown {cls.__name__} fields in payload: {sorted(unknown)}")
+    kwargs = {}
     for name, value in data.items():
-        if name == "access":
-            kwargs[name] = AccessConfig(**value)
-        elif name == "layout":
-            kwargs[name] = None if value is None else InDiskLayout(**value)
-        elif name == "fault_plan":
-            kwargs[name] = None if value is None else FaultPlan.from_scenario(value)
-        elif name == "fault_model":
-            kwargs[name] = None if value is None else FaultModel(**value)
-        else:
+        # ``Optional[X]`` names X among its arguments.
+        types = (hints[name], *typing.get_args(hints[name]))
+        nested = next(
+            (t for t in types if t is FaultPlan or dataclasses.is_dataclass(t)), None
+        )
+        if value is None or nested is None:
             kwargs[name] = value
-    return TrialPlan(**kwargs), scheme_name
+        elif nested is FaultPlan:
+            kwargs[name] = FaultPlan.from_scenario(value)
+        else:
+            kwargs[name] = _decode(nested, value)
+    return cls(**kwargs)
+
+
+def encode_plan(plan: TrialPlan | ServePlan, scheme_name: str) -> dict:
+    """The canonical payload dict for one job: kind tag, scheme, plan fields."""
+    kind = _TAGS[type(plan)]
+    head = {} if kind is None else {"kind": kind}
+    return {**head, "scheme": str(scheme_name), **_encode(plan)}
+
+
+def decode_plan(payload: dict) -> tuple[TrialPlan | ServePlan, str]:
+    """Rebuild ``(plan, scheme_name)`` from :func:`encode_plan` output."""
+    plan_type = _kind(payload)[0]
+    fields = {k: v for k, v in payload.items() if k not in ("kind", "scheme")}
+    return _decode(plan_type, fields), str(payload["scheme"])
 
 
 # ---------------------------------------------------------------------------
-# results <-> canonical JSON
+# results <-> canonical JSON (trial jobs)
 
 def results_to_json(results: list[AccessResult]) -> str:
     """Canonical JSON of a trial-result list (the byte-identity currency)."""
     return canonical_json([r.to_jsonable() for r in results])
 
 
-def results_from_json(text: str):
-    """Inverse of :func:`results_to_json` (kind-dispatching, see below)."""
+def results_from_json(text: str) -> list[AccessResult]:
+    """Inverse of :func:`results_to_json`."""
     return results_from_jsonable(json.loads(text))
 
 
-def results_from_jsonable(data):
-    """Decode an already-parsed result value (a cache entry's ``results``).
-
-    Trial jobs produce a *list* of access results; other job kinds tag
-    their result dict with ``kind`` and decode through their own codec
-    (currently ``serve`` -> :class:`repro.serve.slo.ServeReport`).
-    """
-    if isinstance(data, dict):
-        kind = data.get("kind")
-        if kind == "serve":
-            from repro.serve.slo import ServeReport
-
-            return ServeReport.from_jsonable(data)
-        raise ValueError(f"unknown result kind {kind!r}")
+def results_from_jsonable(data: list) -> list[AccessResult]:
+    """Decode an already-parsed trial-result list (a cache entry's ``results``)."""
     return [AccessResult.from_jsonable(d) for d in data]
+
+
+# ---------------------------------------------------------------------------
+# job kinds: plan type, runner, result decoder
+
+def _run_trials(plan: TrialPlan, scheme_name: str, tracer) -> list:
+    return [r.to_jsonable() for r in run_scheme(plan, scheme_name, tracer=tracer)]
+
+
+def _run_serve(plan: ServePlan, scheme_name: str, tracer) -> dict:
+    # The serving facade records no spans; a traced run only marks it.
+    return StorageService(plan, scheme_name).run().to_jsonable()
+
+
+#: Payload ``kind`` -> (plan type, runner, result decoder).  A trial
+#: payload carries no ``kind``.  A runner returns the cell's results in
+#: jsonable form; the decoder inverts that.
+_KINDS = {
+    None: (TrialPlan, _run_trials, results_from_jsonable),
+    "serve": (ServePlan, _run_serve, ServeReport.from_jsonable),
+}
+_TAGS = {plan_type: kind for kind, (plan_type, _, _) in _KINDS.items()}
+
+
+def _kind(payload: dict) -> tuple:
+    """The (plan type, runner, result decoder) a payload's ``kind`` names."""
+    kind = payload.get("kind")
+    if kind not in _KINDS:
+        raise ValueError(f"unknown job kind {kind!r}")
+    return _KINDS[kind]
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +173,9 @@ def results_from_jsonable(data):
 
 @dataclass(frozen=True)
 class Job:
-    """One schedulable cell: all trials of ``scheme_name`` under ``plan``."""
+    """One schedulable cell: ``scheme_name`` under a trial or serving plan."""
 
-    plan: TrialPlan
+    plan: TrialPlan | ServePlan
     scheme_name: str
 
     def payload(self) -> dict:
@@ -189,56 +194,45 @@ class Job:
             CODE_SALT, C.trials(), C.data_mb(), self.payload_json()
         )
 
+    def decode(self, data):
+        """This job's results from their jsonable form (a run's or a cache entry's)."""
+        return _kind(self.payload())[2](data)
+
     @property
     def label(self) -> str:
         """Short human label for progress lines and failure reports."""
-        return f"{self.scheme_name}/{self.plan.mode}×{self.plan.trials}"
-
-    # -- executor hooks -------------------------------------------------------
-    def run_traced(self, tracer) -> list[AccessResult]:
-        """Traced execution: sequential, on the shared traced timeline."""
-        from repro.experiments.harness import run_scheme
-
-        return run_scheme(self.plan, self.scheme_name, tracer=tracer)
+        args = self.span_args()
+        shape = ", ".join(f"{k}={v}" for k, v in args.items() if k != "scheme")
+        return f"{self.scheme_name}({shape})"
 
     def span_args(self) -> dict:
         """Argument dict for the executor's ``exec.job`` trace span."""
-        return {
-            "scheme": self.scheme_name,
-            "mode": self.plan.mode,
-            "trials": self.plan.trials,
-        }
+        plan = self.plan
+        if isinstance(plan, ServePlan):
+            shape = {
+                "clients": plan.workload.n_clients,
+                "requests": plan.workload.total_requests,
+            }
+        else:
+            shape = {"mode": plan.mode, "trials": plan.trials}
+        return {"scheme": self.scheme_name, **shape}
 
 
-def execute_payload(payload_json: str) -> str:
+def execute_payload(payload_json: str, tracer=NULL_TRACER) -> str:
     """Run one job from its canonical payload; return canonical results.
 
-    This is the *entire* worker code path: decode the payload, run it,
-    encode the results.  Both the in-process and the pooled executor go
-    through this function, so sequential and parallel execution are the
-    same code by construction — bit-identity follows from the payload's
-    determinism, not from luck.
-
-    Dispatch is on the payload's ``kind`` tag: absent means a trial job
-    (:func:`repro.experiments.harness.run_scheme`); ``serve`` runs a
-    :mod:`repro.serve` serving cell.
+    This is the *entire* job code path: decode the payload, run it with
+    the runner its ``kind`` names, encode the results.  The in-process,
+    the pooled and the traced executor all go through this function, so
+    sequential, parallel and traced execution are the same code by
+    construction — bit-identity follows from the payload's determinism,
+    not from luck.
     """
     payload = json.loads(payload_json)
-    kind = payload.get("kind")
-    if kind == "serve":
-        from repro.serve.service import execute_serve_payload
-
-        return execute_serve_payload(payload)
-    if kind is not None:
-        raise ValueError(f"unknown job kind {kind!r}")
-    from repro.experiments.harness import run_scheme
-    from repro.obs.tracer import NULL_TRACER
-
     plan, scheme_name = decode_plan(payload)
-    results = run_scheme(plan, scheme_name, tracer=NULL_TRACER)
-    return results_to_json(results)
+    return canonical_json(_kind(payload)[1](plan, scheme_name, tracer))
 
 
-def execute_job(job: Job) -> list[AccessResult]:
+def execute_job(job: Job):
     """In-process convenience wrapper: run ``job`` through the codec path."""
-    return results_from_json(execute_payload(job.payload_json()))
+    return job.decode(json.loads(execute_payload(job.payload_json())))

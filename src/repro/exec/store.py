@@ -41,14 +41,14 @@ class StoreStats:
 
     entries: int
     bytes: int
-    stale: int  #: entries written under a different code-version salt
+    stale: int  #: entries ``get`` would miss (damaged, foreign or old-salt)
     by_scheme: dict
 
     def render(self) -> str:
         lines = [
             f"entries: {self.entries}",
             f"bytes:   {self.bytes:,d}",
-            f"stale:   {self.stale} (salt != {CODE_SALT!r})",
+            f"stale:   {self.stale} (unreadable, foreign or salt != {CODE_SALT!r})",
         ]
         if self.by_scheme:
             lines.append("by scheme:")
@@ -59,7 +59,7 @@ class StoreStats:
 
 
 class ResultStore:
-    """Persist serialized trial-result lists keyed by job content hash."""
+    """Persist serialized job results keyed by job content hash."""
 
     def __init__(self, root: str | Path | None = None) -> None:
         self.root = Path(root if root is not None else default_cache_dir())
@@ -69,6 +69,28 @@ class ResultStore:
         return self.root / key[:2] / f"{key}.json"
 
     # -- read ----------------------------------------------------------------
+    @staticmethod
+    def _read_live(path: Path) -> Optional[dict]:
+        """The entry at ``path`` if this code can serve it, else ``None``.
+
+        The one validity rule ``get``, ``stats`` and ``gc`` share: a
+        readable JSON object of this entry format's version, written
+        under the current code salt, keyed by its file name, holding
+        results.
+        """
+        try:
+            entry = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, json.JSONDecodeError):
+            return None
+        live = (
+            isinstance(entry, dict)
+            and entry.get("version") == STORE_VERSION
+            and entry.get("key") == path.stem
+            and entry.get("salt") == CODE_SALT
+            and "results" in entry
+        )
+        return entry if live else None
+
     def get(self, key: str) -> Optional[dict]:
         """The decoded entry for ``key``, or ``None``.
 
@@ -76,27 +98,14 @@ class ResultStore:
         treated as misses — a damaged cache degrades to recomputation,
         never to a crash or a wrong result.
         """
-        path = self.path_for(key)
-        try:
-            entry = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            return None
-        if not isinstance(entry, dict):
-            return None
-        if entry.get("version") != STORE_VERSION or entry.get("key") != key:
-            return None
-        if entry.get("salt") != CODE_SALT:
-            return None
-        if "results" not in entry:
-            return None
-        return entry
+        return self._read_live(self.path_for(key))
 
     # -- write ---------------------------------------------------------------
-    def put(self, key: str, scheme: str, payload: dict, results: list) -> Path:
+    def put(self, key: str, scheme: str, payload: dict, results) -> Path:
         """Persist one entry; returns its path.
 
-        ``results`` is the already-jsonable result list (the decoded form
-        of :func:`repro.exec.job.results_to_json` output).
+        ``results`` is the job's already-jsonable results (the parsed form
+        of :func:`repro.exec.job.execute_payload` output).
         """
         entry = {
             "version": STORE_VERSION,
@@ -130,12 +139,8 @@ class ResultStore:
         for path in self._entry_files():
             entries += 1
             nbytes += path.stat().st_size
-            try:
-                entry = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError):
-                stale += 1
-                continue
-            if not isinstance(entry, dict) or entry.get("salt") != CODE_SALT:
+            entry = self._read_live(path)
+            if entry is None:
                 stale += 1
                 continue
             scheme = str(entry.get("scheme", "?"))
@@ -146,23 +151,13 @@ class ResultStore:
     def gc(self, all_entries: bool = False) -> int:
         """Remove stale entries (or every entry); returns the count removed.
 
-        *Stale* means unreadable, or written under a code-version salt
-        other than the current :data:`repro.exec.job.CODE_SALT`.
+        *Stale* means any entry :meth:`get` would miss: unreadable, of
+        another format version or key, or written under a code-version
+        salt other than the current :data:`repro.exec.job.CODE_SALT`.
         """
         removed = 0
         for path in list(self._entry_files()):
-            drop = all_entries
-            if not drop:
-                try:
-                    entry = json.loads(path.read_text(encoding="utf-8"))
-                    drop = (
-                        not isinstance(entry, dict)
-                        or entry.get("version") != STORE_VERSION
-                        or entry.get("salt") != CODE_SALT
-                    )
-                except (OSError, json.JSONDecodeError):
-                    drop = True
-            if drop:
+            if all_entries or self._read_live(path) is None:
                 try:
                     path.unlink()
                     removed += 1

@@ -19,9 +19,8 @@ from repro.cluster.admission import CapacityAdmission, Flow, effective_disk_shar
 from repro.coding.lt import ImprovedLTCode, LTCode
 from repro.coding.peeling import blocks_needed, decodable
 from repro.experiments import config as C
-from repro.experiments.harness import TrialPlan, run_scheme
+from repro.experiments.harness import TrialPlan, run_point
 from repro.metrics.reporting import Table, format_table
-from repro.metrics.stats import summarize
 
 
 @dataclass
@@ -57,8 +56,7 @@ def abl_cancel(seed: int = 0, trials: int | None = None) -> CancelAblation:
         seed=seed,
         trials=trials if trials is not None else C.trials(10),
     )
-    results = run_scheme(plan, "robustore")
-    summary = summarize(results)
+    summary = run_point(plan, ("robustore",))["robustore"]
     return CancelAblation(
         io_overhead_with_cancel=summary.io_overhead,
         io_overhead_without_cancel=plan.access.redundancy,
@@ -78,10 +76,7 @@ def abl_improved_lt(
         spreads = []
         for s in range(samples):
             rng = np.random.default_rng(seed + 97 * s)
-            if label == "original":
-                graph = code.build_graph(expansion * k, rng)
-            else:
-                graph = code.build_graph(expansion * k, rng)  # checked build
+            graph = code.build_graph(expansion * k, rng)
             if not decodable(graph):
                 failures += 1
                 continue
@@ -131,15 +126,14 @@ def abl_code_choice(seed: int = 0, trials: int | None = None) -> Table:
     RS pays a quadratic, non-overlappable decode tail and loses the
     single-long-word flexibility to per-group fills.
     """
-    plan_kwargs = dict(
+    plan = TrialPlan(
         access=C.baseline_access(),
         mode="read",
         seed=seed,
         trials=trials if trials is not None else C.trials(10),
     )
     rows = []
-    for name in ("robustore", "robustore-rs"):
-        summary = summarize(run_scheme(TrialPlan(**plan_kwargs), name))
+    for name, summary in run_point(plan, ("robustore", "robustore-rs")).items():
         rows.append(
             {
                 "scheme": name,

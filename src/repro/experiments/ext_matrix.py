@@ -30,7 +30,7 @@ from repro.accesscore.routing import MB
 from repro.core.policy.compose import COMPOSITIONS
 from repro.experiments import config as C
 from repro.experiments.faultstorm import HORIZON_S, STORM
-from repro.experiments.harness import TrialPlan
+from repro.experiments.harness import TrialPlan, run_cells
 from repro.metrics.reporting import format_table
 
 #: Every registered composition, paper schemes first, cross-products last.
@@ -92,14 +92,10 @@ def ext_matrix(
         fault_horizon_s=HORIZON_S,
         **extra,
     )
-    from repro.exec.engine import current_executor
-    from repro.exec.job import Job
-
     # One batch for the whole (scheme × leg) grid, so a parallel executor
     # overlaps every cell rather than each scheme's three legs at a time.
     legs = (writes, healthy, stormy)
-    jobs = [Job(plan, name) for name in schemes for plan in legs]
-    batches = iter(current_executor().run_jobs(jobs))
+    batches = iter(run_cells((plan, name) for name in schemes for plan in legs))
 
     rows = []
     medians: dict[str, tuple[float, float]] = {}

@@ -88,18 +88,22 @@ def ext_failures(
     subset decodes); RAID-0 dies with the first failed disk it selected,
     and replication dies once all copies of any block are gone.
     """
-    from repro.experiments.harness import TrialPlan, run_scheme
+    from repro.experiments.harness import TrialPlan, run_cells
 
     cfg = AccessConfig(
         data_bytes=data_mb * MB, block_bytes=1 * MB, n_disks=64, redundancy=3.0
     )
+    schemes = ("raid0", "rraid-s", "robustore")
+    batches = iter(run_cells(
+        (TrialPlan(access=cfg, mode="read", trials=trials, seed=seed, failed_disks=nf),
+         scheme)
+        for scheme in schemes
+        for nf in failure_counts
+    ))
     rows = []
-    for scheme in ("raid0", "rraid-s", "robustore"):
+    for scheme in schemes:
         for nf in failure_counts:
-            plan = TrialPlan(
-                access=cfg, mode="read", trials=trials, seed=seed, failed_disks=nf
-            )
-            results = run_scheme(plan, scheme)
+            results = next(batches)
             ok = [r for r in results if np.isfinite(r.latency_s)]
             bw = (
                 float(np.mean([r.bandwidth_bps for r in ok])) / MB if ok else 0.0
@@ -152,16 +156,17 @@ def ext_qos_admission(
 
 def ext_baselines(data_mb: int = 512, trials: int = 10, seed: int = 0) -> Table:
     """All six schemes at the baseline point (adds RAID-5, RAID-0+1)."""
-    from repro.experiments.harness import TrialPlan, run_scheme
-    from repro.metrics.stats import summarize
+    from repro.experiments.harness import TrialPlan, run_point
 
     cfg = AccessConfig(
         data_bytes=data_mb * MB, block_bytes=1 * MB, n_disks=64, redundancy=3.0
     )
+    plan = TrialPlan(access=cfg, mode="read", trials=trials, seed=seed)
+    point = run_point(
+        plan, ("raid0", "raid5", "raid0+1", "rraid-s", "rraid-a", "robustore")
+    )
     rows = []
-    for name in ("raid0", "raid5", "raid0+1", "rraid-s", "rraid-a", "robustore"):
-        plan = TrialPlan(access=cfg, mode="read", trials=trials, seed=seed)
-        s = summarize(run_scheme(plan, name))
+    for name, s in point.items():
         rows.append(
             {
                 "scheme": name,
@@ -186,21 +191,31 @@ def ext_wan_regime(
     where the quadratic RS decode dominates instead.  Both regimes run
     here from the same simulator.
     """
-    from repro.experiments.harness import TrialPlan, run_scheme
+    from repro.experiments.harness import TrialPlan, run_cells
     from repro.metrics.stats import summarize
 
-    rows = []
-    for label, nic in (("fast lambda (inf)", float("inf")), (f"WAN {nic_mbps} MB/s", nic_mbps * MB)):
-        cfg = AccessConfig(
-            data_bytes=data_mb * MB,
-            block_bytes=1 * MB,
-            n_disks=64,
-            redundancy=3.0,
-            client_bandwidth_bps=nic,
+    networks = (("fast lambda (inf)", float("inf")), (f"WAN {nic_mbps} MB/s", nic_mbps * MB))
+    schemes = ("robustore", "robustore-rs")
+    plans = [
+        TrialPlan(
+            access=AccessConfig(
+                data_bytes=data_mb * MB,
+                block_bytes=1 * MB,
+                n_disks=64,
+                redundancy=3.0,
+                client_bandwidth_bps=nic,
+            ),
+            mode="read",
+            trials=trials,
+            seed=seed,
         )
-        for name in ("robustore", "robustore-rs"):
-            plan = TrialPlan(access=cfg, mode="read", trials=trials, seed=seed)
-            s = summarize(run_scheme(plan, name))
+        for _label, nic in networks
+    ]
+    batches = iter(run_cells((plan, name) for plan in plans for name in schemes))
+    rows = []
+    for label, _nic in networks:
+        for name in schemes:
+            s = summarize(next(batches))
             rows.append(
                 {
                     "network": label,

@@ -29,7 +29,7 @@ import numpy as np
 from repro.accesscore.result import AccessConfig
 from repro.accesscore.routing import MB
 from repro.experiments import config as C
-from repro.experiments.harness import TrialPlan
+from repro.experiments.harness import TrialPlan, run_cells
 from repro.faults.model import FaultModel
 from repro.metrics.reporting import format_table
 
@@ -113,10 +113,7 @@ def ext_faultstorm(
         fault_horizon_s=HORIZON_S,
         **({"trials": trials} if trials is not None else {}),
     )
-    from repro.exec.engine import current_executor
-    from repro.exec.job import Job
-
-    batches = current_executor().run_jobs([Job(plan, name) for name in schemes])
+    batches = run_cells((plan, name) for name in schemes)
 
     rows = []
     bandwidths: dict[str, list[float]] = {}

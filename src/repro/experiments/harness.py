@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -18,6 +18,8 @@ from repro.cluster.server import Cluster
 from repro.core.pipeline import scheme_class
 from repro.disk.workload import InDiskLayout
 from repro.experiments import config as C
+from repro.faults.model import FaultModel
+from repro.faults.plan import FaultPlan
 from repro.metrics.stats import MetricSummary, summarize
 from repro.obs.tracer import current_tracer
 from repro.sim.rng import RngHub
@@ -66,12 +68,12 @@ class TrialPlan:
     failed_disks: int = 0
     #: Fixed mid-operation fault schedule installed for every trial
     #: (:class:`repro.faults.plan.FaultPlan`); ``None`` = no timed faults.
-    fault_plan: Optional[object] = None
+    fault_plan: Optional[FaultPlan] = None
     #: Stochastic fault storm: a :class:`repro.faults.model.FaultModel`
     #: sampled per (scheme, trial) from its own seeded stream, so fault
     #: draws never perturb the other random streams.  Mutually exclusive
     #: with ``fault_plan``.
-    fault_model: Optional[object] = None
+    fault_model: Optional[FaultModel] = None
     #: Sampling horizon (simulated seconds) for ``fault_model`` storms.
     fault_horizon_s: float = 60.0
     #: Simulation engine: ``closed`` (vectorised closed form) or ``event``
@@ -222,20 +224,25 @@ def run_scheme(plan: TrialPlan, scheme_name: str, tracer=None) -> list[AccessRes
     return results
 
 
+def run_cells(cells: Iterable[tuple]) -> list:
+    """Run ``(plan, scheme)`` cells as one batch; return their results in order.
+
+    Each cell goes to the ambient executor (:func:`repro.exec.use_executor`)
+    as one :class:`repro.exec.job.Job` — sequential and uncached by default,
+    process-parallel and memoized when the CLI installs one.  A
+    :class:`TrialPlan` cell yields its ``AccessResult`` list, a
+    :class:`repro.serve.service.ServePlan` cell its ``ServeReport``.
+    """
+    from repro.exec import Job, current_executor
+
+    return current_executor().run_jobs([Job(plan, name) for plan, name in cells])
+
+
 def run_point(
     plan: TrialPlan, schemes: Sequence[str] = C.ALL_SCHEMES
 ) -> dict[str, MetricSummary]:
-    """Run every scheme at one configuration point.
-
-    Submits one :class:`repro.exec.job.Job` per scheme through the ambient
-    executor (:func:`repro.exec.use_executor`) — sequential and uncached by
-    default, process-parallel and memoized when the CLI installs one.
-    """
-    from repro.exec.engine import current_executor
-    from repro.exec.job import Job
-
-    jobs = [Job(plan, name) for name in schemes]
-    batches = current_executor().run_jobs(jobs)
+    """Run every scheme at one configuration point (one :func:`run_cells` batch)."""
+    batches = run_cells((plan, name) for name in schemes)
     return {name: summarize(results) for name, results in zip(schemes, batches)}
 
 
@@ -289,16 +296,12 @@ def sweep(
 ) -> ExperimentResult:
     """Run ``plan_for(x)`` for every x; collect per-scheme series.
 
-    The whole grid goes to the ambient executor as *one* batch (x-major,
+    The whole grid goes to :func:`run_cells` as *one* batch (x-major,
     scheme-minor — the order the sequential loop used), so a parallel
     executor can overlap every cell of the sweep, not just one point's.
     """
-    from repro.exec.engine import current_executor
-    from repro.exec.job import Job
-
     xs = list(xs)
-    jobs = [Job(plan_for(x), name) for x in xs for name in schemes]
-    batches = current_executor().run_jobs(jobs)
+    batches = run_cells((plan_for(x), name) for x in xs for name in schemes)
     summaries: dict[str, list[MetricSummary]] = {name: [] for name in schemes}
     it = iter(batches)
     for _x in xs:

@@ -5,7 +5,7 @@ Sweeps the open-loop client population per scheme through the
 QoS-planned admission, per-filer queueing with graceful rejection, and
 SLO-grade metrics (p50/p99/p999 latency, goodput under overload,
 rejection rate).  Each ``(scheme, client count)`` cell is one
-:class:`repro.serve.ServeJob` submitted through the ambient
+:class:`repro.exec.job.Job` submitted through the ambient
 :mod:`repro.exec` executor, so cells parallelise over ``-j N`` workers
 and memoize in the result cache — byte-identically to a sequential run.
 
@@ -18,8 +18,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 
+from repro.experiments.harness import run_cells
 from repro.metrics.reporting import format_table
-from repro.serve.job import ServeJob
 from repro.serve.service import ServePlan
 from repro.serve.slo import ServeReport
 from repro.serve.workload import WorkloadSpec
@@ -70,16 +70,11 @@ def ext_serve(
     seed: int = 0,
 ) -> ServeSweepResult:
     """SLO metrics per scheme vs open-loop client population."""
-    from repro.exec.engine import current_executor
-
     counts = serve_clients() if client_counts is None else tuple(client_counts)
-    jobs = [
-        ServeJob(base_plan(n, seed=seed), scheme)
-        for n in counts
-        for scheme in schemes
-    ]
-    reports = current_executor().run_jobs(jobs)
-    return ServeSweepResult(list(reports))
+    reports = run_cells(
+        (base_plan(n, seed=seed), scheme) for n in counts for scheme in schemes
+    )
+    return ServeSweepResult(reports)
 
 
 def overload_plan(n_clients: int, seed: int = 0) -> ServePlan:

@@ -17,7 +17,6 @@ global RNG state), so a serving sweep is byte-identical across runs and
 across ``-j 1`` vs ``-j N`` worker pools.  See ``docs/serving.md``.
 """
 
-from repro.serve.job import ServeJob
 from repro.serve.ring import FilePlacer, HashRing
 from repro.serve.service import ServePlan, StorageService, closed_loop_point
 from repro.serve.slo import ServeReport, SloTracker
@@ -27,7 +26,6 @@ __all__ = [
     "FilePlacer",
     "HashRing",
     "RequestBatch",
-    "ServeJob",
     "ServePlan",
     "ServeReport",
     "SloTracker",

@@ -25,7 +25,7 @@ cell is a pure function of ``(plan, scheme)`` — the property the
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,51 +117,6 @@ class ServePlan:
     @property
     def slots_per_filer(self) -> int:
         return self.filer_concurrency or self.disks_per_filer
-
-
-# ---------------------------------------------------------------------------
-# payload codec (the repro.exec integration surface)
-
-
-def encode_serve_plan(plan: ServePlan, scheme_name: str) -> dict:
-    """Canonical payload dict for one serving job (tagged ``kind: serve``)."""
-    out: dict = {"kind": "serve", "scheme": str(scheme_name)}
-    for f in fields(ServePlan):
-        v = getattr(plan, f.name)
-        if f.name == "workload":
-            out[f.name] = v.to_jsonable()
-        elif isinstance(v, (int, float, str, bool, type(None))):
-            out[f.name] = v
-        else:
-            raise TypeError(
-                f"ServePlan.{f.name} is not a scalar ({type(v).__name__}); "
-                "teach repro.serve.service its encoding"
-            )
-    return out
-
-
-def decode_serve_plan(payload: dict) -> tuple[ServePlan, str]:
-    """Rebuild ``(plan, scheme_name)`` from :func:`encode_serve_plan`."""
-    data = dict(payload)
-    kind = data.pop("kind", None)
-    if kind != "serve":
-        raise ValueError(f"not a serve payload: kind={kind!r}")
-    scheme_name = str(data.pop("scheme"))
-    known = {f.name for f in fields(ServePlan)}
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(f"unknown ServePlan fields in payload: {sorted(unknown)}")
-    data["workload"] = WorkloadSpec.from_jsonable(data["workload"])
-    return ServePlan(**data), scheme_name
-
-
-def execute_serve_payload(payload: dict) -> str:
-    """Run one serving cell from its payload; return canonical report JSON."""
-    from repro.exec.job import canonical_json
-
-    plan, scheme_name = decode_serve_plan(payload)
-    report = StorageService(plan, scheme_name).run()
-    return canonical_json(report.to_jsonable())
 
 
 # ---------------------------------------------------------------------------

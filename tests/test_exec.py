@@ -2,15 +2,18 @@
 
 The subsystem's contracts, in test form:
 
-* the payload codec is lossless and byte-stable (decode ∘ encode = id,
-  re-encoding a decoded payload is byte-identical);
+* the payload codec is lossless and byte-stable for both plan types
+  (decode ∘ encode = id, re-encoding a decoded payload is
+  byte-identical) and rejects unknown fields and unknown kinds;
 * cache keys fold the env knobs and the code salt;
 * pooled execution is bit-identical to sequential;
 * a cache hit yields the same ``MetricSummary`` as the run that
   populated it (hypothesis round-trip property);
 * a crashed worker job is reported and retried, never silently dropped;
 * traced runs degrade to sequential, uncached execution with one
-  ``exec.job`` span per job.
+  ``exec.job`` span per job;
+* the result store applies one validity rule to ``get``, ``stats`` and
+  ``gc``.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from repro.experiments.harness import TrialPlan, run_scheme
 from repro.faults.model import FaultModel
 from repro.faults.plan import FaultPlan
 from repro.metrics.stats import MetricSummary, summarize
+from repro.serve import ServePlan, WorkloadSpec
 
 CFG = AccessConfig(data_bytes=4 * MB, block_bytes=1 * MB, n_disks=4, redundancy=3.0)
 
@@ -85,22 +89,51 @@ PLAN_VARIANTS = {
 }
 
 
-@pytest.mark.parametrize("variant", sorted(PLAN_VARIANTS))
+#: A serving cell: the other plan type the one codec carries.
+SERVE_PLAN = ServePlan(
+    workload=WorkloadSpec(n_clients=50, duration_s=10.0, n_files=16),
+    pool=8, disks_per_filer=4, calibration_trials=1, calibration_mb=4,
+    target_bandwidth_mbps=25.0, seed=3,
+)
+
+
+def variant_plan(variant: str):
+    return SERVE_PLAN if variant == "serve" else small_plan(**PLAN_VARIANTS[variant])
+
+
+@pytest.mark.parametrize("variant", sorted(PLAN_VARIANTS) + ["serve"])
 def test_plan_codec_round_trips(variant):
-    plan = small_plan(**PLAN_VARIANTS[variant])
+    plan = variant_plan(variant)
     payload = encode_plan(plan, "robustore")
+    assert payload.get("kind") == ("serve" if variant == "serve" else None)
     decoded, scheme = decode_plan(json.loads(canonical_json(payload)))
-    assert scheme == "robustore"
+    assert scheme == "robustore" and decoded == plan
     # Re-encoding the decoded plan is byte-identical: canonical JSON is a
     # fixed point, so cache keys never depend on which side encoded.
     assert canonical_json(encode_plan(decoded, scheme)) == canonical_json(payload)
 
 
 def test_plan_decode_rejects_unknown_fields():
-    payload = encode_plan(small_plan(), "raid0")
-    payload["not_a_field"] = 1
-    with pytest.raises(ValueError, match="not_a_field"):
+    for plan, nested in ((small_plan(), "access"), (SERVE_PLAN, "workload")):
+        payload = encode_plan(plan, "raid0")
+        payload["not_a_field"] = 1
+        with pytest.raises(ValueError, match="not_a_field"):
+            decode_plan(payload)
+        # Nested dataclasses are held to their own fields too.
+        payload = encode_plan(plan, "raid0")
+        payload[nested] = {**payload[nested], "also_not": 2}
+        with pytest.raises(ValueError, match="also_not"):
+            decode_plan(payload)
+
+
+def test_plan_decode_and_execute_reject_unknown_kinds():
+    payload = {**encode_plan(small_plan(), "raid0"), "kind": "mystery"}
+    with pytest.raises(ValueError, match="unknown job kind 'mystery'"):
         decode_plan(payload)
+    with pytest.raises(ValueError, match="unknown job kind 'mystery'"):
+        execute_payload(canonical_json(payload))
+    with pytest.raises(KeyError):
+        encode_plan(CFG, "raid0")  # not a plan type
 
 
 def test_result_decode_rejects_unknown_fields():
@@ -181,6 +214,30 @@ def test_store_gc_all_and_stats(tmp_path):
     assert store.stats().entries == 0
 
 
+def test_store_get_stats_and_gc_share_one_validity_rule(tmp_path):
+    store = ResultStore(tmp_path / "cache")
+    job = Job(small_plan(), "raid0")
+    results = json.loads(results_to_json(execute_job(job)))
+    # A foreign format version, a key that is not the file's, an entry
+    # without results: ``get`` misses each, so ``stats`` counts each as
+    # stale and ``gc`` removes each.
+    damages = (
+        lambda entry: {**entry, "version": 0},
+        lambda entry: {**entry, "key": "0" * 32},
+        lambda entry: {k: v for k, v in entry.items() if k != "results"},
+    )
+    for seed, damage in enumerate(damages, start=100):
+        key = Job(small_plan(seed=seed), "raid0").key()
+        path = store.put(key, "raid0", job.payload(), results)
+        path.write_text(json.dumps(damage(json.loads(path.read_text()))))
+        assert store.get(key) is None
+    live = store.put(job.key(), "raid0", job.payload(), results)
+    stats = store.stats()
+    assert (stats.entries, stats.stale, stats.by_scheme) == (4, 3, {"raid0": 1})
+    assert store.gc() == 3
+    assert store.stats().entries == 1 and live.exists()
+
+
 def test_default_cache_dir_env_override(monkeypatch, tmp_path):
     from repro.exec import default_cache_dir
 
@@ -235,6 +292,20 @@ def test_ambient_executor_reaches_run_point(tmp_path):
         point = run_point(small_plan(), schemes=("raid0",))
     assert ex.stats.ran == 1
     assert isinstance(point["raid0"], MetricSummary)
+
+
+def test_rerouted_experiment_is_served_from_the_cache(tmp_path):
+    from repro.experiments.extensions import ext_baselines
+
+    store = ResultStore(tmp_path / "cache")
+    first, second = Executor(store=store), Executor(store=store)
+    with use_executor(first):
+        fresh = ext_baselines(data_mb=16, trials=1)
+    with use_executor(second):
+        cached = ext_baselines(data_mb=16, trials=1)
+    assert (first.stats.ran, first.stats.hits) == (6, 0)
+    assert (second.stats.ran, second.stats.hits) == (0, 6)
+    assert cached.text() == fresh.text()
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
-"""Tests for the serving facade, its payload codec and exec integration.
+"""Tests for the serving facade, its payloads and exec integration.
 
-A serving cell is a pure function of ``(plan, scheme)``: the payload
-codec is lossless, two executions of the same payload are byte-identical,
-overload produces graceful rejections (not unbounded queueing), and a
-``ServeJob`` rides the executor's cache and worker pool exactly like a
-trial job.  The columnar replay equals a per-request reference loop, and
+A serving cell is a pure function of ``(plan, scheme)``: the job codec
+encodes a ``ServePlan`` losslessly, two executions of the same payload
+are byte-identical, overload produces graceful rejections (not unbounded
+queueing), and a serving ``Job`` rides the executor's cache, worker pool
+and traced loop exactly like a trial job.  The columnar replay equals a per-request reference loop, and
 the tracker's batched ``record`` equals its per-request calls.  A golden
 file pins full reports across replication factors, ring sizes and
 metadata partitionings that the serving benchmark never reaches.
@@ -22,16 +22,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.accesscore.routing import MB
-from repro.exec import Executor, ResultStore, canonical_json, execute_payload
-from repro.exec.job import results_from_jsonable
-from repro.serve import ServeJob, ServePlan, ServeReport, WorkloadSpec
-from repro.serve.service import (
-    REPLAY_CHUNK,
-    StorageService,
-    decode_serve_plan,
-    encode_serve_plan,
-    execute_serve_payload,
+from repro.exec import (
+    Executor,
+    Job,
+    ResultStore,
+    canonical_json,
+    decode_plan,
+    encode_plan,
+    execute_payload,
 )
+from repro.serve import ServePlan, ServeReport, WorkloadSpec
+from repro.serve.service import REPLAY_CHUNK, StorageService
 from repro.serve.slo import SloTracker
 from repro.serve.workload import generate
 
@@ -53,18 +54,28 @@ def small_plan(**kwargs) -> ServePlan:
 
 def test_plan_codec_round_trip():
     plan = small_plan(target_bandwidth_mbps=50.0)
-    payload = encode_serve_plan(plan, "robustore")
+    payload = encode_plan(plan, "robustore")
+    assert list(payload)[:3] == ["kind", "scheme", "workload"]
     assert payload["kind"] == "serve"
-    back, scheme = decode_serve_plan(json.loads(canonical_json(payload)))
+    assert payload["workload"] == SMALL.to_jsonable()
+    back, scheme = decode_plan(json.loads(canonical_json(payload)))
     assert back == plan and scheme == "robustore"
+    assert canonical_json(encode_plan(back, scheme)) == canonical_json(payload)
 
 
 def test_plan_codec_rejects_bad_payloads():
-    payload = encode_serve_plan(small_plan(), "raid0")
-    with pytest.raises(ValueError):
-        decode_serve_plan({**payload, "kind": "trial"})
-    with pytest.raises(ValueError):
-        decode_serve_plan({**payload, "surprise": 1})
+    payload = encode_plan(small_plan(), "raid0")
+    with pytest.raises(ValueError, match="unknown job kind 'trial'"):
+        decode_plan({**payload, "kind": "trial"})
+    with pytest.raises(ValueError, match="surprise"):
+        decode_plan({**payload, "surprise": 1})
+    with pytest.raises(ValueError, match="WorkloadSpec.*bogus"):
+        decode_plan({**payload, "workload": {**payload["workload"], "bogus": 2}})
+    # Without its tag a serving payload is read as a trial payload,
+    # whose fields it does not have.
+    untagged = {k: v for k, v in payload.items() if k != "kind"}
+    with pytest.raises(ValueError, match="unknown TrialPlan fields"):
+        decode_plan(untagged)
 
 
 def test_plan_validation():
@@ -93,20 +104,19 @@ def test_service_end_to_end_report():
 
 
 def test_same_payload_byte_identical():
-    payload = encode_serve_plan(small_plan(), "raid0")
-    assert execute_serve_payload(payload) == execute_serve_payload(payload)
+    payload_json = Job(small_plan(), "raid0").payload_json()
+    assert execute_payload(payload_json) == execute_payload(payload_json)
 
 
 def test_exec_payload_dispatches_on_kind():
-    payload = encode_serve_plan(small_plan(), "raid0")
-    out = execute_payload(canonical_json(payload))
-    assert out == execute_serve_payload(payload)
-    report = results_from_jsonable(json.loads(out))
-    assert isinstance(report, ServeReport)
-    with pytest.raises(ValueError):
-        execute_payload(canonical_json({**payload, "kind": "mystery"}))
-    with pytest.raises(ValueError):
-        results_from_jsonable({"kind": "mystery"})
+    job = Job(small_plan(), "raid0")
+    out = execute_payload(job.payload_json())
+    direct = StorageService(small_plan(), "raid0").run()
+    assert out == canonical_json(direct.to_jsonable())
+    report = job.decode(json.loads(out))
+    assert isinstance(report, ServeReport) and report == direct
+    with pytest.raises(ValueError, match="unknown job kind 'mystery'"):
+        execute_payload(canonical_json({**job.payload(), "kind": "mystery"}))
 
 
 def test_overload_rejects_gracefully():
@@ -205,7 +215,7 @@ def build_serve_reference() -> list:
                 )
                 for scheme in ("raid0", "robustore"):
                     cells.append({
-                        "plan": encode_serve_plan(plan, scheme),
+                        "plan": encode_plan(plan, scheme),
                         "report": StorageService(plan, scheme).run().to_jsonable(),
                     })
     return cells
@@ -230,14 +240,14 @@ def test_calibration_sample_is_finite_and_scheme_specific():
 
 def jobs_pair():
     plan = small_plan()
-    return [ServeJob(plan, "raid0"), ServeJob(plan, "robustore")]
+    return [Job(plan, "raid0"), Job(plan, "robustore")]
 
 
 def test_serve_job_key_and_label():
     a, b = jobs_pair()
     assert a.key() != b.key()
-    assert a.label.startswith("serve:raid0")
-    assert "200c" in a.label
+    assert a.label == "raid0(clients=200, requests=200)"
+    assert a.span_args() == {"scheme": "raid0", "clients": 200, "requests": 200}
 
 
 def test_serve_jobs_through_executor_cache(tmp_path):
@@ -253,6 +263,20 @@ def test_serve_jobs_parallel_equals_sequential():
     seq = Executor(jobs=1, store=None).run_jobs(jobs_pair())
     par = Executor(jobs=2, store=None).run_jobs(jobs_pair())
     assert seq == par
+
+
+def test_traced_serve_jobs_equal_untraced():
+    from repro.obs import Tracer
+
+    tracer = Tracer()
+    traced = Executor(store=None).run_jobs(jobs_pair(), tracer=tracer)
+    untraced = Executor(store=None).run_jobs(jobs_pair())
+    assert [canonical_json(r.to_jsonable()) for r in traced] == [
+        canonical_json(r.to_jsonable()) for r in untraced
+    ]
+    spans = [s for s in tracer.spans if s.cat == "exec"]
+    assert [s.name for s in spans] == ["exec.job:raid0", "exec.job:robustore"]
+    assert [s.args for s in spans] == [job.span_args() for job in jobs_pair()]
 
 
 # ---------------------------------------------------------------------------
