@@ -9,8 +9,9 @@ decode-tail charging.  Two engines *wrap* it without duplicating it:
   evaluates the core's timeline vectorised — :func:`timeline.serve_read_queues`
   builds per-disk :class:`timeline.DiskStream` objects in one shot and
   :func:`timeline.read_epilogue` settles completion, cancel accounting,
-  tracing and repair annotation (:func:`timeline.adaptive_epilogue` for
-  work-stealing reads, which :class:`adaptive.AdaptiveRead` computes);
+  tracing and the fault reaction's ``annotate``
+  (:func:`timeline.adaptive_epilogue` for work-stealing reads, which
+  :class:`adaptive.AdaptiveRead` computes);
 * the **event-driven engine** (:mod:`repro.accesscore.events`) runs the
   same objects as discrete-event processes on the :mod:`repro.sim` kernel,
   one client class per dispatch policy, and settles through the *same*
@@ -27,7 +28,9 @@ Single wiring sites (the unification contract):
 * adaptive hand-off rules (budget, victim choice, second-half steal,
   last-block pace test, round 1's filer-cache split) —
   :mod:`repro.accesscore.adaptive`, for both engines;
-* repair triggering — :func:`repro.accesscore.repair.annotate_repair`.
+* post-read bookkeeping (repair trigger and degraded-read metering) —
+  the fault reaction's ``annotate``
+  (:mod:`repro.core.policy.reaction`), called by the two epilogues.
 
 Layering rule: ``accesscore`` never imports :mod:`repro.core` — policy
 objects (completion/reaction/write singletons) are passed in and duck-typed,

@@ -81,9 +81,10 @@ class Cluster:
         self._disk_states: dict[int, DiskState] = {}
         #: Active :class:`repro.faults.inject.FaultInjector`, or ``None``.
         self.faults = None
-        #: Installed :class:`repro.rebuild.RepairLedger`, or ``None``: it
-        #: meters degraded reads and repair passes (see
-        #: :mod:`repro.accesscore.repair` and :mod:`repro.core.repair`).
+        #: Installed :class:`repro.core.repair.RepairLedger`, or ``None``:
+        #: its ``floor`` is the repair-trigger floor, and it meters every
+        #: degraded read (the fault reaction's ``annotate``) and every
+        #: repair pass (:mod:`repro.core.repair`).
         self.repair_ledger = None
 
     @property

@@ -154,10 +154,10 @@ COMPOSITIONS: dict[str, SchemeSpec] = {
     "rs+adaptive": SchemeSpec(
         "rs+adaptive", _GROUPED_RS, _ADAPTIVE, _RS_FILL, _PASSIVE, _ENCODE_OVERLAP,
     ),
-    # Regenerating codes (repro.rebuild): product-matrix stripes whose
-    # node repair reads d*beta blocks from helpers instead of a whole
-    # stripe.  MSR matches RS storage overhead exactly — the ext_repair
-    # experiment compares their repair economies at equal cost.
+    # Regenerating codes (repro.coding.regenerating): product-matrix
+    # stripes whose node repair reads d*beta blocks from helpers instead
+    # of a whole stripe.  MSR matches RS storage overhead exactly — the
+    # ext_repair experiment compares their repair economies at equal cost.
     "regen-msr": SchemeSpec(
         "regen-msr", _REGEN_MSR, _SPECULATIVE, _REGEN_FILL, _RESPECULATE, _UNIFORM,
     ),

@@ -8,20 +8,53 @@ The reaction layer owns three decision points of a read:
 * :meth:`~PassiveReaction.on_stall` — build second-round streams after a
   stalled first round (RobuSTore's re-speculation), or ``None``; the
   event engine asks :meth:`~PassiveReaction.retry_targets` instead;
-* :meth:`~PassiveReaction.annotate` — post-access bookkeeping on the
-  result extras (RobuSTore's repair-trigger flags, through the
-  access-core's single repair wiring site).
+* :meth:`~PassiveReaction.annotate` — post-access bookkeeping, called by
+  both engines' epilogues: every layout meters a degraded read into the
+  installed repair ledger, and RobuSTore's reads also carry the
+  repair-trigger flags.
+
+It also owns the repair-trigger rule, :func:`repair_trigger`, which reads
+and :func:`repro.core.repair.maybe_repair` share.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.accesscore.repair import DEFAULT_REPAIR_FLOOR, annotate_repair
 from repro.accesscore.result import AccessResult
 from repro.accesscore.timeline import serve_read_queues
 from repro.accesscore.trackers import PARITY_BASE
 from repro.core.policy.base import ReadPlan
+from repro.faults.inject import surviving_blocks
+
+#: The repair floor when no ledger is installed: a file warrants repair
+#: once its surviving redundancy falls below this fraction of the
+#: redundancy it provisioned.  An installed ledger's ``floor`` replaces it.
+DEFAULT_REPAIR_FLOOR = 0.5
+
+
+def repair_trigger(scheme, record):
+    """The repair-trigger rule: ``(surviving_redundancy, triggered)``.
+
+    ``None`` without a fault injector — fault-free runs never pay for the
+    survival scan.  The floor is the installed ledger's
+    (``cluster.repair_ledger.floor``), else :data:`DEFAULT_REPAIR_FLOOR`.
+
+    The trigger target is the redundancy the file actually carries on
+    disk (``blocks_placed / k - 1``), not the configured degree: coding
+    geometries quantize expansion (a regenerating stripe rounds its node
+    count; a trimmed speculative write lands short), and repair urgency
+    is about losing what *was* provisioned.
+    """
+    injector = scheme.cluster.faults
+    if injector is None:
+        return None
+    ledger = scheme.cluster.repair_ledger
+    floor = DEFAULT_REPAIR_FLOOR if ledger is None else ledger.floor
+    k = scheme.config.k
+    provisioned = sum(len(p) for p in record.placement) / k - 1.0
+    surv_red = surviving_blocks(injector, record) / k - 1.0
+    return surv_red, bool(surv_red < floor * provisioned)
 
 
 class PassiveReaction:
@@ -42,17 +75,25 @@ class PassiveReaction:
         return None
 
     def annotate(self, scheme, record, extra, t_done, t0):
-        return None
+        """Meter the read into the installed repair ledger if it ran degraded."""
+        if scheme.cluster.repair_ledger is not None:
+            self._meter(scheme, repair_trigger(scheme, record), t_done)
+
+    @staticmethod
+    def _meter(scheme, state, t_done):
+        """The one degraded-read metering site, for every layout.
+
+        ``state`` is the read's :func:`repair_trigger` result; a read that
+        settled below the floor is a degraded read.  Returns ``state``.
+        """
+        ledger = scheme.cluster.repair_ledger
+        if state is not None and state[1] and ledger is not None:
+            ledger.note_degraded_read(t_done)
+        return state
 
 
 class Respeculate(PassiveReaction):
     """RobuSTore: re-request undelivered blocks, flag files for repair."""
-
-    #: When permanent fail-stops push a file's surviving redundancy below
-    #: this fraction of the configured degree, reads flag the file for a
-    #: background rebuild (``extra["repair_triggered"]``;
-    #: :func:`repro.core.repair.maybe_repair` acts on it).
-    REPAIR_REDUNDANCY_FLOOR = DEFAULT_REPAIR_FLOOR
 
     def retry_targets(self, scheme, pending, t_retry_floor, t0):
         """Resolve where and when a second round can go.
@@ -130,10 +171,27 @@ class Respeculate(PassiveReaction):
         )
 
     def annotate(self, scheme, record, extra, t_done, t0):
-        floor = getattr(
-            scheme, "REPAIR_REDUNDANCY_FLOOR", self.REPAIR_REDUNDANCY_FLOOR
-        )
-        return annotate_repair(scheme, record, extra, t_done, t0, floor)
+        """Meter as every layout does; also flag the read and trace a trigger.
+
+        The extras carry ``surviving_redundancy`` and ``repair_triggered``
+        (:func:`repro.core.repair.maybe_repair` applies the same rule).
+        """
+        state = self._meter(scheme, repair_trigger(scheme, record), t_done)
+        if state is None:
+            return
+        surv_red, triggered = state
+        extra["surviving_redundancy"] = surv_red
+        extra["repair_triggered"] = triggered
+        tracer = scheme.tracer
+        if triggered and tracer.enabled:
+            tracer.count("scheme.repairs_triggered")
+            tracer.instant(
+                "scheme.repair_trigger",
+                "scheme",
+                t_done if np.isfinite(t_done) else t0,
+                track="scheme",
+                args={"surviving_redundancy": surv_red},
+            )
 
 
 class DegradedParityRead(PassiveReaction):

@@ -20,27 +20,248 @@ failure, which is the economy ``ext_repair`` measures:
 All passes consume drive capacity through the ordinary disk service
 model (:func:`serve_read_queues` / :func:`simulate_uniform_write`), so
 rebuild traffic competes with foreground accesses on the same RNG-derived
-service times.  :func:`maybe_repair` is the notification entry point: it
-dedupes triggers per disk epoch, defers to a
-:class:`repro.rebuild.RebuildScheduler` when one is supplied, and meters
-every executed pass into a :class:`repro.rebuild.RepairLedger`.
+service times.
+
+The module also keeps the economy's books.  Rashmi et al.'s
+warehouse-cluster study prices repair in three currencies — bytes
+crossing the network per failure, disks dragged into each rebuild, and
+the latency tax on foreground reads while redundancy is below target.
+:class:`RepairLedger` keeps all three: every pass appends a
+:class:`RepairEvent`, and the fault reaction's ``annotate`` notes every
+degraded read.  Installed as ``cluster.repair_ledger`` it also carries
+the repair floor.  The ledger is pure bookkeeping — it never influences
+simulated timing.
+
+:func:`maybe_repair` is the notification entry point: it asks the
+repair-trigger rule (:func:`repro.core.policy.reaction.repair_trigger`),
+dedupes triggers per disk epoch, and defers to a
+:class:`RebuildScheduler` when one is supplied — eager, lazy
+threshold-triggered or batched, deciding *when* a flagged file is
+rebuilt.  :func:`drain_repairs` repairs whatever a scheduler still holds
+at the end of a run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.accesscore.repair import DEFAULT_REPAIR_FLOOR, repair_trigger_state
 from repro.accesscore.timeline import (
     finalize_read,
     serve_read_queues,
     simulate_uniform_write,
 )
-from repro.coding.lt import ImprovedLTCode
+from repro.coding.lt import ImprovedLTCode, LTGraph
 from repro.core.pipeline import PolicyScheme
-from repro.rebuild import RepairEvent, RepairTask
+from repro.core.policy.reaction import DEFAULT_REPAIR_FLOOR, repair_trigger
+
+# ---------------------------------------------------------------------------
+# the ledger
+
+
+@dataclass(frozen=True)
+class RepairEvent:
+    """One rebuild pass: the bytes it moved, the disks it touched, its time."""
+
+    file_name: str
+    #: Coding algorithm that performed the rebuild (``lt``,
+    #: ``reed-solomon``, ``regenerating-msr``, ``regenerating-mbr``).
+    algorithm: str
+    #: Bytes read from helper disks over the network.
+    bytes_read_helpers: int
+    #: Bytes written to the replacement locations.
+    bytes_written: int
+    #: Distinct disks that served helper reads or absorbed writes.
+    disks_touched: int
+    #: Coded blocks destroyed by the failure / recreated by the pass.
+    blocks_lost: int
+    blocks_rebuilt: int
+    #: Coded block size of the repaired file (prices ``blocks_lost``).
+    block_bytes: int
+    #: Simulated seconds of the helper-read and replacement-write phases.
+    read_s: float
+    write_s: float
+
+    @property
+    def wall_time_s(self) -> float:
+        return self.read_s + self.write_s
+
+    @property
+    def complete(self) -> bool:
+        return self.blocks_rebuilt >= self.blocks_lost
+
+    @property
+    def bytes_moved(self) -> int:
+        return self.bytes_read_helpers + self.bytes_written
+
+
+@dataclass
+class RepairLedger:
+    """Append-only account of rebuild traffic and degraded reads."""
+
+    #: The repair floor while this ledger is installed: a file warrants
+    #: repair once its surviving redundancy falls below this fraction of
+    #: the redundancy it provisioned.
+    floor: float = DEFAULT_REPAIR_FLOOR
+    events: list[RepairEvent] = field(default_factory=list)
+    #: Foreground reads settled while surviving redundancy sat below the
+    #: repair floor, and their summed latency.
+    degraded_reads: int = 0
+    degraded_read_s: float = 0.0
+
+    def record(self, event: RepairEvent) -> None:
+        self.events.append(event)
+
+    def note_degraded_read(self, latency_s: float) -> None:
+        self.degraded_reads += 1
+        if np.isfinite(latency_s):
+            self.degraded_read_s += float(latency_s)
+
+    # -- aggregates -----------------------------------------------------------
+    @property
+    def repairs(self) -> int:
+        return len(self.events)
+
+    @property
+    def bytes_read_helpers(self) -> int:
+        return sum(e.bytes_read_helpers for e in self.events)
+
+    @property
+    def bytes_written(self) -> int:
+        return sum(e.bytes_written for e in self.events)
+
+    @property
+    def bytes_moved(self) -> int:
+        return self.bytes_read_helpers + self.bytes_written
+
+    @property
+    def blocks_lost(self) -> int:
+        return sum(e.blocks_lost for e in self.events)
+
+    @property
+    def wall_time_s(self) -> float:
+        return sum(e.wall_time_s for e in self.events)
+
+    def summary(self) -> dict:
+        """Aggregate view for experiment rows and traces."""
+        lost = self.blocks_lost
+        return {
+            "repairs": self.repairs,
+            "bytes_read_helpers": self.bytes_read_helpers,
+            "bytes_written": self.bytes_written,
+            "bytes_moved": self.bytes_moved,
+            "blocks_lost": lost,
+            "disks_touched": sum(e.disks_touched for e in self.events),
+            "wall_time_s": self.wall_time_s,
+            "degraded_reads": self.degraded_reads,
+            "degraded_read_s": self.degraded_read_s,
+            #: MB read from helpers per MB of data the failures destroyed —
+            #: the Dimakis repair-bandwidth ratio (1.0 is the MBR floor for
+            #: exact repair of what was stored).  All events of one run
+            #: share the file's block size.
+            "read_amplification": (
+                self.bytes_read_helpers / lost / self.events[0].block_bytes
+                if lost else 0.0
+            ),
+        }
+
+
+# ---------------------------------------------------------------------------
+# rebuild schedulers: *when* a flagged file is actually repaired
+#
+# Small per-run mutable queues (unlike the stateless policy singletons of
+# repro.core.policy — one scheduler instance serves one run).
+
+
+@dataclass(frozen=True)
+class RepairTask:
+    """One flagged file awaiting rebuild."""
+
+    file_name: str
+    trial: int
+    #: Sorted ids of the permanently-failed disks that triggered the flag.
+    dead_disks: tuple[int, ...]
+    #: Surviving redundancy at trigger time (e.g. 0.5 = 1.5x the data).
+    surviving_redundancy: float
+
+
+class RebuildScheduler:
+    """Base: a FIFO of offered tasks; subclasses decide the release rule."""
+
+    def __init__(self) -> None:
+        self._queue: list[RepairTask] = []
+
+    @property
+    def pending(self) -> tuple[RepairTask, ...]:
+        return tuple(self._queue)
+
+    def offer(self, task: RepairTask) -> list[RepairTask]:
+        """Queue ``task``; return every task that should repair *now*."""
+        self._queue.append(task)
+        if self._release(task):
+            return self._drain()
+        return []
+
+    def flush(self) -> list[RepairTask]:
+        """Release everything still queued (end of run / operator drain)."""
+        return self._drain()
+
+    def _release(self, task: RepairTask) -> bool:
+        raise NotImplementedError
+
+    def _drain(self) -> list[RepairTask]:
+        out, self._queue = self._queue, []
+        return out
+
+
+class EagerScheduler(RebuildScheduler):
+    """Repair on every trigger, immediately: lowest loss risk, most
+    interference with foreground traffic."""
+
+    def _release(self, task: RepairTask) -> bool:
+        return True
+
+
+class LazyThresholdScheduler(RebuildScheduler):
+    """Wait until some file's surviving redundancy dips below ``floor``;
+    transient failures that recover never cost a repair byte."""
+
+    def __init__(self, floor: float = 0.25) -> None:
+        super().__init__()
+        self.floor = floor
+
+    def _release(self, task: RepairTask) -> bool:
+        return task.surviving_redundancy < self.floor
+
+
+class BatchedScheduler(RebuildScheduler):
+    """Accumulate ``batch_size`` triggers, then drain them together,
+    amortising the per-pass disk seeks."""
+
+    def __init__(self, batch_size: int = 4) -> None:
+        super().__init__()
+        self.batch_size = batch_size
+
+    def _release(self, task: RepairTask) -> bool:
+        return len(self._queue) >= self.batch_size
+
+
+def scheduler_for(policy: str, **kwargs) -> RebuildScheduler:
+    """Construct a scheduler by policy name (``eager``/``lazy``/``batched``)."""
+    try:
+        cls = {
+            "eager": EagerScheduler,
+            "lazy": LazyThresholdScheduler,
+            "batched": BatchedScheduler,
+        }[policy]
+    except KeyError:
+        raise ValueError(f"unknown rebuild policy {policy!r}") from None
+    return cls(**kwargs)
+
+
+# ---------------------------------------------------------------------------
+# repair passes
 
 
 @dataclass(frozen=True)
@@ -51,7 +272,7 @@ class RepairDecision:
     ``reason`` is one of ``no-faults`` / ``healthy`` / ``duplicate``
     (this disk epoch was already handled) / ``deferred`` (queued by the
     scheduler) / ``repaired``.  ``reports`` carries one
-    :class:`~repro.rebuild.RepairEvent` per pass the scheduler released.
+    :class:`RepairEvent` per pass the scheduler released.
     """
 
     triggered: bool
@@ -123,15 +344,21 @@ def _helper_read(scheme, record, trial: int, queues, file_name: str):
     return t_fill, network_bytes
 
 
-def _write_replacements(scheme, record, trial: int, writes, file_name: str):
-    """Commit the replacement queues; return ``(t_write, bytes_written)``."""
+def _write_replacements(scheme, record, trial: int, writes, file_name: str, phase):
+    """Commit the replacement queues; return ``(t_write, bytes_written)``.
+
+    Raises before anything reaches the record if a write never commits
+    (a replacement disk went down mid-write).  ``phase`` keys the service
+    stream: the stripe pass writes on ``rebuild-write``, LT on
+    ``repair-write``.
+    """
     t_write, net = simulate_uniform_write(
         scheme.cluster,
         record.disk_ids,
         writes,
         scheme.config.block_bytes,
         0.0,
-        scheme.service_rng_factory(trial, "rebuild-write", record.disk_ids),
+        scheme.service_rng_factory(trial, phase, record.disk_ids),
         file_name,
     )
     if not np.isfinite(t_write):
@@ -189,10 +416,7 @@ def _repair_lt(scheme, file_name: str, trial: int, record, dead, healthy, lost):
     #    the exact lost blocks (any coded blocks restore the redundancy).
     #    Copy-on-repair: pooled graphs are shared across files, so this
     #    file gets its own graph before it grows.
-    from repro.coding.lt import LTGraph
-
     graph = LTGraph(graph.k, list(graph.neighbors))
-    record.extra["graph"] = graph
     code = ImprovedLTCode(cfg.k, c=cfg.lt_c, delta=cfg.lt_delta)
     rng = scheme.hub.fresh("repair-extend", file_name, trial)
     first_new = graph.n
@@ -203,18 +427,13 @@ def _repair_lt(scheme, file_name: str, trial: int, record, dead, healthy, lost):
     new_placement = [[] for _ in record.disk_ids]
     for j, bid in enumerate(new_ids):
         new_placement[healthy[j % len(healthy)]].append(bid)
-    rng_for = scheme.service_rng_factory(trial, "repair-write", record.disk_ids)
-    t_write, write_bytes = simulate_uniform_write(
-        scheme.cluster,
-        record.disk_ids,
-        new_placement,
-        cfg.block_bytes,
-        0.0,
-        rng_for,
-        file_name,
+    t_write, write_bytes = _write_replacements(
+        scheme, record, trial, new_placement, file_name, "repair-write"
     )
 
-    # 4. Metadata: drop the dead positions' blocks, add the replacements.
+    # 4. Metadata, once the replacements committed: the grown graph, and
+    #    the dead positions' blocks swapped for the replacements.
+    record.extra["graph"] = graph
     _merge_placement(scheme, record, file_name, set(dead), new_placement)
 
     return RepairEvent(
@@ -275,7 +494,7 @@ def _repair_stripes(scheme, file_name: str, trial: int, record, dead, healthy, l
             writes[target].extend((s << 20) | (f * alpha + a) for a in range(alpha))
     t_read, bytes_read = _helper_read(scheme, record, trial, helper_q, file_name)
     t_write, bytes_written = _write_replacements(
-        scheme, record, trial, writes, file_name
+        scheme, record, trial, writes, file_name, "rebuild-write"
     )
     _merge_placement(scheme, record, file_name, dead_set, writes)
 
@@ -338,18 +557,17 @@ def repair_file(scheme: PolicyScheme, file_name: str, trial: int) -> RepairEvent
             scheme.cluster.repair_ledger = ledger
 
 
-def maybe_repair(
-    scheme, file_name: str, trial: int, result, scheduler=None
-) -> RepairDecision:
+def maybe_repair(scheme, file_name: str, trial: int, scheduler=None) -> RepairDecision:
     """Act on one fault notification; idempotent per disk epoch.
 
-    The trigger comes from the read's extras when the reaction policy
-    annotated them (``repair_triggered``), and is recomputed from the
-    shared trigger rule otherwise — so schemes with a passive reaction
-    (grouped RS) repair under the same floor as RobuSTore.  Repeated
-    notifications for the same set of dead disks return a ``duplicate``
-    decision without repairing again; a new failure starts a new epoch.
-    A pass that raises leaves its epoch unclaimed, so the next
+    The trigger is the one rule reads apply
+    (:func:`repro.core.policy.reaction.repair_trigger`), evaluated on the
+    file's current placement, so every layout repairs under the installed
+    ledger's floor, and a file whose repair completed reads ``healthy``.
+    Repeated notifications for the same set of dead disks return a
+    ``duplicate`` decision without repairing again (a task the scheduler
+    is still holding is not queued twice); a new failure starts a new
+    epoch.  A pass that raises leaves its epoch unclaimed, so the next
     notification for the same dead set tries again.
 
     Without a ``scheduler`` every trigger repairs immediately (eager);
@@ -358,23 +576,10 @@ def maybe_repair(
     one is installed.
     """
     record = scheme.metadata.lookup(file_name)
-    surv = result.extra.get("surviving_redundancy")
-    triggered = result.extra.get("repair_triggered")
-    ledger = scheme.cluster.repair_ledger
-    if triggered is None:
-        floor = getattr(scheme, "REPAIR_REDUNDANCY_FLOOR", DEFAULT_REPAIR_FLOOR)
-        state = repair_trigger_state(scheme, record, floor)
-        if state is None:
-            return RepairDecision(False, "no-faults", (), float("nan"))
-        surv, triggered = state
-        # A passive reaction never annotated this read, so the ledger
-        # has not seen it yet — meter the degraded read here.
-        if triggered and ledger is not None:
-            lat = float(result.latency_s)
-            ledger.note_degraded_read(
-                lat if np.isfinite(lat) else float("inf"), float(surv)
-            )
-    surv = float(surv) if surv is not None else float("nan")
+    state = repair_trigger(scheme, record)
+    if state is None:
+        return RepairDecision(False, "no-faults", (), float("nan"))
+    surv, triggered = state
     if not triggered:
         return RepairDecision(False, "healthy", (), surv)
 
@@ -389,12 +594,8 @@ def maybe_repair(
 
     task = RepairTask(file_name, trial, dead, surv)
     released = [task] if scheduler is None else scheduler.offer(task)
-    reports = []
     try:
-        for t in released:
-            reports.append(repair_file(scheme, t.file_name, t.trial))
-            if ledger is not None:
-                ledger.record(reports[-1])
+        reports = _repair_and_meter(scheme, released)
     except RuntimeError:
         # A failed pass must not claim the epoch, or every later
         # notification for this dead set would be a silent "duplicate".
@@ -405,22 +606,23 @@ def maybe_repair(
         raise
     pending = len(scheduler.pending) if scheduler is not None else 0
     reason = "repaired" if reports else "deferred"
-    return RepairDecision(
-        True, reason, dead, surv, tuple(reports), deferred=pending
-    )
+    return RepairDecision(True, reason, dead, surv, reports, deferred=pending)
 
 
 def drain_repairs(scheme, scheduler) -> tuple[RepairEvent, ...]:
     """Flush a scheduler's queue and repair everything it was holding.
 
     The end-of-horizon drain: lazy and batched policies may still be
-    sitting on deferred :class:`~repro.rebuild.RepairTask` entries when a
-    run ends.  Every flushed task gets its repair pass, metered into the
-    cluster's ``repair_ledger``, if one is installed.
+    sitting on deferred :class:`RepairTask` entries when a run ends.
     """
+    return _repair_and_meter(scheme, scheduler.flush())
+
+
+def _repair_and_meter(scheme, tasks) -> tuple[RepairEvent, ...]:
+    """Run each task's repair pass; meter it into the installed ledger."""
     ledger = scheme.cluster.repair_ledger
     reports = []
-    for task in scheduler.flush():
+    for task in tasks:
         reports.append(repair_file(scheme, task.file_name, task.trial))
         if ledger is not None:
             ledger.record(reports[-1])

@@ -42,6 +42,8 @@ class StoreStats:
     entries: int
     bytes: int
     stale: int  #: entries ``get`` would miss (damaged, foreign or old-salt)
+    #: Live entries per scheme; a non-trial job kind gets its own row,
+    #: e.g. ``raid0 (serve)`` next to ``raid0``.
     by_scheme: dict
 
     def render(self) -> str:
@@ -143,8 +145,12 @@ class ResultStore:
             if entry is None:
                 stale += 1
                 continue
-            scheme = str(entry.get("scheme", "?"))
-            by_scheme[scheme] = by_scheme.get(scheme, 0) + 1
+            payload = entry.get("payload")
+            kind = payload.get("kind") if isinstance(payload, dict) else None
+            name = str(entry.get("scheme", "?"))
+            if kind is not None:
+                name = f"{name} ({kind})"
+            by_scheme[name] = by_scheme.get(name, 0) + 1
         return StoreStats(entries=entries, bytes=nbytes, stale=stale,
                           by_scheme=by_scheme)
 

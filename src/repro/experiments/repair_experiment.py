@@ -15,7 +15,7 @@ per run) hits a cluster holding files under three coding families —
   node (Dimakis et al.'s repair-bandwidth point).
 
 — and every (family x scheduler) cell runs the same storm through a
-:class:`repro.rebuild.RepairLedger`-metered repair pass under one of the
+:class:`repro.core.repair.RepairLedger`-metered repair pass under one of the
 rebuild scheduling policies (eager, lazy threshold, batched).  The table
 reports the economy: helper bytes read and bytes moved per disk failure,
 read amplification per lost MB, repairs executed inline vs deferred to
@@ -44,12 +44,16 @@ from repro.accesscore.result import AccessConfig
 from repro.accesscore.routing import MB
 from repro.cluster.server import Cluster
 from repro.core.pipeline import scheme_class
-from repro.core.repair import drain_repairs, maybe_repair
+from repro.core.repair import (
+    RepairLedger,
+    drain_repairs,
+    maybe_repair,
+    scheduler_for,
+)
 from repro.experiments import config as C
 from repro.faults.model import FaultModel
 from repro.faults.plan import DISK_FAIL
 from repro.metrics.reporting import format_table
-from repro.rebuild import RepairLedger, scheduler_for
 from repro.sim.rng import RngHub
 
 #: The repair storm: per-disk exponential fail-stop clocks, no repair
@@ -127,8 +131,7 @@ def _run_cell(
     cluster = Cluster(n_disks=n_disks, rtt_s=C.BASELINE_RTT_S)
     hub = RngHub(seed)
     scheme = scheme_class(name)(cluster, cfg, hub=hub)
-    scheme.REPAIR_REDUNDANCY_FLOOR = TRIGGER_FLOOR
-    ledger = RepairLedger()
+    ledger = RepairLedger(floor=TRIGGER_FLOOR)
     cluster.repair_ledger = ledger
     scheduler = scheduler_for(policy, **kwargs)
 
@@ -149,9 +152,8 @@ def _run_cell(
     # Foreground pass 1: degraded reads, each offering its repair task.
     fg = []
     for t in range(files):
-        r = scheme.read(f"f{t}", t)
-        fg.append(r.latency_s)
-        maybe_repair(scheme, f"f{t}", t, r, scheduler=scheduler)
+        fg.append(scheme.read(f"f{t}", t).latency_s)
+        maybe_repair(scheme, f"f{t}", t, scheduler=scheduler)
     inline = len(ledger.events)
 
     # Foreground pass 2: what a client sees *after* the policy had its

@@ -108,14 +108,6 @@ class WorkloadSpec:
     def to_jsonable(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "WorkloadSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown WorkloadSpec fields: {sorted(unknown)}")
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class RequestBatch:

@@ -214,6 +214,17 @@ def test_store_gc_all_and_stats(tmp_path):
     assert store.stats().entries == 0
 
 
+def test_store_stats_count_serving_cells_apart(tmp_path):
+    # One scheme's trial cell and serving cell are two rows, not one.
+    store = ResultStore(tmp_path / "cache")
+    for plan in (small_plan(), SERVE_PLAN):
+        job = Job(plan, "raid0")
+        store.put(job.key(), "raid0", job.payload(), [])
+    stats = store.stats()
+    assert stats.by_scheme == {"raid0": 1, "raid0 (serve)": 1}
+    assert "raid0 (serve)  1" in stats.render()
+
+
 def test_store_get_stats_and_gc_share_one_validity_rule(tmp_path):
     store = ResultStore(tmp_path / "cache")
     job = Job(small_plan(), "raid0")

@@ -9,7 +9,7 @@ from repro.accesscore.result import AccessConfig
 from repro.accesscore.routing import MB
 from repro.cluster.server import Cluster
 from repro.core import SCHEMES
-from repro.core.repair import maybe_repair
+from repro.core.repair import maybe_repair, scheduler_for
 from repro.experiments.harness import TrialPlan, run_scheme
 from repro.faults import FaultPlan
 from repro.sim.rng import RngHub
@@ -147,35 +147,40 @@ class TestRepairTrigger:
         assert np.isfinite(r.latency_s)  # still decodes from survivors
         assert r.extra["repair_triggered"]
         assert r.extra["surviving_redundancy"] == pytest.approx(1.0)
-        decision = maybe_repair(scheme, "f", 0, r)
+        decision = maybe_repair(scheme, "f", 0)
         assert decision.triggered and decision.repaired
         assert decision.reason == "repaired"
         assert len(decision.dead_disks) == 4
         (report,) = decision.reports
         assert report.complete and report.bytes_read_helpers > 0
+        # The rule sees the restored placement: nothing left to repair.
+        assert maybe_repair(scheme, "f", 0).reason == "healthy"
 
     def test_repeat_notification_same_epoch_is_deduped(self):
-        r, scheme = run_with_plan("robustore", permanent_kills([0, 1, 2, 3]))
-        first = maybe_repair(scheme, "f", 0, r)
-        assert first.repaired
-        again = maybe_repair(scheme, "f", 0, r)
+        # A task the lazy scheduler still holds is not queued twice.
+        _, scheme = run_with_plan("robustore", permanent_kills([0, 1, 2, 3]))
+        scheduler = scheduler_for("lazy", floor=0.0)
+        first = maybe_repair(scheme, "f", 0, scheduler=scheduler)
+        assert first.triggered and first.reason == "deferred"
+        again = maybe_repair(scheme, "f", 0, scheduler=scheduler)
         assert again.triggered and not again.repaired
         assert again.reason == "duplicate"
         assert again.dead_disks == first.dead_disks
+        assert len(scheduler.pending) == 1
 
     def test_three_kills_stay_above_the_floor(self):
         r, scheme = run_with_plan("robustore", permanent_kills([0, 1, 2]))
         assert np.isfinite(r.latency_s)
         assert not r.extra["repair_triggered"]
         assert r.extra["surviving_redundancy"] == pytest.approx(1.5)
-        decision = maybe_repair(scheme, "f", 0, r)
+        decision = maybe_repair(scheme, "f", 0)
         assert not decision.triggered and not decision.repaired
         assert decision.reason == "healthy"
 
     def test_no_faults_no_trigger(self):
         r, scheme = run_with_plan("robustore", None)
         assert not r.extra.get("repair_triggered")
-        decision = maybe_repair(scheme, "f", 0, r)
+        decision = maybe_repair(scheme, "f", 0)
         assert not decision.triggered and not decision.repaired
 
 

@@ -1,29 +1,32 @@
 """The repair economy: ledger accounting, schedulers, metered rebuilds.
 
-Unit coverage for :mod:`repro.rebuild` plus end-to-end passes through
-:func:`repro.core.repair.maybe_repair` for each coding family — RS group
-reconstruction and regenerating node repair restore redundancy and land
-correctly-priced events on the ledger.
+Unit coverage for the ledger and schedulers of :mod:`repro.core.repair`
+plus end-to-end passes through :func:`repro.core.repair.maybe_repair`
+for each coding family — RS group reconstruction and regenerating node
+repair restore redundancy and land correctly-priced events on the
+ledger, and every layout meters its degraded reads at read time.
 """
 
 import numpy as np
 import pytest
 
+from repro.accesscore.events import event_read
 from repro.accesscore.result import AccessConfig
 from repro.accesscore.routing import MB
 from repro.cluster.server import Cluster
 from repro.core.pipeline import scheme_class
-from repro.core.repair import drain_repairs, maybe_repair
-from repro.faults import FaultPlan
-from repro.rebuild import (
+from repro.core.repair import (
     BatchedScheduler,
     EagerScheduler,
     LazyThresholdScheduler,
     RepairEvent,
     RepairLedger,
     RepairTask,
+    drain_repairs,
+    maybe_repair,
     scheduler_for,
 )
+from repro.faults import FaultPlan
 from repro.sim.rng import RngHub
 
 CFG = AccessConfig(data_bytes=32 * MB, block_bytes=1 * MB, n_disks=8, redundancy=3.0)
@@ -77,8 +80,8 @@ class TestLedger:
 
     def test_degraded_reads_skip_infinite_latency(self):
         led = RepairLedger()
-        led.note_degraded_read(0.25, 1.0)
-        led.note_degraded_read(float("inf"), 0.5)
+        led.note_degraded_read(0.25)
+        led.note_degraded_read(float("inf"))
         assert led.degraded_reads == 2
         assert led.degraded_read_s == pytest.approx(0.25)
 
@@ -133,15 +136,19 @@ def _kill(disks, at=0.02):
     )
 
 
-def _scheme_under_kills(name, disks, floor=None):
+def _scheme_under_kills(name, disks, floor=0.99, plan=None):
+    """Provision ``f``, install a ledger with ``floor``, kill, read once.
+
+    The ledger is installed before the read, so the read itself meters
+    whether it ran degraded.
+    """
     cluster = Cluster(n_disks=8, rtt_s=0.001)
     hub = RngHub(9)
     scheme = scheme_class(name)(cluster, CFG, hub=hub)
-    if floor is not None:
-        scheme.REPAIR_REDUNDANCY_FLOOR = floor
+    cluster.repair_ledger = RepairLedger(floor=floor)
     cluster.redraw_disk_states(hub.fresh("env", 0))
     scheme.prepare("f", 0)
-    cluster.install_faults(_kill(disks))
+    cluster.install_faults(_kill(disks) if plan is None else plan)
     return scheme, scheme.read("f", 0)
 
 
@@ -155,11 +162,10 @@ class TestMeteredRepairs:
         ],
     )
     def test_repair_restores_redundancy_and_meters(self, name, algorithm):
-        scheme, r = _scheme_under_kills(name, [0, 1, 2, 3], floor=0.99)
+        scheme, r = _scheme_under_kills(name, [0, 1, 2, 3])
         assert np.isfinite(r.latency_s)
-        ledger = RepairLedger()
-        scheme.cluster.repair_ledger = ledger
-        decision = maybe_repair(scheme, "f", 0, r)
+        ledger = scheme.cluster.repair_ledger
+        decision = maybe_repair(scheme, "f", 0)
         assert decision.repaired and decision.dead_disks == (0, 1, 2, 3)
         (event,) = ledger.events
         assert event.algorithm == algorithm
@@ -185,14 +191,13 @@ class TestMeteredRepairs:
             cluster = Cluster(n_disks=16, rtt_s=0.001)
             hub = RngHub(9)
             scheme = scheme_class(name)(cluster, cfg, hub=hub)
-            scheme.REPAIR_REDUNDANCY_FLOOR = 0.99
+            ledger = RepairLedger(floor=0.99)
+            cluster.repair_ledger = ledger
             cluster.redraw_disk_states(hub.fresh("env", 0))
             scheme.prepare("f", 0)
             cluster.install_faults(_kill([0]))
-            r = scheme.read("f", 0)
-            ledger = RepairLedger()
-            cluster.repair_ledger = ledger
-            assert maybe_repair(scheme, "f", 0, r).repaired
+            scheme.read("f", 0)
+            assert maybe_repair(scheme, "f", 0).repaired
             lost = ledger.blocks_lost * cfg.block_bytes
             bytes_read[name] = ledger.bytes_read_helpers / lost
         # MSR node repair: d/alpha = 2.0 MB per lost MB; RS re-reads a
@@ -201,14 +206,20 @@ class TestMeteredRepairs:
         assert bytes_read["regen-msr"] < bytes_read["robustore-rs"]
 
     def test_new_failure_opens_a_new_epoch(self):
-        scheme, r = _scheme_under_kills("robustore", [0, 1, 2, 3], floor=0.99)
-        first = maybe_repair(scheme, "f", 0, r)
-        assert first.repaired
-        assert maybe_repair(scheme, "f", 0, r).reason == "duplicate"
-        # A fifth disk dies: the dead set changes, so repair runs again.
-        scheme.cluster.install_faults(_kill([4]))
-        second = maybe_repair(scheme, "f", 0, r)
-        assert second.repaired and second.dead_disks == (4,)
+        # The dedupe guards a deferred task: re-notifying a file the lazy
+        # scheduler still holds does not queue it twice.
+        scheme, _ = _scheme_under_kills("robustore", [0, 1, 2, 3])
+        scheduler = LazyThresholdScheduler(floor=0.0)
+        first = maybe_repair(scheme, "f", 0, scheduler=scheduler)
+        assert first.reason == "deferred" and first.deferred == 1
+        again = maybe_repair(scheme, "f", 0, scheduler=scheduler)
+        assert again.reason == "duplicate" and again.deferred == 1
+        assert again.dead_disks == first.dead_disks == (0, 1, 2, 3)
+        # A fifth disk dies: the dead set changes, so a new task queues.
+        scheme.cluster.install_faults(_kill([0, 1, 2, 3, 4]))
+        second = maybe_repair(scheme, "f", 0, scheduler=scheduler)
+        assert second.reason == "deferred" and second.deferred == 2
+        assert second.dead_disks == (0, 1, 2, 3, 4)
 
     @pytest.mark.parametrize("name", ["robustore", "robustore-rs", "regen-msr"])
     def test_failed_pass_is_retried_not_deduplicated(self, name):
@@ -216,10 +227,10 @@ class TestMeteredRepairs:
         # the pass raises — and must raise again on the next notification
         # instead of being swallowed as a "duplicate" of an epoch it never
         # repaired.
-        scheme, r = _scheme_under_kills(name, list(range(7)), floor=0.99)
+        scheme, _ = _scheme_under_kills(name, list(range(7)))
         for _ in range(2):
             with pytest.raises(RuntimeError):
-                maybe_repair(scheme, "f", 0, r)
+                maybe_repair(scheme, "f", 0)
         assert "repair_epoch" not in scheme.metadata.lookup("f").extra
 
     @pytest.mark.parametrize(
@@ -233,22 +244,21 @@ class TestMeteredRepairs:
         # These layouts have no repair pass: each notification must say so,
         # and the epoch it never repaired must not turn the next one into
         # a "duplicate".
-        scheme, r = _scheme_under_kills(name, [0, 1], floor=0.99)
+        scheme, _ = _scheme_under_kills(name, [0, 1])
         for _ in range(2):
             with pytest.raises(NotImplementedError, match=algorithm):
-                maybe_repair(scheme, "f", 0, r)
+                maybe_repair(scheme, "f", 0)
         assert "repair_epoch" not in scheme.metadata.lookup("f").extra
 
     def test_scheduler_defers_and_drain_repairs(self):
-        scheme, r = _scheme_under_kills("robustore-rs", [0, 1, 2, 3], floor=0.99)
-        ledger = RepairLedger()
-        scheme.cluster.repair_ledger = ledger
+        scheme, _ = _scheme_under_kills("robustore-rs", [0, 1, 2, 3])
+        ledger = scheme.cluster.repair_ledger
         scheduler = LazyThresholdScheduler(floor=0.0)
-        decision = maybe_repair(scheme, "f", 0, r, scheduler=scheduler)
+        decision = maybe_repair(scheme, "f", 0, scheduler=scheduler)
         assert decision.triggered and not decision.repaired
         assert decision.reason == "deferred" and decision.deferred == 1
         assert ledger.repairs == 0
-        # Degraded reads are metered even while the rebuild waits.
+        # The read metered itself; the notification meters nothing more.
         assert ledger.degraded_reads == 1
         reports = drain_repairs(scheme, scheduler)
         assert len(reports) == 1 and reports[0].complete
@@ -256,8 +266,55 @@ class TestMeteredRepairs:
         assert scheduler.pending == ()
 
     def test_cluster_installed_ledger_is_found(self):
-        scheme, r = _scheme_under_kills("robustore-rs", [0, 1, 2, 3], floor=0.99)
-        ledger = RepairLedger()
-        scheme.cluster.repair_ledger = ledger
-        assert maybe_repair(scheme, "f", 0, r).repaired
+        scheme, _ = _scheme_under_kills("robustore-rs", [0, 1, 2, 3])
+        ledger = scheme.cluster.repair_ledger
+        assert maybe_repair(scheme, "f", 0).repaired
         assert ledger.repairs == 1
+
+    @pytest.mark.parametrize("name", ["robustore", "robustore-rs", "regen-msr"])
+    def test_uncommitted_replacement_write_leaves_the_record(self, name):
+        # Disks 0 and 1 die for good; disk 2 is down for a second from
+        # 0.05 s, so replacements queued on it never commit.  The pass
+        # must raise before its graph or placement reach the record, and
+        # the ledger and the epoch must stay untouched.
+        plan = FaultPlan.from_scenario([
+            {"at": 0.02, "fault": "disk_fail", "disk": 0},
+            {"at": 0.02, "fault": "disk_fail", "disk": 1},
+            {"at": 0.05, "fault": "disk_fail", "disk": 2, "duration": 1.0},
+        ])
+        scheme, _ = _scheme_under_kills(name, [], plan=plan)
+        record = scheme.metadata.lookup("f")
+        placement = [list(p) for p in record.placement]
+        graph = record.extra.get("graph")
+        with pytest.raises(RuntimeError):
+            maybe_repair(scheme, "f", 0)
+        record = scheme.metadata.lookup("f")
+        assert [list(p) for p in record.placement] == placement
+        assert record.extra.get("graph") is graph
+        assert "repair_epoch" not in record.extra
+        assert scheme.cluster.repair_ledger.repairs == 0
+
+
+class TestDegradedReadMetering:
+    """One metering site: a layout's reads meter themselves, whatever the
+    reaction, on either engine."""
+
+    @pytest.mark.parametrize("engine", ["closed", "event"])
+    def test_passive_layout_meters_its_own_degraded_read(self, engine):
+        cluster = Cluster(n_disks=8, rtt_s=0.001)
+        hub = RngHub(9)
+        scheme = scheme_class("robustore-rs")(cluster, CFG, hub=hub)
+        ledger = RepairLedger(floor=0.99)
+        cluster.repair_ledger = ledger
+        cluster.redraw_disk_states(hub.fresh("env", 0))
+        scheme.prepare("f", 0)
+        cluster.install_faults(_kill([0, 1]))
+        if engine == "closed":
+            r = scheme.read("f", 0)
+        else:
+            r = event_read(scheme, "f", trial=0).result
+        assert np.isfinite(r.latency_s)
+        assert ledger.degraded_reads == 1
+        assert ledger.degraded_read_s == pytest.approx(r.latency_s)
+        # A passive layout's read carries no repair extras.
+        assert "repair_triggered" not in r.extra

@@ -63,7 +63,7 @@ def test_repair_economy_ordering():
         assert rows[(name, "lazy")]["drained"] > 0
         assert (
             rows[(name, "lazy")]["degr_reads"]
-            >= rows[(name, "eager")]["degr_reads"]
+            > rows[(name, "eager")]["degr_reads"]
         )
 
 

@@ -145,10 +145,3 @@ def test_bursts_concentrate_arrivals():
 def test_spec_validation(kwargs):
     with pytest.raises(ValueError):
         WorkloadSpec(**kwargs)
-
-
-def test_spec_jsonable_round_trip():
-    spec = WorkloadSpec(n_clients=42, size_dist="lognormal", zipf_s=1.2)
-    assert WorkloadSpec.from_jsonable(spec.to_jsonable()) == spec
-    with pytest.raises(ValueError):
-        WorkloadSpec.from_jsonable({"n_clients": 1, "bogus": 2})
