@@ -10,13 +10,22 @@ aligned groups of lines).
 
 from __future__ import annotations
 
-from itertools import repeat
-
 import numpy as np
 
 #: Tag of a slot that :meth:`SetAssociativeCache.insert_fresh` filled.
 #: It equals no key, so a probe never hits it and only the slot counts.
 AGED = object()
+
+# CPython's tuple hash on a 64-bit build (``tuplehash`` in
+# Objects/tupleobject.c, unchanged since 3.8): xxHash's primes, mixed in
+# wrapping 64-bit arithmetic.
+_MASK = (1 << 64) - 1
+_XXPRIME_1 = 11400714785074694791
+_XXPRIME_2 = 14029467366897019727
+_XXPRIME_5 = 2870177450012600261
+#: The modulus of CPython's int hash: an int in ``[0, 2**61 - 1)``
+#: hashes to itself.
+_HASH_MODULUS = (1 << 61) - 1
 
 
 class SetAssociativeCache:
@@ -57,6 +66,34 @@ class SetAssociativeCache:
         tag = key if isinstance(key, tuple) else (key,)
         return hash(tag) % self.n_sets, tag
 
+    def _indices(self, stream, lines: range) -> np.ndarray:
+        """``hash((stream, line)) % n_sets`` for each of ``lines``, as an
+        int64 array: :meth:`_index`'s rule without a hash call per line.
+
+        CPython hashes a pair as ``acc = P5``, then per item
+        ``acc = rotl31(acc + hash(item) * P2) * P1``, then
+        ``acc += 2 ^ P5 ^ 3527539``, mapping ``-1`` to ``1546275796``.
+        The stream's round is one scalar; the line's runs on the whole
+        range in uint64, which wraps as the C code does.  Lines must lie
+        in ``[0, 2**61 - 1)``, where an int hashes to itself.
+        """
+        # A range's lines lie between its two ends.
+        if lines and not (0 <= lines[0] < _HASH_MODULUS and 0 <= lines[-1] < _HASH_MODULUS):
+            raise ValueError("lines must lie in [0, 2**61 - 1)")
+        acc = (_XXPRIME_5 + (hash(stream) & _MASK) * _XXPRIME_2) & _MASK
+        acc = (((acc << 31) | (acc >> 33)) * _XXPRIME_1) & _MASK
+        u64 = np.uint64
+        h = np.arange(lines.start, lines.stop, lines.step, dtype=u64)
+        h *= u64(_XXPRIME_2)
+        h += u64(acc)
+        h = (h << u64(31)) | (h >> u64(33))
+        h *= u64(_XXPRIME_1)
+        h += u64(2 ^ _XXPRIME_5 ^ 3527539)
+        h = h.view(np.int64)
+        h[h == -1] = 1546275796
+        # numpy's integer % takes the divisor's sign, as Python's does.
+        return h % self.n_sets
+
     # -- line operations -----------------------------------------------------
     def lookup_line(self, key) -> bool:
         """Probe one line; updates LRU order and hit/miss counters."""
@@ -90,19 +127,19 @@ class SetAssociativeCache:
 
         Equivalent to ``insert_line`` per line, in order, for lines the
         cache has never held and nothing probes afterwards.  Sets are
-        indexed as in :meth:`_index`.  A set that takes ``k`` of the
-        lines drops its ``len + k - ways`` oldest entries (all of them
-        once ``k >= ways``) and appends ``min(k, ways)`` :data:`AGED`
-        slots.
+        indexed as in :meth:`_index`, by :meth:`_indices`.  A set that
+        takes ``k >= ways`` of the lines holds ``ways`` :data:`AGED`
+        slots after; a set that takes fewer drops its
+        ``len + k - ways`` oldest entries and appends ``k`` of them.
         """
-        tags = zip(repeat(stream), lines)
-        hashes = np.fromiter(map(hash, tags), np.int64, len(lines))
-        counts = np.bincount(hashes % self.n_sets, minlength=self.n_sets)
+        counts = np.bincount(self._indices(stream, lines), minlength=self.n_sets)
         ways = self.ways
         aged = [AGED] * ways
         sets = self._sets
-        touched = np.flatnonzero(counts)
-        for idx, k in zip(touched.tolist(), counts[touched].tolist()):
+        for idx in np.flatnonzero(counts >= ways).tolist():
+            sets[idx] = aged[:]
+        few = np.flatnonzero((counts > 0) & (counts < ways))
+        for idx, k in zip(few.tolist(), counts[few].tolist()):
             s = sets[idx]
             drop = len(s) + k - ways
             if drop > 0:

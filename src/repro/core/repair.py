@@ -197,8 +197,17 @@ class RebuildScheduler:
         return tuple(self._queue)
 
     def offer(self, task: RepairTask) -> list[RepairTask]:
-        """Queue ``task``; return every task that should repair *now*."""
-        self._queue.append(task)
+        """Queue ``task``; return every task that should repair *now*.
+
+        A task held for the same file is replaced in its queue position:
+        one pass repairs every disk the file has lost by then.
+        """
+        for pos, held in enumerate(self._queue):
+            if held.file_name == task.file_name:
+                self._queue[pos] = task
+                break
+        else:
+            self._queue.append(task)
         if self._release(task):
             return self._drain()
         return []
@@ -567,7 +576,8 @@ def maybe_repair(scheme, file_name: str, trial: int, scheduler=None) -> RepairDe
     Repeated notifications for the same set of dead disks return a
     ``duplicate`` decision without repairing again (a task the scheduler
     is still holding is not queued twice); a new failure starts a new
-    epoch.  A pass that raises leaves its epoch unclaimed, so the next
+    epoch, whose task replaces one the scheduler still holds for the
+    file.  A pass that raises leaves its epoch unclaimed, so the next
     notification for the same dead set tries again.
 
     Without a ``scheduler`` every trigger repairs immediately (eager);

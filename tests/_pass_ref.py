@@ -34,7 +34,6 @@ from repro.accesscore.timeline import DiskStream, acks_incomplete, failed_write_
 from repro.accesscore.tracing import _sample_indices
 from repro.core.policy.write import SpeculativeRatelessWrite
 from repro.disk.geometry import SECTOR_BYTES
-from repro.disk.service import settled
 
 __all__ = [
     "ReferenceRatelessWrite",
@@ -44,7 +43,20 @@ __all__ = [
     "reference_serve_read_queues",
     "reference_served_before",
     "reference_simulate_uniform_write",
+    "settled",
 ]
+
+
+def settled(new: np.ndarray, old: np.ndarray) -> bool:
+    """``np.allclose(new, old, rtol=0, atol=1e-12)`` without its set-up:
+    the reference loop's convergence test.
+
+    Elementwise ``|new - old| <= 1e-12`` or ``new == old``, which is what
+    ``np.isclose`` computes at ``rtol=0``: equal infinities count as close
+    and NaN never does.  Unlike ``allclose`` it does not silence numpy's
+    warning for ``inf - inf``; the fixed point's times are finite.
+    """
+    return bool(((np.abs(new - old) <= 1e-12) | (new == old)).all())
 
 
 def _sample_local_seek(mech, rng, n):

@@ -109,6 +109,15 @@ class TestSchedulers:
         assert s.offer(critical) == [healthy, critical]
         assert s.pending == ()
 
+    def test_a_new_task_replaces_the_held_one_for_its_file(self):
+        s = LazyThresholdScheduler(floor=0.5)
+        a, b = _task("a", surv=2.0), _task("b", surv=2.0)
+        s.offer(a)
+        s.offer(b)
+        newer = _task("a", surv=1.0)
+        assert s.offer(newer) == []
+        assert s.pending == (newer, b)
+
     def test_batched_drains_in_fixed_batches(self):
         s = BatchedScheduler(batch_size=3)
         tasks = [_task(str(i)) for i in range(5)]
@@ -215,11 +224,27 @@ class TestMeteredRepairs:
         again = maybe_repair(scheme, "f", 0, scheduler=scheduler)
         assert again.reason == "duplicate" and again.deferred == 1
         assert again.dead_disks == first.dead_disks == (0, 1, 2, 3)
-        # A fifth disk dies: the dead set changes, so a new task queues.
+        # A fifth disk dies: the dead set changes, so the new epoch's task
+        # replaces the one still held for the file.
         scheme.cluster.install_faults(_kill([0, 1, 2, 3, 4]))
         second = maybe_repair(scheme, "f", 0, scheduler=scheduler)
-        assert second.reason == "deferred" and second.deferred == 2
+        assert second.reason == "deferred" and second.deferred == 1
         assert second.dead_disks == (0, 1, 2, 3, 4)
+        assert scheduler.pending[0].dead_disks == (0, 1, 2, 3, 4)
+
+    def test_a_file_held_across_epochs_is_repaired_once(self):
+        # Disks 0-2 die, then disk 3: one pass repairs all four.  Two
+        # queued tasks used to repair the file twice, the second a
+        # whole-object LT re-read with nothing left to rebuild.
+        scheme, _ = _scheme_under_kills("robustore", [0, 1, 2])
+        scheduler = LazyThresholdScheduler(floor=0.0)
+        maybe_repair(scheme, "f", 0, scheduler=scheduler)
+        scheme.cluster.install_faults(_kill([0, 1, 2, 3]))
+        maybe_repair(scheme, "f", 0, scheduler=scheduler)
+        events = drain_repairs(scheme, scheduler)
+        assert len(events) == 1
+        assert scheme.cluster.repair_ledger.events == list(events)
+        assert events[0].blocks_lost > 0 and events[0].complete
 
     @pytest.mark.parametrize("name", ["robustore", "robustore-rs", "regen-msr"])
     def test_failed_pass_is_retried_not_deduplicated(self, name):

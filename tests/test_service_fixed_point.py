@@ -1,10 +1,11 @@
-"""The background fixed point's convergence test against ``np.allclose``.
+"""The background fixed point against the loops that iterated it.
 
-``BlockService.completions`` iterates the foreground completion times
-until they settle.  It used to ask ``np.allclose(c_new, c, rtol=0,
-atol=1e-12)``; it now asks :func:`repro.disk.service.settled`, the same
-elementwise test without ``allclose``'s set-up.  The loop as it was is
-kept below as the oracle.
+``BlockService.completions`` solves the foreground completion times'
+fixed point.  It used to iterate them until ``np.allclose(c_new, c,
+rtol=0, atol=1e-12)``; that loop is kept below as the oracle,
+:func:`completions_before`.  The reference loop in ``tests/_pass_ref.py``
+asks :func:`tests._pass_ref.settled`, the same elementwise test without
+``allclose``'s set-up, which the first tests check against ``allclose``.
 """
 
 import numpy as np
@@ -12,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.disk.mechanics import DiskMechanics
-from repro.disk.service import BackgroundLoad, BlockService, settled
+from repro.disk.service import BackgroundLoad, BlockService
 from repro.disk.workload import InDiskLayout
 from repro.faults.timeline import DiskTimeline
+from tests._pass_ref import settled
 
 ATOL = 1e-12
 ABOVE = float(np.nextafter(ATOL, np.inf))
